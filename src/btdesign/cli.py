@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -244,6 +243,9 @@ def run_scan(spec: ScanSpec, stream: TextIO, workers: int | None = None) -> int:
     writer.writerow([*(f"beta{i}" for i in range(1, spec.m)), "kind", "support_size", "margin"])
     points = list(spec.grid())
     if workers > 1:
+        # Imported here: multiprocessing adds ~2 MB to every process that loads the CLI.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = pool.map(_scan_row, points, chunksize=max(1, len(points) // (8 * workers)))
             for row in rows:
@@ -317,15 +319,19 @@ def cmd_classify(args: argparse.Namespace, stdout: TextIO) -> int:
     if found is not None:
         path, membership = found
         design = path.design()
+        certificate = kw_check(design, params)
         report = {
             "kind": "saturated",
             "path": list(path.order),
             "design": design_to_dict(design),
             "margin": membership.margin,
             "g_values": {p.key(): v for p, v in sorted(membership.g_values.items())},
-            "certificate": certificate_to_dict(kw_check(design, params)),
+            "certificate": certificate_to_dict(certificate),
         }
         emit_json(report, stdout)
+        if not certificate.is_optimal:
+            print(f"error: path {list(path.order)} is not certified optimal at this point", file=sys.stderr)
+            return EXIT_NOT_OPTIMAL
         return EXIT_OK
     result = solve(params)
     report = {

@@ -42,6 +42,10 @@ class SingularMatrixError(BtDesignError):
     """An operation required a positive definite matrix and did not get one."""
 
 
+class IntensityUnderflowError(BtDesignError):
+    """An intensity underflowed to zero: a preference gap is too large to certify."""
+
+
 @dataclass(frozen=True, order=True, eq=True)
 class Pair:
     """An unordered comparison, stored canonically with i < j."""
@@ -157,6 +161,10 @@ class IntensityTable:
             raise ValueError(f"intensity table must cover exactly the pairs on 1..{self.m}")
         for p, lam in values.items():
             if not (0.0 < lam <= 0.25):
+                if lam == 0.0:
+                    raise IntensityUnderflowError(
+                        f"intensity for {p} underflows to 0: the preference gap is beyond the certifiable range"
+                    )
                 raise ValueError(f"intensity for {p} must lie in (0, 1/4], got {lam}")
         object.__setattr__(self, "values", values)
 

@@ -1,13 +1,16 @@
 """Iterative locally D-optimal design solver on the weight simplex.
 
-The iteration is the classical multiplicative one: with directional values
-d_ij = lambda_ij f^T M(w)^{-1} f, update w_ij <- w_ij * d_ij / (m-1).  The
-update preserves the simplex (the weighted average of the d_ij is m-1) and
-log det M(w) never decreases along it.  Weights decaying below the prune
-threshold are removed periodically; every prune is validated against the
-full optimality criterion and undone if it was premature.  When pruning
-leaves a spanning saturated support, the weights snap to the rigid equal
-values, which is the exact restricted optimum on such a support.
+With directional values d_ij = lambda_ij f^T M(w)^{-1} f and k = m-1, each
+iteration stops once max d_ij <= k + kw_tolerance on the allowed pairs (the
+equivalence theorem then certifies the design), deletes for good every pair
+with d_ij < k (1 + eps/2 - sqrt(eps (4 + eps - 4/k)) / 2), eps = max d - k,
+which by Harman & Pronzato (2007, Statist. Probab. Lett. 77, "Improvements on
+removing nonoptimal support points in D-optimum design algorithms") supports
+no D-optimal design, and applies the multiplicative update
+w_ij <- w_ij d_ij / k (Silvey, Titterington & Torsney 1978), which keeps the
+simplex and never decreases log det M(w).  Once the live support stops
+shrinking, Newton's method maximizes log det exactly on it; the result is
+adopted only if it passes the directional check on every allowed pair.
 """
 
 from __future__ import annotations
@@ -28,23 +31,27 @@ from .core import (
     intensity_vector,
     regression_matrix,
 )
-from .graphs import SupportGraph, is_tree
+from .graphs import SupportGraph
 from .optimality import KwCertificate, kw_check
+
+# Iterations without a deletion before (each retry of) the exact finish.
+_STABLE_ITERATIONS = 10
+# Newton steps per finish; convergence is quadratic once the support is right.
+_NEWTON_STEPS = 30
+_NEWTON_STEP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 100_000
     kw_tolerance: float = 1e-8
-    prune_threshold: float = 1e-9
-    prune_interval: int = 50
     initial_design: Design | None = None
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.kw_tolerance <= 0 or self.prune_threshold <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.kw_tolerance <= 0:
+            raise ValueError("kw_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,11 @@ def _multiplicative_step(w: np.ndarray, lam: np.ndarray, F: np.ndarray, m: int) 
     return w / w.sum()
 
 
+def _deletion_bound(eps: float, k: int) -> float:
+    """Lower bound on d at any D-optimal support point, given eps = max d - k > 0."""
+    return k * (1.0 + eps / 2.0 - np.sqrt(eps * (4.0 + eps - 4.0 / k)) / 2.0)
+
+
 def _solve_on_mask(
     params: Parameters, allowed: np.ndarray, config: SolverConfig
 ) -> tuple[np.ndarray, int, bool]:
@@ -94,10 +106,9 @@ def _solve_on_mask(
     allowed set.
     """
     m = params.m
-    pairs = all_pairs(m)
+    k = m - 1
     F = regression_matrix(m)
     lam = intensity_vector(params)
-    k = len(pairs)
 
     if config.initial_design is not None:
         if config.initial_design.m != m:
@@ -108,105 +119,82 @@ def _solve_on_mask(
     else:
         w = np.where(allowed, 1.0 / allowed.sum(), 0.0)
 
-    d = _directional_values(w, lam, F)
-    if d is None:
-        raise SingularMatrixError("initial design has a singular information matrix")
-
-    threshold = (m - 1) + config.kw_tolerance
-    pruned: dict[int, float] = {}
-    protected = np.zeros(k, dtype=bool)  # restored pairs are never re-pruned
-    iterations = 0
-    converged = False
-
+    live = w > 0.0
+    stable = 0
     for iterations in range(1, config.max_iterations + 1):
-        live = w > 0.0
-        live_max = d[live & allowed].max()
-        allowed_max = d[allowed].max()
-
-        if allowed_max <= threshold:
-            w = _finalize(w, lam, F, m, pairs, allowed, threshold)
-            converged = True
-            break
-
-        if pruned and live_max <= threshold < allowed_max:
-            # A pruned pair violates optimality while the live part has
-            # converged: the prune was premature, put the weights back.
-            for idx, value in pruned.items():
-                w[idx] = value
-                protected[idx] = True
-            pruned.clear()
-            w /= w.sum()
-        else:
-            w[live] *= d[live] / (m - 1)
-            w /= w.sum()
-
-            if iterations % config.prune_interval == 0:
-                small = live & ~protected & (w < config.prune_threshold)
-                if small.any() and (w > 0.0).sum() - small.sum() >= m - 1:
-                    saved = {int(i): float(w[i]) for i in np.flatnonzero(small)}
-                    w[small] = 0.0
-                    w /= w.sum()
-                    pruned.update(saved)
-                    w = _snap_if_saturated(w, pairs, m)
-
         d = _directional_values(w, lam, F)
-        if d is None:  # pragma: no cover - pruning is validated, det is monotone
-            for idx, value in pruned.items():
-                w[idx] = value
-            pruned.clear()
-            w /= w.sum()
-            d = _directional_values(w, lam, F)
-            if d is None:
-                raise SingularMatrixError("iteration produced a singular information matrix")
+        if d is None:
+            raise SingularMatrixError(f"information matrix is singular after {iterations - 1} iterations")
+        eps = d[allowed].max() - k
+        if eps <= config.kw_tolerance:
+            return w, iterations, True
 
-    return w, iterations, converged
+        doomed = live & (d < _deletion_bound(eps, k))
+        if doomed.any():
+            live &= ~doomed
+            w[doomed] = 0.0
+            stable = 0
+        else:
+            stable += 1
 
+        if stable == _STABLE_ITERATIONS:
+            stable = 0
+            trial = _newton_on_support(w, lam, F, k, live)
+            if trial is not None:
+                d_trial = _directional_values(trial, lam, F)
+                if d_trial is not None and d_trial[allowed].max() - k <= config.kw_tolerance:
+                    return trial, iterations, True
 
-def _snap_if_saturated(w: np.ndarray, pairs: tuple[Pair, ...], m: int) -> np.ndarray:
-    """Replace a spanning (m-1)-pair support by its rigid equal weights."""
-    live = np.flatnonzero(w > 0.0)
-    if len(live) != m - 1:
-        return w
-    g = SupportGraph(m, frozenset(pairs[i] for i in live))
-    if not is_tree(g):
-        return w
-    w = np.zeros_like(w)
-    w[live] = 1.0 / (m - 1)
-    return w
+        w[live] *= d[live] / k
+        w /= w.sum()
 
-
-# Converged iterates can carry stragglers just above the support threshold:
-# the optimality criterion settles faster than off-support weights decay.
-# Weights below this band are candidates for certificate-gated removal.
-_CLEANUP_BAND = 1e-4
+    return w, config.max_iterations, False
 
 
-def _finalize(
-    w: np.ndarray,
-    lam: np.ndarray,
-    F: np.ndarray,
-    m: int,
-    pairs: tuple[Pair, ...],
-    allowed: np.ndarray,
-    threshold: float,
-) -> np.ndarray:
-    """Drop sub-band weights if the simplified design still meets the criterion.
+def _newton_on_support(
+    w: np.ndarray, lam: np.ndarray, F: np.ndarray, k: int, live: np.ndarray
+) -> np.ndarray | None:
+    """Maximize log det M(w) over weights on the live pairs summing to one.
 
-    The simplification is adopted only when the full directional check passes
-    on it, so a genuinely needed small weight is never lost.
+    Newton on the KKT system of the simplex constraint, started at w; the
+    Hessian of log det is -(lambda_i lambda_j (f_i^T M^{-1} f_j)^2).  When a
+    step would drive weights nonpositive, it stops where the first of them
+    reaches zero, that pair leaves the trial support, and the solve goes on
+    without it.  On k pairs log det is sum log w + const, so the optimum is
+    exactly 1/k each.  Returns None when M or the KKT matrix is singular.
     """
-    small = (w > 0.0) & (w < _CLEANUP_BAND)
-    if not small.any():
-        return w
-    trial = w.copy()
-    trial[small] = 0.0
-    if (trial > 0.0).sum() < m - 1:
-        return w
-    trial /= trial.sum()
-    trial = _snap_if_saturated(trial, pairs, m)
-    d = _directional_values(trial, lam, F)
-    if d is None or d[allowed].max() > threshold:
-        return w
+    support = np.flatnonzero(live)
+    v = w[support] / w[support].sum()
+    for _ in range(_NEWTON_STEPS):
+        if len(support) == k:
+            v = np.full(k, 1.0 / k)
+            break
+        Fs, ls = F[support], lam[support]
+        M = Fs.T @ (Fs * (v * ls)[:, None])
+        if cholesky_pivots(M) is None:
+            return None
+        G = Fs @ np.linalg.solve(M, Fs.T)
+        n = len(support)
+        kkt = np.ones((n + 1, n + 1))
+        kkt[n, n] = 0.0
+        kkt[:n, :n] = -np.outer(ls, ls) * G**2
+        try:
+            step = np.linalg.solve(kkt, np.append(-ls * np.diag(G), 0.0))[:n]
+        except np.linalg.LinAlgError:
+            return None
+        if np.any(v + step <= 0.0):
+            # Move to where the first weight reaches zero, then drop that pair.
+            reach = np.where(step < 0.0, v / np.maximum(-step, 1e-300), np.inf)
+            j = np.argmin(reach)
+            v = v + reach[j] * step
+            keep = np.arange(n) != j
+            support, v = support[keep], v[keep] / v[keep].sum()
+            continue
+        v = v + step
+        if np.abs(step).max() <= _NEWTON_STEP_TOL:
+            break
+    trial = np.zeros_like(w)
+    trial[support] = v / v.sum()
     return trial
 
 

@@ -129,6 +129,35 @@ class TestClassify:
         assert report["path"] == [1, 2, 3, 4, 5]
         assert report["margin"] < 0.0
 
+    @pytest.mark.parametrize("m,beta", [(3, "40,40"), (5, "120,80,40,40")])
+    def test_uncertified_path_is_not_optimal(self, m, beta, capsys):
+        rc, report = run_json(["classify", "--m", str(m), f"--beta={beta}"])
+        assert rc == 1
+        assert report["kind"] == "saturated"
+        assert not report["certificate"]["is_optimal"]
+        assert "error:" in capsys.readouterr().err
+
+    def test_solver_fallback_tail_point_converges(self):
+        # An m=7 point outside every path region whose solve once ran into
+        # the iteration cap.
+        beta = "-2.389172507307342,-5.831192976807449,3.5680804896961824,-5.735195029649638,-1.0698048806276548,-2.4131484039801387"
+        rc, report = run_json(["classify", "--m", "7", f"--beta={beta}"])
+        assert rc == 0
+        assert report["kind"] == "unsaturated"
+        assert report["converged"] and report["certificate"]["is_optimal"]
+
+
+class TestUnderflow:
+    """Intensities that underflow to zero end in exit 1 with an error line."""
+
+    @pytest.mark.parametrize("big", ["800", "1e300"])
+    @pytest.mark.parametrize("command,m", [("classify", 4), ("classify", 5), ("optimize", 4)])
+    def test_exit_1_with_error_line(self, command, m, big, capsys):
+        beta = ",".join([big] + ["0"] * (m - 2))
+        rc, _ = run([command, "--m", str(m), f"--beta={beta}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestScan:
     SPEC = {

@@ -21,7 +21,7 @@ from btdesign import (
     regression_vector,
     solve_spd,
 )
-from btdesign.core import design_from_vector, intensity_vector
+from btdesign.core import IntensityUnderflowError, design_from_vector, intensity_vector
 
 from helpers import random_design, random_params
 
@@ -96,6 +96,10 @@ class TestIntensityTable:
         table = intensity_table(Parameters(4, (0.0, 0.0, 0.0)))
         assert set(table.values) == set(all_pairs(4))
         assert all(v == 0.25 for v in table.values.values())
+
+    def test_underflow_is_a_package_error(self):
+        with pytest.raises(IntensityUnderflowError):
+            intensity_table(Parameters(4, (800.0, 0.0, 0.0)))
 
     def test_geometric_point(self):
         # beta_i = i * log(2), so pi_i = 2^i: lambda_12 = pi1/(1+pi1)^2 = 2/9.

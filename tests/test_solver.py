@@ -1,4 +1,4 @@
-"""Multiplicative solver: convergence, monotonicity, pruning, restriction."""
+"""Multiplicative solver: convergence, monotonicity, safe deletion, restriction."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from btdesign import (
     solve_restricted,
 )
 from btdesign.core import intensity_vector, log_det, regression_matrix
-from btdesign.solver import SolverConfig, _multiplicative_step
+from btdesign.solver import SolverConfig, _deletion_bound, _directional_values, _multiplicative_step
 
 from helpers import geometric_params, random_params, sample_in_path_region
 
@@ -104,6 +104,16 @@ class TestSolve:
         assert result.iterations == 3
         assert not result.converged
 
+    def test_m7_tail_point_converges(self):
+        # Outside every path region; this solve once hit the 100 000-iteration cap.
+        beta = (-2.389172507307342, -5.831192976807449, 3.5680804896961824,
+                -5.735195029649638, -1.0698048806276548, -2.4131484039801387)
+        config = SolverConfig()
+        result = solve(Parameters(7, beta), config)
+        assert result.converged
+        assert result.iterations < config.max_iterations
+        assert result.certificate.max_violation <= config.kw_tolerance
+
     def test_support_discovery_matches_regions(self):
         rng = np.random.default_rng(229)
         for m in (4, 5):
@@ -118,21 +128,29 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(kw_tolerance=0.0)
 
-    def test_aggressive_pruning_is_restored(self):
-        # A prune threshold far above any sensible value throws away genuine
-        # support weights; the restoration logic must still converge to the
-        # right design.
+    def test_deletion_bound_spares_optimal_support(self):
+        # The Harman-Pronzato bound, evaluated along multiplicative paths from
+        # random starts, never rules out a pair of the known optimal design.
         rng = np.random.default_rng(241)
-        for _ in range(10):
-            params = random_params(rng, 4, scale=2.0)
-            config = SolverConfig(prune_threshold=5e-2, prune_interval=10)
-            result = solve(params, config)
-            assert result.converged
-            reference = classify_m4(params)
-            for p in all_pairs(4):
-                assert result.design.weight(p) == pytest.approx(
-                    reference.design.weight(p), abs=1e-5
-                )
+        cases = [(classify_m4(p).design.support(), p) for p in (random_params(rng, 4) for _ in range(15))]
+        cases += [(path.edges(), p) for path, p in (sample_in_path_region(rng, 5) for _ in range(15))]
+        deleted = 0
+        for support, params in cases:
+            m, support = params.m, set(support)
+            F = regression_matrix(m)
+            lam = intensity_vector(params)
+            keep = np.array([p in support for p in all_pairs(m)])
+            w = rng.dirichlet(np.ones(len(all_pairs(m))))
+            for _ in range(100):
+                d = _directional_values(w, lam, F)
+                eps = d.max() - (m - 1)
+                if eps <= 0.0:
+                    break
+                doomed = d < _deletion_bound(eps, m - 1)
+                assert not np.any(doomed & keep), (params, support)
+                deleted += int(doomed.sum())
+                w = _multiplicative_step(w, lam, F, m)
+        assert deleted > 0
 
 
 class TestSolveRestricted:
