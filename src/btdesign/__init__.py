@@ -43,7 +43,6 @@ from .graphs import (
     SupportGraph,
     apply_to_design,
     apply_to_params,
-    enumerate_paths,
     is_path,
     is_tree,
     q_matrix,
@@ -53,7 +52,6 @@ from .optimality import KW_TOLERANCE, KwCertificate, d_efficiency, directional_d
 from .regions import (
     PathDesign,
     RegionMembership,
-    enumerate_path_designs,
     find_optimal_saturated,
     g_value,
     region_membership,
@@ -92,8 +90,6 @@ __all__ = [
     "d_efficiency",
     "directional_derivative",
     "disjoint_four_point_residuals",
-    "enumerate_path_designs",
-    "enumerate_paths",
     "find_optimal_saturated",
     "five_point_weights",
     "four_point_shared_vertex_weights",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -312,10 +313,7 @@ def cmd_classify(args: argparse.Namespace, stdout: TextIO) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NOT_OPTIMAL
         return EXIT_OK
-    try:
-        found = find_optimal_saturated(params)
-    except ValueError as exc:  # path enumeration cap
-        raise CliError(str(exc)) from None
+    found = find_optimal_saturated(params)
     if found is not None:
         path, membership = found
         design = path.design()
@@ -345,14 +343,24 @@ def cmd_classify(args: argparse.Namespace, stdout: TextIO) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_OPTIMAL
 
 
+def _write_csv(text: str, path: str | None, stdout: TextIO) -> None:
+    """Write a finished CSV to --output, or to stdout when no file is named.
+
+    Callers build the whole text first, so a command that fails midway
+    creates no output file.
+    """
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        stdout.write(text)
+
+
 def cmd_scan(args: argparse.Namespace, stdout: TextIO) -> int:
     spec = load_scan_spec(args.spec)
-    workers = args.workers if args.workers else None
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            run_scan(spec, fh, workers=workers)
-    else:
-        run_scan(spec, stdout, workers=workers)
+    rows = io.StringIO()
+    run_scan(spec, rows, workers=args.workers or None)
+    _write_csv(rows.getvalue(), args.output, stdout)
     return EXIT_OK
 
 
@@ -367,21 +375,16 @@ def cmd_efficiency(args: argparse.Namespace, stdout: TextIO) -> int:
     if args.steps < 2:
         raise CliError("need at least 2 steps")
 
-    def write(stream: TextIO) -> None:
-        writer = csv.writer(stream)
-        writer.writerow(["beta1", "kind", "efficiency"])
-        uniform = Design.uniform(4)
-        for t in np.linspace(lo, hi, args.steps):
-            params = Parameters(4, tuple(t * c for c in line))
-            label = classify_m4(params)
-            eff = d_efficiency(uniform, label.design, params)
-            writer.writerow([f"{t:.12g}", label.kind.value, f"{eff:.12g}"])
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-    else:
-        write(stdout)
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["beta1", "kind", "efficiency"])
+    uniform = Design.uniform(4)
+    for t in np.linspace(lo, hi, args.steps):
+        params = Parameters(4, tuple(t * c for c in line))
+        label = classify_m4(params)
+        eff = d_efficiency(uniform, label.design, params)
+        writer.writerow([f"{t:.12g}", label.kind.value, f"{eff:.12g}"])
+    _write_csv(rows.getvalue(), args.output, stdout)
     return EXIT_OK
 
 

@@ -37,7 +37,7 @@ from .core import (
     intensity_table,
 )
 from .optimality import KW_TOLERANCE, KwCertificate, kw_check
-from .regions import PathDesign, enumerate_path_designs
+from .regions import PathDesign, sorted_beta_path
 
 Scalar = Union[float, np.ndarray]
 LamMap = Mapping[Pair, Scalar]
@@ -506,15 +506,16 @@ def classify_m4(params: Parameters) -> RegionLabel:
                 missing_pairs=(missing1, missing2),
             )
 
-    for path in enumerate_path_designs(4):
-        if all(v <= 0.0 for v in saturated_inequality_values(path, lam)):
-            design = path.design()
-            return RegionLabel(
-                kind=RegionKind.SATURATED,
-                design=design,
-                certificate=_certify(design, params, f"saturated region of path {path.order}"),
-                path=path,
-            )
+    # No other path's region can hold the point; see the regions module docstring.
+    path = sorted_beta_path(params)
+    if all(v <= 0.0 for v in saturated_inequality_values(path, lam)):
+        design = path.design()
+        return RegionLabel(
+            kind=RegionKind.SATURATED,
+            design=design,
+            certificate=_certify(design, params, f"saturated region of path {path.order}"),
+            path=path,
+        )
 
     raise ClassificationError(f"no optimality region certified beta={params.beta}")
 

@@ -17,10 +17,6 @@ import numpy as np
 
 from .core import Design, Pair, Parameters, all_pairs
 
-# Hamiltonian-path enumeration is factorial in m; 8 alternatives (20160
-# paths) is the supported ceiling.
-MAX_ENUMERATION_M = 8
-
 
 @dataclass(frozen=True)
 class SupportGraph:
@@ -150,24 +146,6 @@ def apply_to_params(sigma: Permutation, params: Parameters) -> Parameters:
     Q = q_matrix(sigma, params.m).astype(float)
     beta = np.linalg.solve(Q.T, np.asarray(params.beta))
     return Parameters(params.m, tuple(beta))
-
-
-def path_vertex_orders(m: int) -> list[tuple[int, ...]]:
-    """Vertex orders of all m!/2 labeled Hamiltonian paths, reversals deduped."""
-    if m < 2:
-        raise ValueError(f"paths need at least two vertices, got m={m}")
-    if m > MAX_ENUMERATION_M:
-        raise ValueError(f"path enumeration is capped at m={MAX_ENUMERATION_M}, got m={m}")
-    return [order for order in itertools.permutations(range(1, m + 1)) if order[0] < order[-1]]
-
-
-def enumerate_paths(m: int) -> list[SupportGraph]:
-    """All labeled Hamiltonian paths on 1..m as support graphs."""
-    out = []
-    for order in path_vertex_orders(m):
-        edges = frozenset(Pair(order[k], order[k + 1]) for k in range(m - 1))
-        out.append(SupportGraph(m, edges))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,30 @@ over all pairs; consecutive pairs give exactly 1.  Any other path's region
 is the relabeling of this one, which here is evaluated directly from vertex
 positions along the path.  Regions are closed: boundary points count as
 inside.
+
+For m >= 3 at most one path's region can contain a given beta: the path
+that visits the alternatives in descending order of beta_full().  Write
+lambda_xy for the intensity of the pair (x, y); it strictly decreases in
+|beta_x - beta_y| and is 1/4 at 0.
+
+(i) Say a path visits a, b, c consecutively and beta_b lies strictly
+    outside [min(beta_a, beta_c), max(beta_a, beta_c)].  Then
+    |beta_a - beta_c| < max(|beta_a - beta_b|, |beta_b - beta_c|), so
+    lambda_ac > min(lambda_ab, lambda_bc) and
+    g(a, c) = lambda_ac (1/lambda_ab + 1/lambda_bc) > 1.
+(ii) Say adjacent a, b have beta_a = beta_b, and c is the other neighbour
+    of a (one of the two has another neighbour when m >= 3).  Then
+    lambda_cb = lambda_ca and lambda_ab = 1/4, so
+    g(c, b) = 1 + lambda_ca / lambda_ab = 1 + 4 lambda_ca > 1.
+
+Along a path whose region contains beta, (ii) makes neighbours' betas
+distinct, and then (i) puts each inner vertex's beta strictly between its
+neighbours'.  So beta is strictly monotone along the path, which makes it
+the descending order of beta_full().  A point with tied coordinates lies
+in no path region, so how ties are broken never matters.  In floating
+point, 1 + 4 lambda_ca rounds to 1 once |beta_c - beta_a| exceeds about 37;
+such a point tests as on the boundary of every tied order, and the stable
+sort picks one of them.
 """
 
 from __future__ import annotations
@@ -20,7 +44,6 @@ from typing import Mapping, Union
 import numpy as np
 
 from .core import Design, Pair, Parameters, all_pairs, intensity_table
-from .graphs import path_vertex_orders
 
 Scalar = Union[float, np.ndarray]
 
@@ -55,9 +78,10 @@ class PathDesign:
         return cls(tuple(range(1, m + 1)))
 
 
-def enumerate_path_designs(m: int) -> list[PathDesign]:
-    """All m!/2 labeled paths (a path and its reverse count once)."""
-    return [PathDesign(order) for order in path_vertex_orders(m)]
+def sorted_beta_path(params: Parameters) -> PathDesign:
+    """The only path whose region can contain beta (see the module docstring)."""
+    order = np.argsort(-params.beta_full(), kind="stable") + 1
+    return PathDesign(tuple(order))
 
 
 @dataclass(frozen=True)
@@ -105,16 +129,7 @@ def region_membership(path: PathDesign, params: Parameters) -> RegionMembership:
 
 
 def find_optimal_saturated(params: Parameters) -> tuple[PathDesign, RegionMembership] | None:
-    """The path whose region contains beta, or None when no region does.
-
-    Region interiors are pairwise disjoint, so ties can only happen on
-    boundaries; the path with the smallest margin is returned there.
-    """
-    best: tuple[PathDesign, RegionMembership] | None = None
-    for path in enumerate_path_designs(params.m):
-        membership = region_membership(path, params)
-        if best is None or membership.margin < best[1].margin:
-            best = (path, membership)
-    if best is not None and best[1].inside:
-        return best
-    return None
+    """The path whose region contains beta, or None when no region does."""
+    path = sorted_beta_path(params)
+    membership = region_membership(path, params)
+    return (path, membership) if membership.inside else None

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from btdesign import Design, Parameters, PathDesign, all_pairs, region_membership
 from btdesign.graphs import Permutation
-from btdesign.regions import enumerate_path_designs
 
 
 def geometric_params(m: int, pi1: float) -> Parameters:
@@ -38,6 +38,14 @@ def random_permutation(rng: np.random.Generator, m: int) -> Permutation:
     return Permutation(tuple(images))
 
 
+def path_orders(m: int) -> list[tuple[int, ...]]:
+    """Vertex orders of all m!/2 labeled Hamiltonian paths, reversals deduped.
+
+    The brute-force reference that the sorted-beta path is tested against.
+    """
+    return [order for order in itertools.permutations(range(1, m + 1)) if order[0] < order[-1]]
+
+
 def sample_in_path_region(
     rng: np.random.Generator, m: int, max_tries: int = 200
 ) -> tuple[PathDesign, Parameters]:
@@ -47,9 +55,8 @@ def sample_in_path_region(
     preference scale with noise, then rejection-tested with the region
     inequalities g(i, j) <= 1.
     """
-    paths = enumerate_path_designs(m)
     for _ in range(max_tries):
-        path = paths[rng.integers(len(paths))]
+        path = PathDesign(tuple(int(v) + 1 for v in rng.permutation(m)))
         c = rng.uniform(2.0, 5.5)
         values = {
             v: (m - k) * c + rng.uniform(-0.35 * c, 0.35 * c)

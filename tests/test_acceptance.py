@@ -28,11 +28,12 @@ from btdesign.cli import ScanAxis, ScanSpec, run_scan
 from btdesign.core import all_pairs, intensity_array
 from btdesign.four_alt import _PAIRS4, saturated_inequality_values
 from btdesign.graphs import Permutation, apply_to_params, enumerate_spanning_trees, is_path, q_matrix
-from btdesign.regions import enumerate_path_designs, g_value_from_intensities
+from btdesign.regions import PathDesign, g_value_from_intensities
 
 from helpers import (
     line_params,
     ordered_regression_vector,
+    path_orders,
     random_design,
     random_params,
     sample_in_path_region,
@@ -265,7 +266,7 @@ def test_criterion_8_region_form_equivalence():
     bf = np.column_stack([betas, np.zeros(n)])
     lam = {p: intensity_array(bf[:, p.i - 1] - bf[:, p.j - 1]) for p in _PAIRS4}
     disagreements = 0
-    for path in enumerate_path_designs(4):
+    for path in map(PathDesign, path_orders(4)):
         v1, v2, v3 = saturated_inequality_values(path, lam)
         poly_inside = (v1 <= 0.0) & (v2 <= 0.0) & (v3 <= 0.0)
         edge_set = set(path.edges())

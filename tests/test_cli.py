@@ -4,9 +4,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from btdesign.cli import main
+
+from helpers import sample_in_path_region
 
 
 def run(argv):
@@ -197,6 +200,16 @@ class TestScan:
         rows = list(csv.DictReader(out_file.open()))
         assert len(rows) == 125
 
+    def test_failure_leaves_no_output_file(self, tmp_path, capsys):
+        # The last grid point underflows the intensities after earlier rows succeeded.
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"m": 4, "axes": [{"direction": [1, 0, 0], "range": [0, 800], "count": 3}]}))
+        out_file = tmp_path / "grid.csv"
+        rc, _ = run(["scan", "--spec", str(spec_file), "--output", str(out_file), "--workers", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_file.exists()
+
     def test_malformed_spec_is_usage_error(self, tmp_path):
         spec_file = tmp_path / "bad.json"
         spec_file.write_text(json.dumps({"m": 4, "axes": []}))
@@ -232,9 +245,21 @@ class TestScan:
         with pytest.raises(CliError):
             worker_count()
 
-    def test_classify_cap_is_usage_error(self):
-        rc, _ = run(["classify", "--m", "9", "--beta", "0,0,0,0,0,0,0,0"])
-        assert rc == 2
+    @pytest.mark.parametrize("m", [9, 12, 20])
+    def test_classify_any_m_in_region(self, m):
+        path, params = sample_in_path_region(np.random.default_rng(m), m)
+        beta = ",".join(repr(b) for b in params.beta)
+        rc, report = run_json(["classify", "--m", str(m), f"--beta={beta}"])
+        assert rc == 0
+        assert report["kind"] == "saturated"
+        assert report["path"] == list(path.order)
+        assert report["certificate"]["is_optimal"]
+
+    def test_classify_uniform_m9_uses_solver(self):
+        rc, report = run_json(["classify", "--m", "9", "--beta", "0,0,0,0,0,0,0,0"])
+        assert rc == 0
+        assert report["kind"] == "unsaturated"
+        assert report["converged"] and report["certificate"]["is_optimal"]
 
     def test_classify_beyond_certifiable_range(self):
         rc, _ = run(["classify", "--m", "4", "--beta", "40,40,40"])
@@ -284,6 +309,14 @@ class TestEfficiency:
         rc, _ = run(["efficiency", "--range", "0,1", "--steps", "3", "--output", str(out_file)])
         assert rc == 0
         assert len(list(csv.DictReader(out_file.open()))) == 3
+
+    def test_failure_leaves_no_output_file(self, tmp_path, capsys):
+        # t = 800 underflows the intensities after the t = 0 row succeeded.
+        out_file = tmp_path / "eff.csv"
+        rc, _ = run(["efficiency", "--range", "0,800", "--steps", "3", "--output", str(out_file)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_file.exists()
 
     def test_bad_range_is_usage_error(self):
         rc, _ = run(["efficiency", "--range", "zero,4"])

@@ -34,9 +34,9 @@ from btdesign.four_alt import (
     shared_vertex_patterns,
 )
 from btdesign.graphs import Permutation, apply_to_params
-from btdesign.regions import PathDesign, enumerate_path_designs
+from btdesign.regions import PathDesign
 
-from helpers import geometric_params, line_params, random_params
+from helpers import geometric_params, line_params, path_orders, random_params
 
 
 def random_lambda_tables(rng: np.random.Generator, n: int) -> dict:
@@ -53,7 +53,7 @@ def lambda_tables_from_betas(rng: np.random.Generator, n: int, scale: float = 5.
 class TestSaturatedInequalities:
     def test_origin_outside_all_paths(self):
         p = Parameters(4, (0.0, 0.0, 0.0))
-        assert all(not saturated_region_check_m4(p, path) for path in enumerate_path_designs(4))
+        assert all(not saturated_region_check_m4(p, PathDesign(order)) for order in path_orders(4))
 
     def test_geometric_point_inside_relabeled_path(self):
         # pi_i = 20^i makes the canonical order optimal.
@@ -65,7 +65,7 @@ class TestSaturatedInequalities:
         rng = np.random.default_rng(101)
         for _ in range(500):
             p = random_params(rng, 4, scale=6.0)
-            for path in enumerate_path_designs(4):
+            for path in map(PathDesign, path_orders(4)):
                 assert saturated_region_check_m4(p, path) == region_membership(path, p).inside
 
 

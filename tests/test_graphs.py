@@ -1,4 +1,4 @@
-"""Graph predicates, path enumeration, and the relabeling symmetry action."""
+"""Graph predicates, the path-enumeration oracle, and the relabeling symmetry action."""
 
 import itertools
 
@@ -11,7 +11,6 @@ from btdesign import (
     SupportGraph,
     apply_to_design,
     apply_to_params,
-    enumerate_paths,
     information_matrix,
     is_path,
     is_tree,
@@ -21,9 +20,14 @@ from btdesign import (
     solve,
     support_graph,
 )
-from btdesign.graphs import Permutation, enumerate_spanning_trees, path_vertex_orders
+from btdesign.graphs import Permutation, enumerate_spanning_trees
+from btdesign.regions import PathDesign
 
-from helpers import ordered_regression_vector, random_design, random_params, random_permutation
+from helpers import ordered_regression_vector, path_orders, random_design, random_params, random_permutation
+
+
+def path_graphs(m: int) -> list[SupportGraph]:
+    return [SupportGraph(m, frozenset(PathDesign(order).edges())) for order in path_orders(m)]
 
 
 class TestSupportGraph:
@@ -86,22 +90,18 @@ class TestTreePredicates:
 
 class TestEnumeration:
     def test_path_counts(self):
-        assert len(enumerate_paths(2)) == 1
-        assert len(enumerate_paths(3)) == 3
-        assert len(enumerate_paths(4)) == 12
+        assert len(path_graphs(2)) == 1
+        assert len(path_graphs(3)) == 3
+        assert len(path_graphs(4)) == 12
 
     def test_paths_are_paths_and_distinct(self):
-        graphs = enumerate_paths(4)
+        graphs = path_graphs(4)
         assert all(is_path(g) for g in graphs)
         assert len({g.edges for g in graphs}) == 12
 
     def test_reversals_deduped(self):
-        orders = path_vertex_orders(3)
+        orders = path_orders(3)
         assert all(o[0] < o[-1] for o in orders)
-
-    def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_paths(9)
 
     def test_spanning_tree_counts(self):
         # Cayley: m^(m-2) labeled trees.

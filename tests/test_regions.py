@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btdesign import (
     Design,
@@ -15,13 +17,14 @@ from btdesign import (
     solve,
 )
 from btdesign.four_alt import saturated_inequality_values
-from btdesign.core import all_pairs, intensity_table
+from btdesign.core import all_pairs, intensity_array, intensity_table
 from btdesign.graphs import enumerate_spanning_trees, is_path, support_graph
-from btdesign.regions import PathDesign, enumerate_path_designs
+from btdesign.regions import PathDesign
 
 from helpers import (
     geometric_params,
     line_params,
+    path_orders,
     random_params,
     random_permutation,
     sample_in_path_region,
@@ -44,8 +47,8 @@ class TestPathDesign:
             PathDesign((1, 2, 2, 4))
 
     def test_enumeration_count(self):
-        assert len(enumerate_path_designs(4)) == 12
-        assert len(enumerate_path_designs(2)) == 1
+        assert len([PathDesign(order) for order in path_orders(4)]) == 12
+        assert len([PathDesign(order) for order in path_orders(2)]) == 1
 
 
 class TestGValue:
@@ -84,7 +87,7 @@ class TestRegionMembership:
     def test_origin_outside_every_path(self):
         for m in (4, 5):
             p = Parameters(m, (0.0,) * (m - 1))
-            assert all(not region_membership(path, p).inside for path in enumerate_path_designs(m))
+            assert all(not region_membership(PathDesign(order), p).inside for order in path_orders(m))
 
     def test_two_alternatives_always_inside(self):
         membership = region_membership(PathDesign.canonical(2), Parameters(2, (1.3,)))
@@ -95,7 +98,7 @@ class TestRegionMembership:
         for _ in range(400):
             p = random_params(rng, 4, scale=6.0)
             lam = intensity_table(p).values
-            for path in enumerate_path_designs(4):
+            for path in map(PathDesign, path_orders(4)):
                 poly = all(v <= 0.0 for v in saturated_inequality_values(path, lam))
                 assert poly == region_membership(path, p).inside
 
@@ -114,7 +117,7 @@ class TestRegionMembership:
         for _ in range(1000):
             p = random_params(rng, 4, scale=5.0)
             strict = sum(
-                1 for path in enumerate_path_designs(4) if region_membership(path, p).margin < -1e-9
+                1 for order in path_orders(4) if region_membership(PathDesign(order), p).margin < -1e-9
             )
             assert strict <= 1
 
@@ -128,7 +131,7 @@ class TestFindOptimalSaturated:
     def test_origin_has_none(self):
         assert find_optimal_saturated(Parameters(4, (0.0, 0.0, 0.0))) is None
 
-    def test_larger_m_within_enumeration_cap(self):
+    def test_geometric_point_m7(self):
         found = find_optimal_saturated(geometric_params(7, 25.0))
         assert found is not None
         assert found[0].order == tuple(range(1, 8))
@@ -169,6 +172,50 @@ class TestFindOptimalSaturated:
                 for tree in trees:
                     cert = kw_check(Design.equal_on(m, tree.edges), p)
                     assert not cert.is_optimal
+
+
+def enumerated_paths_containing(params: Parameters) -> list[tuple[int, ...]]:
+    """Every path order whose region contains beta, by brute force over all m!/2.
+
+    Evaluated with prefix sums of 1/lambda along each path, independently of
+    region_membership.
+    """
+    orders = np.array(path_orders(params.m))
+    beta = params.beta_full()[orders - 1]  # beta along each path, one row per path
+    inv_edges = 1.0 / intensity_array(beta[:, :-1] - beta[:, 1:])
+    prefix = np.concatenate([np.zeros((len(orders), 1)), np.cumsum(inv_edges, axis=1)], axis=1)
+    inside = np.ones(len(orders), dtype=bool)
+    for a in range(params.m):
+        for b in range(a + 2, params.m):
+            inside &= intensity_array(beta[:, a] - beta[:, b]) * (prefix[:, b] - prefix[:, a]) <= 1.0
+    return [tuple(int(v) for v in order) for order in orders[inside]]
+
+
+@st.composite
+def _points(draw) -> Parameters:
+    """Alternatives in random order with gaps of 0 (a tie) or in [0.1, 5].
+
+    Wide gaps land in path regions and narrow ones between them, so the
+    examples mix inside, outside and tied points.  Spans up to 30 keep the g
+    value of a tie, 1 + 4 lambda, resolvable from 1 in floating point.
+    """
+    m = draw(st.integers(3, 7))
+    gap = st.integers(0, 5).flatmap(lambda k: st.just(0.0) if k == 0 else st.floats(0.1, 5.0))
+    gaps = draw(st.lists(gap, min_size=m - 1, max_size=m - 1))
+    order = draw(st.permutations(range(m)))
+    values = np.empty(m)
+    values[list(order)] = np.concatenate([[0.0], np.cumsum(gaps)])
+    return Parameters(m, tuple(values[:-1] - values[-1]))
+
+
+class TestSortedPathMatchesEnumeration:
+    @given(_points())
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_path_is_the_only_candidate(self, params):
+        found = find_optimal_saturated(params)
+        assert enumerated_paths_containing(params) == ([] if found is None else [found[0].order])
+        if len(set(params.beta_full())) < params.m:  # a tie lies in no path region
+            assert found is None
 
 
 def _order_from_path_edges(edges) -> tuple[int, ...]:
