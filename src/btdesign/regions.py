@@ -34,18 +34,27 @@ in no path region, so how ties are broken never matters.  In floating
 point, 1 + 4 lambda_ca rounds to 1 once |beta_c - beta_a| exceeds about 37;
 such a point tests as on the boundary of every tied order, and the stable
 sort picks one of them.
+
+Evaluation.  With the path's edges numbered k = 0..m-2 in visiting order,
+the sum in g(i, j) runs over the edges between the positions a < b of i and
+j.  All of them come from one upper-triangular array of row-wise cumulative
+sums, S[a, c] = sum_{k=a}^{c} 1 / lambda_k, each row accumulated from its own
+start a, and g = lambda_ij * S[a, b-1]: O(m^2) work for all pairs.  A single
+prefix sum c_b - c_a along the path would be as cheap but cancels
+catastrophically: an early edge with a tiny intensity makes every later c
+huge, and the difference of two huge numbers loses the small terms between
+them.  At m = 4, beta = (100, 2, 1), that form gives margin -0.63 ("inside")
+where the true margin is +0.068.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
-from .core import Design, Pair, Parameters, all_pairs, intensity_table
-
-Scalar = Union[float, np.ndarray]
+from .core import Design, Pair, Parameters, all_pairs, intensity_vector
 
 
 @dataclass(frozen=True)
@@ -99,32 +108,37 @@ class RegionMembership:
     margin: float
 
 
-def g_value_from_intensities(path: PathDesign, lam: Mapping[Pair, Scalar], pair: Pair) -> Scalar:
-    """g for one pair, given intensities (scalars or broadcastable arrays)."""
-    pos = {v: k for k, v in enumerate(path.order)}
-    a, b = sorted((pos[pair.i], pos[pair.j]))
-    if b == a + 1:
-        return 1.0  # the sum collapses to lambda/lambda; exact by definition
-    edges = path.edges()
-    total = sum(1.0 / lam[edges[k]] for k in range(a, b))
-    return lam[pair] * total
+def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
+    """g(i, j) of the path for every pair, from (..., P) intensities in all_pairs order.
+
+    Returns an array of lam's shape; edges give exactly 1.  See the module
+    docstring for why the sums are accumulated row by row.
+    """
+    m = path.m
+    order = np.asarray(path.order)
+    u, v = np.minimum.outer(order, order), np.maximum.outer(order, order)
+    column = (u - 1) * m - (u - 1) * u // 2 + v - u - 1  # of the pair at positions (a, b)
+    k = np.arange(m)
+    inverse = 1.0 / lam[..., column[k[:-1], k[1:]]]
+    S = np.cumsum(np.where(k[:-1, None] <= k[:-1], inverse[..., None, :], 0.0), axis=-1)
+    a, b = np.nonzero(k[:, None] + 2 <= k)
+    g = np.ones(np.shape(lam))
+    g[..., column[a, b]] = lam[..., column[a, b]] * S[..., a, b - 1]
+    return g
 
 
 def g_value(path: PathDesign, params: Parameters, pair: Pair) -> float:
     """Region inequality value g(i, j) of the path at a parameter point."""
-    return float(g_value_from_intensities(path, intensity_table(params).values, pair))
+    g = path_g_values(path, intensity_vector(params.beta))
+    return float(g[all_pairs(path.m).index(pair)])
 
 
 def region_membership(path: PathDesign, params: Parameters) -> RegionMembership:
     """Evaluate all non-edge inequalities of the path's region at beta."""
-    table = intensity_table(params)
-    edge_set = set(path.edges())
-    g_values = {
-        p: float(g_value_from_intensities(path, table.values, p))
-        for p in all_pairs(path.m)
-        if p not in edge_set
-    }
-    margin = max(g_values.values(), default=0.0) - 1.0 if g_values else 0.0
+    g = path_g_values(path, intensity_vector(params.beta))
+    edges = set(path.edges())
+    g_values = {p: v for p, v in zip(all_pairs(path.m), g.tolist()) if p not in edges}
+    margin = max(g_values.values(), default=1.0) - 1.0
     return RegionMembership(path=path, g_values=g_values, inside=margin <= 0.0, margin=margin)
 
 

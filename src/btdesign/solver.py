@@ -20,11 +20,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (
+from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks this binding is traced
     Design,
     Pair,
     Parameters,
     SingularMatrixError,
+    _derivatives,
     all_pairs,
     cholesky_pivots,
     design_from_vector,
@@ -73,21 +74,12 @@ class RestrictedSolverResult:
     converged: bool
 
 
-def _directional_values(w: np.ndarray, lam: np.ndarray, F: np.ndarray) -> np.ndarray | None:
-    """d_ij = lambda_ij f^T M(w)^{-1} f for all pairs, None if M is singular."""
-    M = F.T @ (F * (w * lam)[:, None])
-    if cholesky_pivots(M) is None:
-        return None
-    X = np.linalg.solve(M, F.T)
-    return lam * np.einsum("ij,ji->i", F, X)
-
-
 def _multiplicative_step(w: np.ndarray, lam: np.ndarray, F: np.ndarray, m: int) -> np.ndarray:
     """One multiplicative update, renormalized; exposed for property tests."""
-    d = _directional_values(w, lam, F)
-    if d is None:
+    found = _derivatives(w, lam, F)
+    if found is None:
         raise SingularMatrixError("information matrix is singular")
-    w = w * d / (m - 1)
+    w = w * found[0] / (m - 1)
     return w / w.sum()
 
 
@@ -108,7 +100,7 @@ def _solve_on_mask(
     m = params.m
     k = m - 1
     F = regression_matrix(m)
-    lam = intensity_vector(params)
+    lam = intensity_vector(params.beta)
 
     if config.initial_design is not None:
         if config.initial_design.m != m:
@@ -122,9 +114,10 @@ def _solve_on_mask(
     live = w > 0.0
     stable = 0
     for iterations in range(1, config.max_iterations + 1):
-        d = _directional_values(w, lam, F)
-        if d is None:
+        found = _derivatives(w, lam, F)
+        if found is None:
             raise SingularMatrixError(f"information matrix is singular after {iterations - 1} iterations")
+        d, _ = found
         eps = d[allowed].max() - k
         if eps <= config.kw_tolerance:
             return w, iterations, True
@@ -141,8 +134,8 @@ def _solve_on_mask(
             stable = 0
             trial = _newton_on_support(w, lam, F, k, live)
             if trial is not None:
-                d_trial = _directional_values(trial, lam, F)
-                if d_trial is not None and d_trial[allowed].max() - k <= config.kw_tolerance:
+                found = _derivatives(trial, lam, F)
+                if found is not None and found[0][allowed].max() - k <= config.kw_tolerance:
                     return trial, iterations, True
 
         w[live] *= d[live] / k
@@ -169,17 +162,17 @@ def _newton_on_support(
         if len(support) == k:
             v = np.full(k, 1.0 / k)
             break
-        Fs, ls = F[support], lam[support]
-        M = Fs.T @ (Fs * (v * ls)[:, None])
-        if cholesky_pivots(M) is None:
+        ls = lam[support]
+        found = _derivatives(v, ls, F[support])
+        if found is None:
             return None
-        G = Fs @ np.linalg.solve(M, Fs.T)
+        d, Y = found
         n = len(support)
         kkt = np.ones((n + 1, n + 1))
         kkt[n, n] = 0.0
-        kkt[:n, :n] = -np.outer(ls, ls) * G**2
+        kkt[:n, :n] = -np.outer(ls, ls) * (Y.T @ Y) ** 2
         try:
-            step = np.linalg.solve(kkt, np.append(-ls * np.diag(G), 0.0))[:n]
+            step = np.linalg.solve(kkt, np.append(-d, 0.0))[:n]
         except np.linalg.LinAlgError:
             return None
         if np.any(v + step <= 0.0):

@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from btdesign import Design, Parameters, PathDesign, all_pairs, region_membership
+from btdesign import Design, Pair, Parameters, PathDesign, all_pairs, region_membership
+from btdesign.core import intensity_vector
 from btdesign.graphs import Permutation
 
 
@@ -67,6 +68,27 @@ def sample_in_path_region(
         if region_membership(path, params).inside:
             return path, params
     raise RuntimeError(f"no in-region sample found in {max_tries} tries for m={m}")
+
+
+def region_margin_by_direct_sums(path: PathDesign, params: Parameters) -> float:
+    """The path region's margin, max g - 1, with each g(i, j) summed on its own.
+
+    The reference for region_membership: every pair's sum of 1/lambda over
+    the path edges between its vertices is an exactly rounded math.fsum of
+    its own terms, shared with no other pair.
+    """
+    lam = dict(zip(all_pairs(params.m), intensity_vector(params.beta).tolist()))
+    order = path.order
+
+    def between(a: int, b: int) -> float:
+        return lam[Pair(order[a], order[b])]
+
+    g = [
+        between(a, b) * math.fsum(1.0 / between(k, k + 1) for k in range(a, b))
+        for a in range(params.m)
+        for b in range(a + 2, params.m)
+    ]
+    return max(g, default=1.0) - 1.0
 
 
 def ordered_regression_vector(a: int, b: int, m: int) -> np.ndarray:

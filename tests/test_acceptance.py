@@ -25,10 +25,10 @@ from btdesign import (
     solve,
 )
 from btdesign.cli import ScanAxis, ScanSpec, run_scan
-from btdesign.core import all_pairs, intensity_array
-from btdesign.four_alt import _PAIRS4, saturated_inequality_values
+from btdesign.core import all_pairs, intensity_vector
+from btdesign.four_alt import saturated_inequality_values
 from btdesign.graphs import Permutation, apply_to_params, enumerate_spanning_trees, is_path, q_matrix
-from btdesign.regions import PathDesign, g_value_from_intensities
+from btdesign.regions import PathDesign, path_g_values
 
 from helpers import (
     line_params,
@@ -263,17 +263,12 @@ def test_criterion_8_region_form_equivalence():
     rng = np.random.default_rng(808)
     n = 10_000
     betas = rng.uniform(-6.0, 6.0, size=(n, 3))
-    bf = np.column_stack([betas, np.zeros(n)])
-    lam = {p: intensity_array(bf[:, p.i - 1] - bf[:, p.j - 1]) for p in _PAIRS4}
+    lam = intensity_vector(betas)
     disagreements = 0
     for path in map(PathDesign, path_orders(4)):
-        v1, v2, v3 = saturated_inequality_values(path, lam)
+        v1, v2, v3 = saturated_inequality_values(path, lam.T)
         poly_inside = (v1 <= 0.0) & (v2 <= 0.0) & (v3 <= 0.0)
-        edge_set = set(path.edges())
-        g_inside = np.ones(n, dtype=bool)
-        for pair in all_pairs(4):
-            if pair not in edge_set:
-                g_inside &= np.asarray(g_value_from_intensities(path, lam, pair)) <= 1.0
+        g_inside = (path_g_values(path, lam) <= 1.0).all(axis=1)
         disagreements += int(np.count_nonzero(poly_inside != g_inside))
     ok = disagreements == 0
     _report(

@@ -161,6 +161,14 @@ class TestUnderflow:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_verify_exit_1_with_error_line(self, tmp_path, capsys):
+        design_file = tmp_path / "uniform.json"
+        pairs = ("1-2", "1-3", "1-4", "2-3", "2-4", "3-4")
+        design_file.write_text(json.dumps({"m": 4, "weights": {k: 1 / 6 for k in pairs}}))
+        rc, _ = run(["verify", "--m", "4", "--beta=800,0,0", "--design", str(design_file)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestScan:
     SPEC = {
@@ -346,3 +354,18 @@ class TestUsage:
     def test_missing_required_argument(self):
         rc, _ = run(["optimize", "--m", "4"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--m", "4", "--beta", "0,0,0", "--max-iterations", "0"],
+            ["optimize", "--m", "4", "--beta", "0,0,0", "--kw-tolerance", "-1"],
+            ["claw-scan", "--grid-points", "0", "--samples", "0"],
+            ["claw-scan", "--lower", "-1"],
+            ["search-disjoint4", "--starts", "0"],
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, argv, capsys):
+        rc, _ = run(argv)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")

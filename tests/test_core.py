@@ -12,18 +12,25 @@ from btdesign import (
     InfoMatrix,
     Pair,
     Parameters,
-    SingularMatrixError,
     all_pairs,
     information_matrix,
-    intensity,
-    intensity_table,
     log_det,
     regression_vector,
-    solve_spd,
 )
-from btdesign.core import IntensityUnderflowError, design_from_vector, intensity_vector
+from btdesign.core import (
+    IntensityUnderflowError,
+    _derivatives,
+    design_from_vector,
+    intensity_vector,
+    regression_matrix,
+)
 
 from helpers import random_design, random_params
+
+
+def intensity(z: float) -> float:
+    """The intensity of one log-odds difference: intensity_vector at m = 2."""
+    return float(intensity_vector([z])[0])
 
 
 class TestPair:
@@ -74,10 +81,13 @@ class TestIntensity:
         assert intensity(40.0) == pytest.approx(4.248354255291589e-18, rel=1e-14)
         assert intensity(700.0) > 0.0
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf * 0 on the way to the error
     def test_rejects_non_finite(self):
         for z in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError):
                 intensity(z)
+            with pytest.raises(ValueError):
+                intensity_vector([[0.0, 1.0], [z, 0.0]])
 
     @given(st.floats(min_value=-60.0, max_value=60.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
@@ -92,24 +102,28 @@ class TestIntensity:
 
 
 class TestIntensityTable:
+    """The intensities of all pairs at a point, from intensity_vector in all_pairs order."""
+
     def test_all_quarter_at_origin(self):
-        table = intensity_table(Parameters(4, (0.0, 0.0, 0.0)))
-        assert set(table.values) == set(all_pairs(4))
-        assert all(v == 0.25 for v in table.values.values())
+        table = intensity_vector(Parameters(4, (0.0, 0.0, 0.0)).beta)
+        assert table.shape == (len(all_pairs(4)),)
+        assert all(v == 0.25 for v in table)
 
     def test_underflow_is_a_package_error(self):
         with pytest.raises(IntensityUnderflowError):
-            intensity_table(Parameters(4, (800.0, 0.0, 0.0)))
+            intensity_vector(Parameters(4, (800.0, 0.0, 0.0)).beta)
+        with pytest.raises(IntensityUnderflowError):  # one underflowing point in a batch
+            intensity_vector([[0.0, 0.0, 0.0], [800.0, 0.0, 0.0]])
 
     def test_geometric_point(self):
         # beta_i = i * log(2), so pi_i = 2^i: lambda_12 = pi1/(1+pi1)^2 = 2/9.
         c = math.log(2.0)
         p = Parameters(4, (c, 2 * c, 3 * c))
-        assert intensity_table(p)[Pair(1, 2)] == pytest.approx(2.0 / 9.0, rel=1e-14)
+        assert intensity_vector(p.beta)[all_pairs(4).index(Pair(1, 2))] == pytest.approx(2.0 / 9.0, rel=1e-14)
 
     def test_two_alternatives(self):
-        table = intensity_table(Parameters(2, (0.0,)))
-        assert table[Pair(1, 2)] == 0.25
+        table = intensity_vector(Parameters(2, (0.0,)).beta)
+        assert table.tolist() == [0.25]
 
     def test_matches_preference_ratio_form(self):
         # lambda depends on beta only through differences: the pi form
@@ -118,10 +132,10 @@ class TestIntensityTable:
         for _ in range(25):
             p = random_params(rng, 5, scale=8.0)
             pi = np.exp(np.append(np.asarray(p.beta), 0.0))
-            table = intensity_table(p)
-            for pair in all_pairs(5):
+            table = intensity_vector(p.beta)
+            for pair, value in zip(all_pairs(5), table):
                 expected = pi[pair.i - 1] * pi[pair.j - 1] / (pi[pair.i - 1] + pi[pair.j - 1]) ** 2
-                assert table[pair] == pytest.approx(expected, rel=1e-14)
+                assert value == pytest.approx(expected, rel=1e-14)
 
 
 class TestRegressionVector:
@@ -173,7 +187,7 @@ class TestInformationMatrix:
         # combination of the three rank-one terms.
         rng = np.random.default_rng(5)
         p = random_params(rng, 4)
-        lam = intensity_table(p)
+        lam = dict(zip(all_pairs(4), intensity_vector(p.beta)))
         d = Design.equal_on(4, [Pair(1, 2), Pair(1, 3), Pair(2, 4)])
         l12, l13, l24 = lam[Pair(1, 2)], lam[Pair(1, 3)], lam[Pair(2, 4)]
         expected = (
@@ -200,7 +214,7 @@ class TestInformationMatrix:
         for _ in range(10):
             p = random_params(rng, 4)
             d = random_design(rng, 4)
-            lam = intensity_table(p)
+            lam = dict(zip(all_pairs(4), intensity_vector(p.beta)))
             expected = np.zeros((3, 3))
             for pair in all_pairs(4):
                 f = regression_vector(pair, 4).astype(float)
@@ -266,40 +280,53 @@ class TestLogDet:
             assert mid >= avg - 1e-10
 
 
-class TestSolveSpd:
+class TestDerivativeKernel:
+    """_derivatives: d = lambda f^T M^{-1} f and Y = L^{-1} F^T from one factor of M."""
+
     def test_scaled_identity(self):
-        x = solve_spd(InfoMatrix(4, 2.0 * np.eye(3)), np.ones(3))
-        np.testing.assert_allclose(x, 0.5 * np.ones(3))
+        # F = I and w * lambda = 2 give M = 2 I, so M^{-1} f = f / 2.
+        w, lam = np.full(3, 0.5), np.full(3, 4.0)
+        d, Y = _derivatives(w, lam, np.eye(3))
+        np.testing.assert_allclose(Y.T @ Y, 0.5 * np.eye(3))
+        np.testing.assert_allclose(d, 2.0 * np.ones(3))
 
     def test_residual_on_random_spd(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
-            r = rng.normal(size=(3, 3))
-            M = r @ r.T + 0.1 * np.eye(3)
-            v = rng.normal(size=3)
-            x = solve_spd(InfoMatrix(4, M), v)
-            assert np.linalg.norm(M @ x - v) <= 1e-10 * np.linalg.norm(v)
+            F = rng.normal(size=(6, 3))
+            w, lam = rng.dirichlet(np.ones(6)), rng.uniform(0.01, 0.25, 6)
+            M = F.T @ (F * (w * lam)[:, None])
+            d, Y = _derivatives(w, lam, F)
+            X = F @ np.linalg.inv(M)  # row p is (M^{-1} f_p)^T
+            G = Y.T @ Y
+            assert np.linalg.norm(G - X @ F.T) <= 1e-10 * np.linalg.norm(G)
+            np.testing.assert_allclose(d, lam * np.diag(G), rtol=1e-13)
 
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            solve_spd(InfoMatrix(4, np.zeros((3, 3))), np.ones(3))
+    def test_singular_gives_none(self):
+        assert _derivatives(np.ones(3) / 3, np.ones(3), np.zeros((3, 3))) is None
+        cycle = Design.equal_on(4, [Pair(1, 2), Pair(1, 4), Pair(2, 4)])
+        p = Parameters(4, (0.0, 0.0, 0.0))
+        assert _derivatives(cycle.as_vector(), intensity_vector(p.beta), regression_matrix(4)) is None
 
     def test_path_inverse_closed_form(self):
         # Canonical path at the origin: M = (1/12) F^T F with F the path's
         # regression rows, so M^{-1} f(1,4) = 12 U U^T e_1 with U the
-        # all-ones upper triangle.
+        # all-ones upper triangle, and f(1,4)^T M^{-1} f(1,4) = 36.
         p = Parameters(4, (0.0, 0.0, 0.0))
         d = Design.equal_on(4, [Pair(1, 2), Pair(2, 3), Pair(3, 4)])
-        M = information_matrix(d, p)
-        x = solve_spd(M, regression_vector(Pair(1, 4), 4).astype(float))
-        np.testing.assert_allclose(x, [36.0, 24.0, 12.0], rtol=1e-10)
+        values, Y = _derivatives(d.as_vector(), intensity_vector(p.beta), regression_matrix(4))
+        f14 = all_pairs(4).index(Pair(1, 4))
+        F = regression_matrix(4)
+        np.testing.assert_allclose(Y.T @ Y[:, f14], F @ [36.0, 24.0, 12.0], rtol=1e-10)
+        assert values[f14] == pytest.approx(0.25 * 36.0, rel=1e-12)
 
 
 class TestIntensityVector:
     def test_matches_table(self):
+        # A batch of points gives each point's table, row by row.
         rng = np.random.default_rng(41)
-        p = random_params(rng, 5)
-        table = intensity_table(p)
-        vec = intensity_vector(p)
-        for pair, v in zip(all_pairs(5), vec):
-            assert v == pytest.approx(table[pair], rel=1e-15)
+        betas = np.array([random_params(rng, 5).beta for _ in range(4)])
+        batch = intensity_vector(betas)
+        assert batch.shape == (4, len(all_pairs(5)))
+        for beta, row in zip(betas, batch):
+            assert row.tolist() == intensity_vector(beta).tolist()

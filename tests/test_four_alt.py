@@ -1,6 +1,7 @@
 """Closed-form m=4 designs: weight formulas, regions, classifier, scans."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from btdesign import (
     search_disjoint_four_point,
     solve,
 )
-from btdesign.core import all_pairs, intensity_array, intensity_table
+from btdesign.core import all_pairs, intensity_vector
 from btdesign.four_alt import (
     _PAIRS4,
     five_point_raw,
@@ -39,15 +40,14 @@ from btdesign.regions import PathDesign
 from helpers import geometric_params, line_params, path_orders, random_params
 
 
-def random_lambda_tables(rng: np.random.Generator, n: int) -> dict:
-    """Free intensity tables with array values, for vectorized identity checks."""
-    return {p: rng.uniform(1e-3, 0.25, n) for p in _PAIRS4}
+def random_lambda_tables(rng: np.random.Generator, n: int) -> list:
+    """Free intensity columns in all_pairs(4) order, for vectorized identity checks."""
+    return [rng.uniform(1e-3, 0.25, n) for _ in _PAIRS4]
 
 
-def lambda_tables_from_betas(rng: np.random.Generator, n: int, scale: float = 5.0) -> dict:
+def lambda_tables_from_betas(rng: np.random.Generator, n: int, scale: float = 5.0) -> list:
     betas = rng.uniform(-scale, scale, size=(n, 3))
-    bf = np.column_stack([betas, np.zeros(n)])
-    return {p: intensity_array(bf[:, p.i - 1] - bf[:, p.j - 1]) for p in _PAIRS4}
+    return list(intensity_vector(betas).T)
 
 
 class TestSaturatedInequalities:
@@ -82,7 +82,7 @@ class TestFullSupport:
         rng = np.random.default_rng(103)
         for table in (random_lambda_tables(rng, 10_000), lambda_tables_from_betas(rng, 10_000)):
             raw = full_support_raw(table)
-            total = sum(raw.values())
+            total = sum(raw)
             np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
     def test_small_perturbation_certifies_and_matches_solver(self):
@@ -112,24 +112,19 @@ class TestFivePoint:
     def test_origin_raw_solution(self):
         # The stationarity system still has a positive solution at the
         # origin; only the missing-direction condition fails.
-        table = intensity_table(Parameters(4, (0.0, 0.0, 0.0))).values
+        table = intensity_vector(Parameters(4, (0.0, 0.0, 0.0)).beta).tolist()
         raw, slack = five_point_raw(table)
-        expected = {
-            Pair(1, 3): 2.0 / 9.0,
-            Pair(1, 4): 2.0 / 9.0,
-            Pair(2, 3): 2.0 / 9.0,
-            Pair(2, 4): 2.0 / 9.0,
-            Pair(3, 4): 1.0 / 9.0,
-        }
-        for p, w in expected.items():
-            assert raw[p] == pytest.approx(w, rel=1e-12)
+        # Weights of (1,3), (1,4), (2,3), (2,4), (3,4).
+        expected = (2.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0, 1.0 / 9.0)
+        for got, w in zip(raw, expected, strict=True):
+            assert got == pytest.approx(w, rel=1e-12)
         assert slack < 0.0
 
     def test_weights_sum_to_one_identically(self):
         rng = np.random.default_rng(107)
         table = lambda_tables_from_betas(rng, 10_000)
         raw, _ = five_point_raw(table)
-        np.testing.assert_allclose(sum(raw.values()), 1.0, atol=1e-8)
+        np.testing.assert_allclose(sum(raw), 1.0, atol=1e-8)
 
     def test_line_point_matches_solver(self):
         p = line_params(1.7)
@@ -205,7 +200,15 @@ class TestFourPointSharedVertex:
         rng = np.random.default_rng(127)
         table = lambda_tables_from_betas(rng, 10_000)
         raw, _, _ = four_point_shared_raw(table)
-        np.testing.assert_allclose(sum(raw.values()), 1.0, atol=1e-10)
+        np.testing.assert_allclose(sum(raw), 1.0, atol=1e-10)
+
+    def test_fraction_intensities_give_exact_weights(self):
+        # lambda_ij = pi_i pi_j / (pi_i + pi_j)^2 is rational at rational pi.
+        pi = (Fraction(3, 2), Fraction(1, 3), Fraction(5), Fraction(1))
+        lam = [pi[p.i - 1] * pi[p.j - 1] / (pi[p.i - 1] + pi[p.j - 1]) ** 2 for p in _PAIRS4]
+        raw, slack12, slack13 = four_point_shared_raw(lam)
+        assert all(type(x) is Fraction for x in (*raw, slack12, slack13))
+        assert sum(raw) == 1 and raw[0] == Fraction(1, 3)
 
     def test_transport_consistency(self):
         p = line_params(2.5)

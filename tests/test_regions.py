@@ -17,9 +17,9 @@ from btdesign import (
     solve,
 )
 from btdesign.four_alt import saturated_inequality_values
-from btdesign.core import all_pairs, intensity_array, intensity_table
+from btdesign.core import all_pairs, intensity_vector
 from btdesign.graphs import enumerate_spanning_trees, is_path, support_graph
-from btdesign.regions import PathDesign
+from btdesign.regions import PathDesign, sorted_beta_path
 
 from helpers import (
     geometric_params,
@@ -27,6 +27,7 @@ from helpers import (
     path_orders,
     random_params,
     random_permutation,
+    region_margin_by_direct_sums,
     sample_in_path_region,
 )
 
@@ -97,7 +98,7 @@ class TestRegionMembership:
         rng = np.random.default_rng(5)
         for _ in range(400):
             p = random_params(rng, 4, scale=6.0)
-            lam = intensity_table(p).values
+            lam = intensity_vector(p.beta).tolist()
             for path in map(PathDesign, path_orders(4)):
                 poly = all(v <= 0.0 for v in saturated_inequality_values(path, lam))
                 assert poly == region_membership(path, p).inside
@@ -181,26 +182,22 @@ def enumerated_paths_containing(params: Parameters) -> list[tuple[int, ...]]:
     region_membership.
     """
     orders = np.array(path_orders(params.m))
-    beta = params.beta_full()[orders - 1]  # beta along each path, one row per path
-    inv_edges = 1.0 / intensity_array(beta[:, :-1] - beta[:, 1:])
+    lam = np.zeros((params.m + 1, params.m + 1))  # lam[u, v]: intensity of the pair (u, v)
+    for pair, value in zip(all_pairs(params.m), intensity_vector(params.beta)):
+        lam[pair.i, pair.j] = lam[pair.j, pair.i] = value
+    inv_edges = 1.0 / lam[orders[:, :-1], orders[:, 1:]]
     prefix = np.concatenate([np.zeros((len(orders), 1)), np.cumsum(inv_edges, axis=1)], axis=1)
     inside = np.ones(len(orders), dtype=bool)
     for a in range(params.m):
         for b in range(a + 2, params.m):
-            inside &= intensity_array(beta[:, a] - beta[:, b]) * (prefix[:, b] - prefix[:, a]) <= 1.0
+            inside &= lam[orders[:, a], orders[:, b]] * (prefix[:, b] - prefix[:, a]) <= 1.0
     return [tuple(int(v) for v in order) for order in orders[inside]]
 
 
 @st.composite
-def _points(draw) -> Parameters:
-    """Alternatives in random order with gaps of 0 (a tie) or in [0.1, 5].
-
-    Wide gaps land in path regions and narrow ones between them, so the
-    examples mix inside, outside and tied points.  Spans up to 30 keep the g
-    value of a tie, 1 + 4 lambda, resolvable from 1 in floating point.
-    """
-    m = draw(st.integers(3, 7))
-    gap = st.integers(0, 5).flatmap(lambda k: st.just(0.0) if k == 0 else st.floats(0.1, 5.0))
+def _points(draw, gap: st.SearchStrategy[float], max_m: int) -> Parameters:
+    """m = 3..max_m alternatives in random order, consecutive ones a drawn gap apart."""
+    m = draw(st.integers(3, max_m))
     gaps = draw(st.lists(gap, min_size=m - 1, max_size=m - 1))
     order = draw(st.permutations(range(m)))
     values = np.empty(m)
@@ -208,14 +205,52 @@ def _points(draw) -> Parameters:
     return Parameters(m, tuple(values[:-1] - values[-1]))
 
 
+# Gaps of 0 (a tie) or in [0.1, 5]: wide gaps land in path regions and narrow
+# ones between them, so the examples mix inside, outside and tied points.
+# Spans up to 30 keep the g value of a tie, 1 + 4 lambda, resolvable from 1
+# in floating point.
+_MIXED_GAP = st.integers(0, 5).flatmap(lambda k: st.just(0.0) if k == 0 else st.floats(0.1, 5.0))
+
+
 class TestSortedPathMatchesEnumeration:
-    @given(_points())
+    @given(_points(_MIXED_GAP, 7))
     @settings(max_examples=300, deadline=None)
     def test_sorted_path_is_the_only_candidate(self, params):
         found = find_optimal_saturated(params)
         assert enumerated_paths_containing(params) == ([] if found is None else [found[0].order])
         if len(set(params.beta_full())) < params.m:  # a tie lies in no path region
             assert found is None
+
+
+class TestRegionPrecision:
+    """region_membership's margin against pair-by-pair sums, relative to the largest g.
+
+    A single prefix sum along the path, g = lambda_ab (c_b - c_a), fails
+    these: at (100, 2, 1) it reports margin -0.63 against the true +0.068.
+    """
+
+    @staticmethod
+    def assert_agrees(path: PathDesign, params: Parameters) -> None:
+        got = region_membership(path, params).margin
+        want = region_margin_by_direct_sums(path, params)
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (path.order, params.beta, got, want)
+
+    @pytest.mark.parametrize("beta", [(100.0, 2.0, 1.0), (60.0, 1.5, 1.0, 0.5)])
+    def test_tiny_early_edge(self, beta):
+        params = Parameters(len(beta) + 1, beta)
+        path = sorted_beta_path(params)
+        assert region_margin_by_direct_sums(path, params) > 0.0
+        self.assert_agrees(path, params)
+
+    # Gaps up to 100 give edges with tiny intensities, whose reciprocals dwarf
+    # the later terms of a sum taken along the path.
+    @given(_points(st.floats(0.0, 100.0), 8), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_gaps_up_to_100(self, params, rnd):
+        self.assert_agrees(sorted_beta_path(params), params)
+        order = list(range(1, params.m + 1))
+        rnd.shuffle(order)
+        self.assert_agrees(PathDesign(tuple(order)), params)
 
 
 def _order_from_path_edges(edges) -> tuple[int, ...]:

@@ -14,8 +14,8 @@ from btdesign import (
     solve,
     solve_restricted,
 )
-from btdesign.core import intensity_vector, log_det, regression_matrix
-from btdesign.solver import SolverConfig, _deletion_bound, _directional_values, _multiplicative_step
+from btdesign.core import _derivatives, intensity_vector, log_det, regression_matrix
+from btdesign.solver import SolverConfig, _deletion_bound, _multiplicative_step
 
 from helpers import geometric_params, random_params, sample_in_path_region
 
@@ -63,7 +63,7 @@ class TestSolve:
         F = regression_matrix(m)
         for _ in range(5):
             params = random_params(rng, m, scale=4.0)
-            lam = intensity_vector(params)
+            lam = intensity_vector(params.beta)
             w = rng.dirichlet(np.ones(len(all_pairs(m))))
             last = log_det(F.T @ (F * (w * lam)[:, None]))
             for _ in range(200):
@@ -79,7 +79,7 @@ class TestSolve:
         for _ in range(10):
             params = random_params(rng, m, scale=4.0)
             label = classify_m4(params)
-            lam = intensity_vector(params)
+            lam = intensity_vector(params.beta)
             w = label.design.as_vector()
             stepped = _multiplicative_step(w, lam, F, m)
             assert np.abs(stepped - w).max() <= 1e-9
@@ -138,11 +138,11 @@ class TestSolve:
         for support, params in cases:
             m, support = params.m, set(support)
             F = regression_matrix(m)
-            lam = intensity_vector(params)
+            lam = intensity_vector(params.beta)
             keep = np.array([p in support for p in all_pairs(m)])
             w = rng.dirichlet(np.ones(len(all_pairs(m))))
             for _ in range(100):
-                d = _directional_values(w, lam, F)
+                d, _ = _derivatives(w, lam, F)
                 eps = d.max() - (m - 1)
                 if eps <= 0.0:
                     break
