@@ -31,7 +31,6 @@ from .four_alt import (
     four_point_shared_vertex_weights,
     full_support_weights,
     region_margin,
-    saturated_region_check_m4,
     search_disjoint_four_point,
 )
 from .graphs import (
@@ -98,7 +97,6 @@ __all__ = [
     "region_margin",
     "region_membership",
     "regression_vector",
-    "saturated_region_check_m4",
     "search_disjoint_four_point",
     "solve",
     "solve_restricted",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -447,6 +448,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache  # built once per process: building it costs more than a whole classify call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="btdesign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,9 +7,22 @@ import math
 
 import numpy as np
 
-from btdesign import Design, Pair, Parameters, PathDesign, all_pairs, region_membership
+from btdesign import (
+    Design,
+    Pair,
+    Parameters,
+    PathDesign,
+    RegionKind,
+    all_pairs,
+    five_point_weights,
+    four_point_shared_vertex_weights,
+    full_support_weights,
+    region_membership,
+)
 from btdesign.core import intensity_vector
+from btdesign.four_alt import saturated_inequality_values
 from btdesign.graphs import Permutation
+from btdesign.regions import sorted_beta_path
 
 
 def geometric_params(m: int, pi1: float) -> Parameters:
@@ -45,6 +58,40 @@ def path_orders(m: int) -> list[tuple[int, ...]]:
     The brute-force reference that the sorted-beta path is tested against.
     """
     return [order for order in itertools.permutations(range(1, m + 1)) if order[0] < order[-1]]
+
+
+def shared_vertex_patterns() -> list[tuple[Pair, Pair]]:
+    """The 12 unordered choices of two missing pairs sharing one vertex."""
+    return [
+        (p, q)
+        for p, q in itertools.combinations(all_pairs(4), 2)
+        if len({p.i, p.j} & {q.i, q.j}) == 1
+    ]
+
+
+def classify_by_pattern_search(params: Parameters) -> tuple[RegionKind, tuple[Pair, ...], Design] | None:
+    """The m = 4 region found by trying every pattern of every kind; None if none holds.
+
+    The reference that classify_m4's one candidate per kind is tested
+    against: full support, then all 6 five-point patterns, then all 12
+    shared-vertex four-point patterns, then the sorted-beta path, each
+    through the public weight functions.  Nothing is certified.
+    """
+    design = full_support_weights(params)
+    if design is not None:
+        return RegionKind.FULL_SUPPORT, (), design
+    for missing in all_pairs(4):
+        design = five_point_weights(params, missing)
+        if design is not None:
+            return RegionKind.FIVE_POINT, (missing,), design
+    for missing_pairs in shared_vertex_patterns():
+        design = four_point_shared_vertex_weights(params, *missing_pairs)
+        if design is not None:
+            return RegionKind.FOUR_POINT_SHARED_VERTEX, missing_pairs, design
+    path = sorted_beta_path(params)
+    if all(v <= 0.0 for v in saturated_inequality_values(path, intensity_vector(params.beta).tolist())):
+        return RegionKind.SATURATED, (), path.design()
+    return None
 
 
 def sample_in_path_region(

@@ -44,7 +44,6 @@ PUBLIC = {
     "region_margin",
     "region_membership",
     "regression_vector",
-    "saturated_region_check_m4",
     "search_disjoint_four_point",
     "solve",
     "solve_restricted",

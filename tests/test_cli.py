@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from btdesign.cli import main
+from btdesign.cli import build_parser, main
 
 from helpers import sample_in_path_region
 
@@ -354,6 +354,15 @@ class TestUsage:
     def test_missing_required_argument(self):
         rc, _ = run(["optimize", "--m", "4"])
         assert rc == 2
+
+    def test_usage_error_leaves_the_parser_reusable(self):
+        # The parser is built once per process and shared by every call.
+        build_parser.cache_clear()
+        argv = ["classify", "--m", "4", "--beta", "1.7,0.85,2.125"]
+        rc, expected = run(argv)
+        assert rc == 0
+        assert run(["classify", "--m", "4", "--beta", "0,0,0", "--workers", "2"])[0] == 2
+        assert run(argv) == (0, expected)
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btdesign import (
     Design,
@@ -22,22 +24,29 @@ from btdesign import (
     information_matrix,
     log_det,
     region_margin,
-    saturated_region_check_m4,
     search_disjoint_four_point,
     solve,
 )
 from btdesign.core import all_pairs, intensity_vector
 from btdesign.four_alt import (
+    _COLUMNS,
     _PAIRS4,
     five_point_raw,
     four_point_shared_raw,
     full_support_raw,
-    shared_vertex_patterns,
+    saturated_inequality_values,
 )
 from btdesign.graphs import Permutation, apply_to_params
 from btdesign.regions import PathDesign
 
-from helpers import geometric_params, line_params, path_orders, random_params
+from helpers import (
+    classify_by_pattern_search,
+    geometric_params,
+    line_params,
+    path_orders,
+    random_params,
+    shared_vertex_patterns,
+)
 
 
 def random_lambda_tables(rng: np.random.Generator, n: int) -> list:
@@ -50,14 +59,30 @@ def lambda_tables_from_betas(rng: np.random.Generator, n: int, scale: float = 5.
     return list(intensity_vector(betas).T)
 
 
+def relabeled_raw(raw_formula, lam: list, tau: tuple[int, ...], first: int) -> tuple[dict, tuple]:
+    """A representative's raw formula on the intensities relabeled by tau.
+
+    Returns its weights keyed by the pairs they belong to (the reference
+    pairs from _PAIRS4[first] on, carried by tau) and its slacks.
+    """
+    columns = _COLUMNS[tau]
+    weights, *slacks = raw_formula([lam[c] for c in columns])
+    return dict(zip((_PAIRS4[c] for c in columns[first:]), weights)), tuple(slacks)
+
+
+def in_saturated_region(params: Parameters, path: PathDesign) -> bool:
+    lam = intensity_vector(params.beta).tolist()
+    return all(v <= 0.0 for v in saturated_inequality_values(path, lam))
+
+
 class TestSaturatedInequalities:
     def test_origin_outside_all_paths(self):
         p = Parameters(4, (0.0, 0.0, 0.0))
-        assert all(not saturated_region_check_m4(p, PathDesign(order)) for order in path_orders(4))
+        assert all(not in_saturated_region(p, PathDesign(order)) for order in path_orders(4))
 
     def test_geometric_point_inside_relabeled_path(self):
         # pi_i = 20^i makes the canonical order optimal.
-        assert saturated_region_check_m4(geometric_params(4, 20.0), PathDesign.canonical(4))
+        assert in_saturated_region(geometric_params(4, 20.0), PathDesign.canonical(4))
 
     def test_agrees_with_g_form(self):
         from btdesign import region_membership
@@ -66,7 +91,7 @@ class TestSaturatedInequalities:
         for _ in range(500):
             p = random_params(rng, 4, scale=6.0)
             for path in map(PathDesign, path_orders(4)):
-                assert saturated_region_check_m4(p, path) == region_membership(path, p).inside
+                assert in_saturated_region(p, path) == region_membership(path, p).inside
 
 
 class TestFullSupport:
@@ -142,24 +167,18 @@ class TestFivePoint:
         assert in_region == [Pair(3, 4)]
 
     def test_transport_consistency(self):
-        # All four relabelings onto the representative give the same design.
-        rng = np.random.default_rng(109)
-        p = line_params(1.7)
-        missing = Pair(3, 4)
-        taus = []
-        for a, b in ((3, 4), (4, 3)):
-            others = [1, 2]
-            for c, dd in (others, others[::-1]):
-                taus.append({1: a, 2: b, 3: c, 4: dd})
-        designs = [five_point_weights(p, missing, tau=t) for t in taus]
-        assert all(d is not None for d in designs)
-        for d in designs[1:]:
-            for pair in all_pairs(4):
-                assert d.weight(pair) == pytest.approx(designs[0].weight(pair), abs=1e-12)
-
-    def test_rejects_mismatched_relabeling(self):
-        with pytest.raises(ValueError):
-            five_point_weights(line_params(1.7), Pair(3, 4), tau={1: 1, 2: 2, 3: 3, 4: 4})
+        # All four relabelings sending the missing pair (3,4) onto the
+        # representative's (1,2) give the same in-region weights.
+        lam = intensity_vector(line_params(1.7).beta).tolist()
+        taus = [(a, b, c, d) for a, b in ((3, 4), (4, 3)) for c, d in ((1, 2), (2, 1))]
+        results = [relabeled_raw(five_point_raw, lam, tau, 1) for tau in taus]
+        for weights, (slack,) in results:
+            assert all(w > 0.0 for w in weights.values()) and slack >= 0.0
+        reference = results[0][0]
+        for weights, _ in results[1:]:
+            assert weights.keys() == reference.keys()
+            for pair, w in weights.items():
+                assert w == pytest.approx(reference[pair], abs=1e-12)
 
 
 class TestFourPointSharedVertex:
@@ -211,6 +230,8 @@ class TestFourPointSharedVertex:
         assert sum(raw) == 1 and raw[0] == Fraction(1, 3)
 
     def test_transport_consistency(self):
+        # Both relabelings sending the missing pairs onto (1,2), (1,3) give
+        # the same in-region weights.
         p = line_params(2.5)
         label = classify_m4(p)
         m1, m2 = label.missing_pairs
@@ -218,12 +239,13 @@ class TestFourPointSharedVertex:
         b1 = m1.j if m1.i == shared else m1.i
         c1 = m2.j if m2.i == shared else m2.i
         (rest,) = {1, 2, 3, 4} - {shared, b1, c1}
-        tau_a = {1: shared, 2: b1, 3: c1, 4: rest}
-        tau_b = {1: shared, 2: c1, 3: b1, 4: rest}
-        da = four_point_shared_vertex_weights(p, m1, m2, tau=tau_a)
-        db = four_point_shared_vertex_weights(p, m2, m1, tau=tau_b)
-        for pair in all_pairs(4):
-            assert da.weight(pair) == pytest.approx(db.weight(pair), abs=1e-12)
+        lam = intensity_vector(p.beta).tolist()
+        wa, slacks_a = relabeled_raw(four_point_shared_raw, lam, (shared, b1, c1, rest), 2)
+        wb, slacks_b = relabeled_raw(four_point_shared_raw, lam, (shared, c1, b1, rest), 2)
+        assert all(w > 0.0 for w in wa.values()) and min(*slacks_a, *slacks_b) >= 0.0
+        assert wa.keys() == wb.keys()
+        for pair, w in wa.items():
+            assert w == pytest.approx(wb[pair], abs=1e-12)
 
     def test_disjoint_missing_pairs_rejected(self):
         with pytest.raises(ValueError):
@@ -397,3 +419,72 @@ class TestClassify:
             ld_label = log_det(information_matrix(label.design, p))
             ld_solve = log_det(information_matrix(result.design, p))
             assert abs(ld_label - ld_solve) <= 1e-7
+
+
+def assert_matches_pattern_search(params: Parameters) -> None:
+    found = classify_by_pattern_search(params)
+    assert found is not None, params.beta
+    label = classify_m4(params)
+    kind, missing, design = found
+    assert (label.kind, label.missing_pairs, label.design.weights) == (kind, missing, design.weights), params.beta
+
+
+_COORDINATE = st.floats(-8.0, 8.0)
+
+
+@st.composite
+def _uniform_points(draw) -> Parameters:
+    return Parameters(4, tuple(draw(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE))))
+
+
+@st.composite
+def _tied_coordinates(draw) -> Parameters:
+    """Points where two or more alternatives, the control included, share a log-preference."""
+    values = [0.0, *draw(st.lists(_COORDINATE, min_size=1, max_size=2))]
+    return Parameters(4, tuple(draw(st.lists(st.sampled_from(values), min_size=3, max_size=3))))
+
+
+@st.composite
+def _tied_two_step_gaps(draw) -> Parameters:
+    """Points whose sorted path a-b-c-d has |beta_a - beta_c| = |beta_b - beta_d|.
+
+    The gaps are multiples of 1/16, so every difference is exact and the
+    tie survives into the intensities.
+    """
+    outer, inner = draw(st.integers(0, 64)) / 16.0, draw(st.integers(0, 64)) / 16.0
+    values = np.array([0.0, outer, outer + inner, 2.0 * outer + inner])[list(draw(st.permutations(range(4))))]
+    return Parameters(4, tuple(values[:3] - values[3]))
+
+
+class TestSortedPathCandidates:
+    """classify_m4's one candidate per kind against the search over all patterns."""
+
+    @given(st.one_of(_uniform_points(), _tied_coordinates(), _tied_two_step_gaps()))
+    @settings(max_examples=600, deadline=None)
+    def test_matches_pattern_search(self, params):
+        assert_matches_pattern_search(params)
+
+    def test_matches_pattern_search_at_bisected_boundaries(self):
+        # Bisect random segments whose ends lie in regions of different kinds
+        # down to 2^-40 and compare on both sides of the boundary.
+        def kind_at(x, y, t):
+            found = classify_by_pattern_search(Parameters(4, tuple(x + t * (y - x))))
+            return None if found is None else found[0]
+
+        rng = np.random.default_rng(157)
+        checked = 0
+        while checked < 30:
+            x, y = rng.uniform(-6.0, 6.0, size=(2, 3))
+            lo, hi = 0.0, 1.0
+            lo_kind = kind_at(x, y, lo)
+            if kind_at(x, y, hi) is lo_kind:
+                continue
+            while hi - lo > 2.0**-40:
+                mid = 0.5 * (lo + hi)
+                if kind_at(x, y, mid) is lo_kind:
+                    lo = mid
+                else:
+                    hi = mid
+            for t in (lo, hi):
+                assert_matches_pattern_search(Parameters(4, tuple(x + t * (y - x))))
+            checked += 1

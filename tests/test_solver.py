@@ -15,6 +15,7 @@ from btdesign import (
     solve_restricted,
 )
 from btdesign.core import _derivatives, intensity_vector, log_det, regression_matrix
+from btdesign.regions import sorted_beta_path
 from btdesign.solver import SolverConfig, _deletion_bound, _multiplicative_step
 
 from helpers import geometric_params, random_params, sample_in_path_region
@@ -121,6 +122,22 @@ class TestSolve:
                 path, params = sample_in_path_region(rng, m)
                 result = solve(params)
                 assert set(result.design.support()) == set(path.edges())
+
+    def test_certified_support_contains_sorted_path_edges(self):
+        # The structure behind classify_m4's one candidate per kind, checked
+        # without the closed forms: every optimal support keeps the edges of
+        # the path that sorts beta.
+        rng = np.random.default_rng(251)
+        converged = 0
+        for m in (4, 5, 6, 7):
+            for _ in range(100):
+                params = random_params(rng, m, scale=6.0)
+                result = solve(params)
+                if result.converged:
+                    converged += 1
+                    edges = set(sorted_beta_path(params).edges())
+                    assert edges <= set(result.design.support()), params.beta
+        assert converged == 400
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
