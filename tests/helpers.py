@@ -6,6 +6,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from btdesign import (
     Design,
@@ -29,6 +30,22 @@ def geometric_params(m: int, pi1: float) -> Parameters:
     """The point with preference values pi_i = pi1^i (control-coded)."""
     c = math.log(pi1)
     return Parameters(m, tuple(i * c - m * c for i in range(1, m)))
+
+
+_COORDINATE = st.floats(-8.0, 8.0)
+
+
+@st.composite
+def uniform_m4_points(draw) -> Parameters:
+    """m=4 points with beta anywhere in [-8, 8]^3."""
+    return Parameters(4, tuple(draw(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE))))
+
+
+@st.composite
+def tied_m4_points(draw) -> Parameters:
+    """Points where two or more alternatives, the control included, share a log-preference."""
+    values = [0.0, *draw(st.lists(_COORDINATE, min_size=1, max_size=2))]
+    return Parameters(4, tuple(draw(st.lists(st.sampled_from(values), min_size=3, max_size=3))))
 
 
 def line_params(t: float) -> Parameters:

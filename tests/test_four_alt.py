@@ -46,6 +46,8 @@ from helpers import (
     path_orders,
     random_params,
     shared_vertex_patterns,
+    tied_m4_points,
+    uniform_m4_points,
 )
 
 
@@ -429,21 +431,6 @@ def assert_matches_pattern_search(params: Parameters) -> None:
     assert (label.kind, label.missing_pairs, label.design.weights) == (kind, missing, design.weights), params.beta
 
 
-_COORDINATE = st.floats(-8.0, 8.0)
-
-
-@st.composite
-def _uniform_points(draw) -> Parameters:
-    return Parameters(4, tuple(draw(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE))))
-
-
-@st.composite
-def _tied_coordinates(draw) -> Parameters:
-    """Points where two or more alternatives, the control included, share a log-preference."""
-    values = [0.0, *draw(st.lists(_COORDINATE, min_size=1, max_size=2))]
-    return Parameters(4, tuple(draw(st.lists(st.sampled_from(values), min_size=3, max_size=3))))
-
-
 @st.composite
 def _tied_two_step_gaps(draw) -> Parameters:
     """Points whose sorted path a-b-c-d has |beta_a - beta_c| = |beta_b - beta_d|.
@@ -459,7 +446,7 @@ def _tied_two_step_gaps(draw) -> Parameters:
 class TestSortedPathCandidates:
     """classify_m4's one candidate per kind against the search over all patterns."""
 
-    @given(st.one_of(_uniform_points(), _tied_coordinates(), _tied_two_step_gaps()))
+    @given(st.one_of(uniform_m4_points(), tied_m4_points(), _tied_two_step_gaps()))
     @settings(max_examples=600, deadline=None)
     def test_matches_pattern_search(self, params):
         assert_matches_pattern_search(params)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btdesign import (
+    BtDesignError,
     Design,
     Pair,
     Parameters,
@@ -14,11 +17,17 @@ from btdesign import (
     solve,
     solve_restricted,
 )
-from btdesign.core import _derivatives, intensity_vector, log_det, regression_matrix
+from btdesign.core import _derivatives, information_matrix, intensity_vector, log_det, regression_matrix
 from btdesign.regions import sorted_beta_path
 from btdesign.solver import SolverConfig, _deletion_bound, _multiplicative_step
 
-from helpers import geometric_params, random_params, sample_in_path_region
+from helpers import (
+    geometric_params,
+    random_params,
+    sample_in_path_region,
+    tied_m4_points,
+    uniform_m4_points,
+)
 
 
 class TestSolve:
@@ -101,9 +110,27 @@ class TestSolve:
             solve(Parameters(4, (0.0, 0.0, 0.0)), SolverConfig(initial_design=cycle))
 
     def test_iteration_cap_reported(self):
-        result = solve(Parameters(4, (2.0, 1.0, 2.5)), SolverConfig(max_iterations=3))
+        result = solve(Parameters(4, (1.1, -1.8, -3.7)), SolverConfig(max_iterations=3))
         assert result.iterations == 3
         assert not result.converged
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_newton_finish_is_tried_as_soon_as_it_can_succeed(self, m):
+        # Finishing only after 10 iterations without a deletion took up to
+        # 20-41 iterations at these points; the first finish usually succeeds.
+        rng = np.random.default_rng(257 + m)
+        results = [solve(random_params(rng, m, scale=6.0)) for _ in range(100)]
+        assert all(r.converged for r in results)
+        assert max(r.iterations for r in results) <= 15
+        assert np.median([r.newton_attempts for r in results]) == 1
+
+    def test_large_support_retries_newton_periodically(self):
+        # Supports above k + 30 pairs get a finish only every 10 iterations
+        # without a deletion; never trying there took 1 547 iterations here.
+        rng = np.random.default_rng(5)
+        result = solve(Parameters(20, tuple(rng.uniform(-6.0, 6.0, 19))))
+        assert result.converged
+        assert result.iterations < 1000
 
     def test_m7_tail_point_converges(self):
         # Outside every path region; this solve once hit the 100 000-iteration cap.
@@ -168,6 +195,33 @@ class TestSolve:
                 deleted += int(doomed.sum())
                 w = _multiplicative_step(w, lam, F, m)
         assert deleted > 0
+
+
+class TestWholePipeline:
+    """The solver against the closed forms and the path regions, from beta to design."""
+
+    @given(st.one_of(uniform_m4_points(), tied_m4_points()))
+    @settings(max_examples=300, deadline=None)
+    def test_m4_log_det_matches_classification(self, params):
+        try:
+            label = classify_m4(params)
+        except BtDesignError:
+            return
+        result = solve(params)
+        assert result.converged, params.beta
+        gap = log_det(information_matrix(label.design, params)) - log_det(
+            information_matrix(result.design, params)
+        )
+        assert abs(gap) <= 1e-7, params.beta
+
+    @given(st.integers(5, 7), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_in_region_support_is_the_path(self, m, seed):
+        path, params = sample_in_path_region(np.random.default_rng(seed), m)
+        result = solve(params)
+        assert set(result.design.support()) == set(path.edges()), params.beta
+        for p in path.edges():
+            assert result.design.weight(p) == pytest.approx(1.0 / (m - 1), abs=1e-6)
 
 
 class TestSolveRestricted:
