@@ -77,7 +77,7 @@ def design_from_dict(data: dict) -> Design:
     try:
         m = int(data["m"])
         raw = {Pair.from_key(k): float(v) for k, v in data["weights"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CliError(f"malformed design object: {exc}") from None
     total = math.fsum(raw.values())
     if not math.isfinite(total) or abs(total - 1.0) > 1e-6:
@@ -189,6 +189,8 @@ class ScanSpec:
 def scan_spec_from_dict(data: dict) -> ScanSpec:
     try:
         m = int(data["m"])
+        if m != 4:
+            raise CliError("scan classification is closed-form for m=4 only")
         axes = tuple(
             ScanAxis(
                 direction=tuple(float(x) for x in ax["direction"]),
@@ -198,9 +200,9 @@ def scan_spec_from_dict(data: dict) -> ScanSpec:
             )
             for ax in data["axes"]
         )
-        fixed = tuple(float(x) for x in data.get("fixed", [0.0] * (m - 1)))
+        fixed = tuple(float(x) for x in data.get("fixed", (0.0, 0.0, 0.0)))
         return ScanSpec(m=m, axes=axes, fixed=fixed)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise CliError(f"malformed scan spec: {exc}") from None
 
 
@@ -238,12 +240,13 @@ def worker_count() -> int:
 
 def run_scan(spec: ScanSpec, stream: TextIO, workers: int | None = None) -> int:
     """Classify every grid point and write CSV rows in deterministic order."""
-    if spec.m != 4:
-        raise CliError("scan classification is closed-form for m=4 only")
     workers = workers if workers is not None else worker_count()
+    try:
+        points = list(spec.grid())
+    except ValueError as exc:  # a grid point past the largest float
+        raise CliError(f"bad scan grid: {exc}") from None
     writer = csv.writer(stream)
     writer.writerow([*(f"beta{i}" for i in range(1, spec.m)), "kind", "support_size", "margin"])
-    points = list(spec.grid())
     if workers > 1:
         # Imported here: multiprocessing adds ~2 MB to every process that loads the CLI.
         from concurrent.futures import ProcessPoolExecutor
@@ -376,6 +379,8 @@ def cmd_efficiency(args: argparse.Namespace, stdout: TextIO) -> int:
         raise CliError(f"bad line or range: {exc}") from None
     if len(line) != 3:
         raise CliError("the efficiency line needs 3 coefficients (m=4)")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError("the range must be finite")
     if args.steps < 2:
         raise CliError("need at least 2 steps")
 
@@ -384,7 +389,10 @@ def cmd_efficiency(args: argparse.Namespace, stdout: TextIO) -> int:
     writer.writerow(["beta1", "kind", "efficiency"])
     uniform = Design.uniform(4)
     for t in np.linspace(lo, hi, args.steps):
-        params = Parameters(4, tuple(t * c for c in line))
+        try:
+            params = Parameters(4, tuple(t * c for c in line))
+        except ValueError as exc:
+            raise CliError(f"bad line or range: {exc}") from None
         label = classify_m4(params)
         eff = d_efficiency(uniform, label.design, params)
         writer.writerow([f"{t:.12g}", label.kind.value, f"{eff:.12g}"])
@@ -395,8 +403,11 @@ def cmd_efficiency(args: argparse.Namespace, stdout: TextIO) -> int:
 def cmd_claw_scan(args: argparse.Namespace, stdout: TextIO) -> int:
     if args.grid_points < 1 or args.samples < 1:
         raise CliError("--grid-points and --samples must be at least 1")
-    if not all(0.0 < x < math.inf for x in (args.lower, args.upper)):
-        raise CliError("--lower and --upper must be positive and finite")
+    if args.seed < 0:
+        raise CliError("--seed must be nonnegative")
+    # The claw slacks are cubic in pi: past 1e100 they overflow, below 1e-100 they underflow to 0.
+    if not 1e-100 <= args.lower <= args.upper <= 1e100:
+        raise CliError("need 1e-100 <= --lower <= --upper <= 1e100")
     grid = claw_infeasibility_scan(points_per_axis=args.grid_points, lower=args.lower, upper=args.upper)
     sample = claw_infeasibility_sample(n_samples=args.samples, seed=args.seed, lower=args.lower, upper=args.upper)
     report = {
@@ -421,15 +432,17 @@ def cmd_claw_scan(args: argparse.Namespace, stdout: TextIO) -> int:
 def cmd_search_disjoint4(args: argparse.Namespace, stdout: TextIO) -> int:
     if args.starts < 1:
         raise CliError("--starts must be at least 1")
-    if not math.isfinite(args.beta_scale):
-        raise CliError("--beta-scale must be finite")
+    if args.seed < 0:
+        raise CliError("--seed must be nonnegative")
+    if not 0.0 < args.beta_scale <= sys.float_info.max / 2:
+        raise CliError("--beta-scale must be positive and at most half the largest float")
     report = search_disjoint_four_point(n_starts=args.starts, seed=args.seed, beta_scale=args.beta_scale)
     emit_json(
         {
             "n_starts": report.n_starts,
             "interior_count": report.interior_count,
             "certified_count": report.certified_count,
-            "best_slack": report.best_slack,
+            "best_slack": report.best_slack if math.isfinite(report.best_slack) else None,
             "best_point": list(report.best_point) if report.best_point else None,
         },
         stdout,

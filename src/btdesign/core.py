@@ -201,9 +201,9 @@ class Design:
     def weight(self, pair: Pair) -> float:
         return self.weights.get(pair, 0.0)
 
-    def support(self, threshold: float = SUPPORT_THRESHOLD) -> tuple[Pair, ...]:
-        """Pairs carrying more than the support threshold of weight."""
-        return tuple(sorted(p for p, w in self.weights.items() if w > threshold))
+    def support(self) -> tuple[Pair, ...]:
+        """Pairs carrying more than SUPPORT_THRESHOLD of weight."""
+        return tuple(sorted(p for p, w in self.weights.items() if w > SUPPORT_THRESHOLD))
 
     def as_vector(self, m: int | None = None) -> np.ndarray:
         """Weights aligned with :func:`all_pairs` ordering."""
@@ -211,10 +211,10 @@ class Design:
         return np.array([self.weight(p) for p in pairs])
 
 
-def design_from_vector(m: int, w: np.ndarray, drop_zero: bool = True) -> Design:
-    """Inverse of :meth:`Design.as_vector`, optionally dropping exact zeros."""
+def design_from_vector(m: int, w: np.ndarray) -> Design:
+    """Inverse of :meth:`Design.as_vector`, dropping exact zeros."""
     pairs = all_pairs(m)
-    weights = {p: float(x) for p, x in zip(pairs, w) if not (drop_zero and x == 0.0)}
+    weights = {p: float(x) for p, x in zip(pairs, w) if x != 0.0}
     return Design(m, weights)
 
 

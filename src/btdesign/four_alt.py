@@ -3,14 +3,19 @@
 With four alternatives the parameter space R^3 is covered by optimality
 regions of four design shapes: the full six-pair support, five-point
 designs missing one pair, four-point designs missing two pairs that share a
-vertex, and saturated three-point path designs.  Each shape has explicit
-weight formulas in the intensities, obtained by solving the equal-derivative
-stationarity system on the shape's support; region membership is weight
-positivity plus nonpositive derivatives toward the missing pairs.
+vertex, and saturated three-point path designs.  Each shape's weights solve
+the equal-derivative stationarity system on its support.  They are written
+without division, as in the paper's semi-algebraic description: polynomial
+numerators over a common denominator that equals their sum, plus one slack
+polynomial per missing pair.  A point is in the region exactly when every
+numerator is nonzero with one common sign and every slack is >= 0.
 
 Every closed-form design returned here is re-verified with the equivalence
 theorem before being handed out; a formula that fails its own certificate
-raises ConsistencyError instead of returning a wrong design.
+raises ConsistencyError instead of returning a wrong design.  Near symmetric
+points, such as beta = (-12, -12, 0), the float polynomials cancel; when the
+float pass finds no region or fails a certificate, classify_m4 evaluates the
+same float intensities once more as Fractions, exactly, and certifies as usual.
 
 Classification needs one candidate per kind.  Let a-b-c-d be the path that
 visits the alternatives in descending order of beta (sorted_beta_path; its
@@ -64,7 +69,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -144,17 +149,23 @@ def _intensities(params: Parameters) -> list[float]:
     return intensity_vector(params.beta).tolist()
 
 
-def _region_design(columns: Sequence[int], raw: Sequence[float], slacks: Sequence[float]) -> Design | None:
-    """The raw weights, normalized, on the pairs at these columns; None outside the region.
+def _closed_form_design(raw: Callable, tau: tuple[int, ...], lam: Intensities) -> Design | None:
+    """The design N / sum(N) of one closed-form kind; None outside its region.
 
-    Inside means every weight is positive and every slack nonnegative.
+    Relabels the intensities by tau and evaluates the representative's
+    numerators N and slacks with raw, one of the three *_raw functions below.
+    Inside means every numerator is nonzero with one common sign and every
+    slack is nonnegative.  The numerators belong to the last pairs of the
+    reference order, carried by tau.
     """
-    if not all(math.isfinite(w) and w > 0.0 for w in raw):
+    columns = _COLUMNS[tau]
+    numerators, slacks = raw([lam[c] for c in columns])
+    if not (all(n > 0 for n in numerators) or all(n < 0 for n in numerators)):
         return None
-    if not all(math.isfinite(s) and s >= 0.0 for s in slacks):
+    if not all(s >= 0 for s in slacks):
         return None
-    total = math.fsum(raw)
-    return Design(4, {_PAIRS4[c]: w / total for c, w in zip(columns, raw)})
+    total = sum(numerators)
+    return Design(4, {_PAIRS4[c]: float(n / total) for c, n in zip(columns[6 - len(numerators):], numerators)})
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +196,7 @@ def saturated_inequality_values(path: PathDesign, lam: Intensities) -> tuple[Sca
 
 
 # ---------------------------------------------------------------------------
-# Full support: degree-9 weight numerators over the shared normalizer
+# Full support: degree-9 weight numerators
 # ---------------------------------------------------------------------------
 
 
@@ -210,56 +221,20 @@ def _full_numerator(lam: Intensities, columns: tuple[int, ...]) -> Scalar:
     return lik * lil * ljk * ljl * bracket
 
 
-def _full_normalizer(lam: Intensities) -> Scalar:
-    """The normalizer A making the six weights sum to one (reference labels)."""
-    lij, lik, lil, ljk, ljl, lkl = lam
-    return 3 * (
-        lij * lik**2 * lil**2 * ljk**2 * ljl**2
-        + lij * lik * lil**2 * ljk * ljl**2 * lkl**2
-        - lij * lik * lil**2 * ljk**2 * ljl * lkl**2
-        - lij**2 * lik * lil**2 * ljk * ljl * lkl**2
-        - lij * lik * lil**2 * ljk**2 * ljl**2 * lkl
-        - lij * lik**2 * lil**2 * ljk * ljl**2 * lkl
-        - lij * lik**2 * lil**2 * ljk**2 * ljl * lkl
-        - lij**2 * lik * lil**2 * ljk**2 * ljl * lkl
-        + lij**2 * lik**2 * lil**2 * ljk * ljl * lkl
-        - lij * lik**2 * lil * ljk * ljl**2 * lkl**2
-        - lij**2 * lik * lil * ljk * ljl**2 * lkl**2
-        + lij * lik**2 * lil * ljk**2 * ljl * lkl**2
-        - lij**2 * lik * lil * ljk**2 * ljl * lkl**2
-        - lij**2 * lik**2 * lil * ljk * ljl * lkl**2
-        - lij * lik**2 * lil * ljk**2 * ljl**2 * lkl
-        + lij**2 * lik * lil * ljk**2 * ljl**2 * lkl
-        - lij**2 * lik**2 * lil * ljk * ljl**2 * lkl
-        + lij**2 * lik * lil**2 * ljk**2 * lkl**2
-        + lij**2 * lik**2 * lil * ljl**2 * lkl**2
-        + lij**2 * lik**2 * ljk * ljl**2 * lkl**2
-        + lij**2 * lil**2 * ljk**2 * ljl * lkl**2
-        + lik**2 * lil**2 * ljk**2 * ljl**2 * lkl
-    )
-
-
 # For each pair (i, j) with complement (k, l): the relabeling 1234 -> ijkl.
 _FULL_COLUMNS = tuple(
     _COLUMNS[(p.i, p.j, *sorted({1, 2, 3, 4} - {p.i, p.j}))] for p in _PAIRS4
 )
 
 
-def full_support_raw(lam: Intensities) -> tuple[Scalar, ...]:
-    """All six weight formulas evaluated as written (no positivity filter).
+def full_support_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], tuple[()]]:
+    """The six weight numerators and no slacks.
 
-    lam and the returned weights are both in all_pairs(4) order.
+    lam and the numerators are both in all_pairs(4) order; each weight is its
+    numerator over their sum, and the point is in the full-support region
+    exactly when all six share one strict sign.
     """
-    A = _full_normalizer(lam)
-    return tuple(_full_numerator(lam, columns) / A for columns in _FULL_COLUMNS)
-
-
-def _full_support_design(lam: Intensities) -> Design | None:
-    try:
-        raw = full_support_raw(lam)
-    except ZeroDivisionError:
-        return None
-    return _region_design(range(6), raw, ())
+    return tuple(_full_numerator(lam, columns) for columns in _FULL_COLUMNS), ()
 
 
 def full_support_weights(params: Parameters) -> Design | None:
@@ -270,7 +245,7 @@ def full_support_weights(params: Parameters) -> Design | None:
     every formula weight is strictly positive.
     """
     _require_m4(params)
-    return _full_support_design(_intensities(params))
+    return _closed_form_design(full_support_raw, (1, 2, 3, 4), _intensities(params))
 
 
 # ---------------------------------------------------------------------------
@@ -278,24 +253,24 @@ def full_support_weights(params: Parameters) -> Design | None:
 # ---------------------------------------------------------------------------
 
 
-def five_point_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], Scalar]:
-    """Representative five-point solution (missing pair (1,2)) plus boundary slack.
+def five_point_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], tuple[Scalar]]:
+    """Representative five-point solution (missing pair (1,2)) and its boundary slack.
 
     Takes the six intensities in reference labels and returns the weight
-    formulas as written for (1,3), (1,4), (2,3), (2,4), (3,4), and the slack
-    of the missing-direction condition; the derivative toward (1,2) is
-    nonpositive exactly when the slack is >= 0.
+    numerators of (1,3), (1,4), (2,3), (2,4), (3,4) over the common
+    denominator 3 d1 d2, and the slack of the missing-direction condition;
+    the derivative toward (1,2) is nonpositive exactly when the slack is >= 0.
     """
     l12, l13, l14, l23, l24, l34 = lam
 
     d1 = l13**2 * (l14 - l34) ** 2 - 2 * l13 * l14 * l34 * (l14 + l34) + l14**2 * l34**2
     d2 = l23**2 * (l24 - l34) ** 2 - 2 * l23 * l24 * l34 * (l24 + l34) + l24**2 * l34**2
 
-    w13 = 2 * l14 * l34 * (l14 * l34 - l13 * (l14 + l34)) / (3 * d1)
-    w14 = 2 * l13 * l34 * (l13 * (l34 - l14) - l14 * l34) / (3 * d1)
-    w23 = 2 * l24 * l34 * (l24 * l34 - l23 * (l24 + l34)) / (3 * d2)
-    w24 = 2 * l23 * l34 * (l23 * (l34 - l24) - l24 * l34) / (3 * d2)
-    w34_num = (
+    n13 = 2 * l14 * l34 * (l14 * l34 - l13 * (l14 + l34)) * d2
+    n14 = 2 * l13 * l34 * (l13 * (l34 - l14) - l14 * l34) * d2
+    n23 = 2 * l24 * l34 * (l24 * l34 - l23 * (l24 + l34)) * d1
+    n24 = 2 * l23 * l34 * (l23 * (l34 - l24) - l24 * l34) * d1
+    n34 = (
         3 * l13**2 * l14**2 * l23**2 * l24**2
         - 4 * l13 * l14 * l23 * l24 * l34**4
         - 2 * l13 * l14 * l23**2 * l24**2 * l34**2
@@ -321,26 +296,17 @@ def five_point_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], Scalar]:
         - l14**2 * l23**2 * l34**4
         - l14**2 * l24**2 * l34**4
     )
-    w34 = w34_num / (3 * d1 * d2)
 
     lhs = l12 * (
         l13 * (l14 * (l23 * (l24 - l34) - l24 * l34) + l34 * (l23 * (l34 - l24) - l24 * l34))
         - l14 * l34 * (l23 * (l24 + l34) - l24 * l34)
     )
     rhs = -2 * l13 * l14 * l23 * l24 * l34
-    slack = lhs - rhs
-
-    return (w13, w14, w23, w24, w34), slack
+    return (n13, n14, n23, n24, n34), (lhs - rhs,)
 
 
-def _five_point_design(lam: Intensities, missing: Pair) -> Design | None:
-    others = sorted({1, 2, 3, 4} - {missing.i, missing.j})
-    columns = _COLUMNS[(missing.i, missing.j, *others)]
-    try:
-        raw, slack = five_point_raw([lam[c] for c in columns])
-    except ZeroDivisionError:
-        return None
-    return _region_design(columns[1:], raw, (slack,))
+def _five_point_tau(missing: Pair) -> tuple[int, ...]:
+    return (missing.i, missing.j, *sorted({1, 2, 3, 4} - {missing.i, missing.j}))
 
 
 def five_point_weights(params: Parameters, missing: Pair) -> Design | None:
@@ -350,7 +316,7 @@ def five_point_weights(params: Parameters, missing: Pair) -> Design | None:
     directional derivative toward the missing pair nonpositive.
     """
     _require_m4(params)
-    return _five_point_design(_intensities(params), missing)
+    return _closed_form_design(five_point_raw, _five_point_tau(missing), _intensities(params))
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +324,16 @@ def five_point_weights(params: Parameters, missing: Pair) -> Design | None:
 # ---------------------------------------------------------------------------
 
 
-def four_point_shared_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], Scalar, Scalar]:
+def four_point_shared_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], tuple[Scalar, Scalar]]:
     """Representative solution for missing pairs (1,2) and (1,3).
 
-    Takes the six intensities in reference labels and returns the weights
-    of (1,4), (2,3), (2,4), (3,4) and the slacks of the two missing-direction
-    conditions (both must be >= 0 inside the region).  The first monomial of
-    the w34 numerator is taken as L23*L24; this is the variant under which
-    the four weights sum to one and the certificate closes.
+    Takes the six intensities in reference labels and returns the weight
+    numerators of (1,4), (2,3), (2,4), (3,4) over the common denominator
+    3 d, so w14 is d over 3 d, one third, and the slacks of the two
+    missing-direction conditions (both must be >= 0 inside the region).
+    The first monomial of the w34 numerator is taken as L23*L24; this is
+    the variant under which the four weights sum to one and the certificate
+    closes.
     """
     l12, l13, l14, l23, l24, l34 = lam
 
@@ -377,17 +345,16 @@ def four_point_shared_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], Scalar,
         - 2 * l23 * l24**2 * l34
         - 2 * l23 * l24 * l34**2
     )
-    w23 = 2 * l24 * l34 * (l24 * l34 - l23 * l24 - l23 * l34) / (3 * d)
-    w24 = 2 * l23 * l34 * (l23 * l34 - l23 * l24 - l24 * l34) / (3 * d)
-    w34 = 2 * l23 * l24 * (l23 * l24 - l23 * l34 - l24 * l34) / (3 * d)
-    w14 = l14 / l14 / 3  # exactly 1/3, in the intensities' number type
+    n23 = 2 * l24 * l34 * (l24 * l34 - l23 * l24 - l23 * l34)
+    n24 = 2 * l23 * l34 * (l23 * l34 - l23 * l24 - l24 * l34)
+    n34 = 2 * l23 * l24 * (l23 * l24 - l23 * l34 - l24 * l34)
 
     slack12 = l14 * l24 - l12 * (l14 + l24)
     slack13 = l14 * l34 - l13 * (l14 + l34)
-    return (w14, w23, w24, w34), slack12, slack13
+    return (d, n23, n24, n34), (slack12, slack13)
 
 
-def _four_point_design(lam: Intensities, missing1: Pair, missing2: Pair) -> Design | None:
+def _four_point_tau(missing1: Pair, missing2: Pair) -> tuple[int, ...]:
     shared = {missing1.i, missing1.j} & {missing2.i, missing2.j}
     if len(shared) != 1:
         raise ValueError(
@@ -398,12 +365,7 @@ def _four_point_design(lam: Intensities, missing1: Pair, missing2: Pair) -> Desi
     b = missing1.j if missing1.i == v else missing1.i
     c = missing2.j if missing2.i == v else missing2.i
     (d,) = {1, 2, 3, 4} - {v, b, c}
-    columns = _COLUMNS[(v, b, c, d)]
-    try:
-        raw, slack12, slack13 = four_point_shared_raw([lam[k] for k in columns])
-    except ZeroDivisionError:
-        return None
-    return _region_design(columns[2:], raw, (slack12, slack13))
+    return v, b, c, d
 
 
 def four_point_shared_vertex_weights(params: Parameters, missing1: Pair, missing2: Pair) -> Design | None:
@@ -415,7 +377,7 @@ def four_point_shared_vertex_weights(params: Parameters, missing1: Pair, missing
     probed by :func:`search_disjoint_four_point` instead.
     """
     _require_m4(params)
-    return _four_point_design(_intensities(params), missing1, missing2)
+    return _closed_form_design(four_point_shared_raw, _four_point_tau(missing1, missing2), _intensities(params))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +402,7 @@ def _certify(design: Design, params: Parameters, what: str) -> KwCertificate:
     # resolved sharper than the conditioning of M allows; at extreme
     # parameters (some intensities near zero) the strict tolerance is below
     # that floor.  A transcription bug shows O(1) violations, far above it.
-    floor = 16.0 * np.finfo(float).eps * _condition_estimate(design, params)
+    floor = 16.0 * float(np.finfo(float).eps) * _condition_estimate(design, params)
     if cert.max_violation <= max(KW_TOLERANCE, floor):
         return kw_check(design, params, tolerance=max(KW_TOLERANCE, floor))
     raise ConsistencyError(
@@ -463,18 +425,28 @@ def _candidates(
     Yields (kind, design or None outside its region, missing pairs, path,
     description); the module docstring says why no other candidate is needed.
     """
-    yield RegionKind.FULL_SUPPORT, _full_support_design(lam), (), None, "full-support formula"
+    design = _closed_form_design(full_support_raw, (1, 2, 3, 4), lam)
+    yield RegionKind.FULL_SUPPORT, design, (), None, "full-support formula"
     path = sorted_beta_path(params)
     a, b, c, d = path.order
     end = Pair(a, d)
-    yield RegionKind.FIVE_POINT, _five_point_design(lam, end), (end,), None, f"five-point formula missing {end}"
+    design = _closed_form_design(five_point_raw, _five_point_tau(end), lam)
+    yield RegionKind.FIVE_POINT, design, (end,), None, f"five-point formula missing {end}"
     beta = (*params.beta, 0.0)
     wider = Pair(a, c) if abs(beta[a - 1] - beta[c - 1]) >= abs(beta[b - 1] - beta[d - 1]) else Pair(b, d)
     missing = tuple(sorted((end, wider)))
     what = "four-point formula missing {}, {}".format(*missing)
-    yield RegionKind.FOUR_POINT_SHARED_VERTEX, _four_point_design(lam, *missing), missing, None, what
+    design = _closed_form_design(four_point_shared_raw, _four_point_tau(*missing), lam)
+    yield RegionKind.FOUR_POINT_SHARED_VERTEX, design, missing, None, what
     design = path.design() if all(v <= 0.0 for v in saturated_inequality_values(path, lam)) else None
     yield RegionKind.SATURATED, design, (), path, f"saturated region of path {path.order}"
+
+
+def _first_certified(params: Parameters, lam: Intensities) -> RegionLabel | None:
+    for kind, design, missing, path, what in _candidates(params, lam):
+        if design is not None:
+            return RegionLabel(kind, design, _certify(design, params, what), missing, path)
+    return None
 
 
 def classify_m4(params: Parameters) -> RegionLabel:
@@ -483,13 +455,22 @@ def classify_m4(params: Parameters) -> RegionLabel:
     One candidate per kind, taken from the sorted-beta path, is tried from
     largest to smallest support, which fixes which region claims a shared
     boundary: full support is open, saturated regions are closed, and
-    intermediate boundaries go to the first kind that certifies.
+    intermediate boundaries go to the first kind that certifies.  When the
+    float pass finds no region or a candidate fails its certificate, the
+    same intensities are tried once more as Fractions, where the division-free
+    polynomials evaluate exactly; a singular certificate is not retried.
     """
     _require_m4(params)
-    for kind, design, missing, path, what in _candidates(params, _intensities(params)):
-        if design is not None:
-            return RegionLabel(kind, design, _certify(design, params, what), missing, path)
-    raise ClassificationError(f"no optimality region certified beta={params.beta}")
+    lam = _intensities(params)
+    try:
+        label = _first_certified(params, lam)
+    except ConsistencyError:
+        label = None
+    if label is None:
+        label = _first_certified(params, [Fraction(x) for x in lam])
+    if label is None:
+        raise ClassificationError(f"no optimality region certified beta={params.beta}")
+    return label
 
 
 def region_margin(label: RegionLabel) -> float:

@@ -27,6 +27,7 @@ beta in [-6, 6], only the periodic retry runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -65,8 +66,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.kw_tolerance <= 0:
-            raise ValueError("kw_tolerance must be positive")
+        if not 0 < self.kw_tolerance < math.inf:
+            raise ValueError("kw_tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)

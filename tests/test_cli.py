@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btdesign.cli import build_parser, main
 
@@ -91,6 +94,12 @@ class TestVerify:
         design_file = tmp_path / "sum.json"
         design_file.write_text(json.dumps({"m": 4, "weights": {"1-2": 0.9}}))
         rc, _ = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
+        assert rc == 2
+
+    def test_infinite_m_is_usage_error(self, tmp_path):
+        design_file = tmp_path / "inf.json"
+        design_file.write_text('{"m": Infinity, "weights": {"1-2": 1.0}}')
+        rc, _ = run(["verify", "--m", "2", "--beta", "0", "--design", str(design_file)])
         assert rc == 2
 
     def test_dimension_mismatch_is_usage_error(self, tmp_path):
@@ -217,6 +226,15 @@ class TestScan:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("direction", [[-1, -1, 0], [-1, 0, 1]])
+    def test_symmetric_lines_certify(self, tmp_path, direction):
+        # Points on these lines from 12 on need the closed forms' exact retry.
+        spec_file = tmp_path / "line.json"
+        spec_file.write_text(json.dumps({"m": 4, "axes": [{"direction": direction, "range": [0, 20], "count": 21}]}))
+        rc, text = run(["scan", "--spec", str(spec_file), "--workers", "1"])
+        assert rc == 0
+        assert len(list(csv.DictReader(io.StringIO(text)))) == 21
 
     def test_malformed_spec_is_usage_error(self, tmp_path):
         spec_file = tmp_path / "bad.json"
@@ -345,6 +363,13 @@ class TestScans:
         assert report["certified_count"] == 0
         assert report["best_slack"] < 0.0
 
+    def test_search_disjoint4_without_interior_solution(self):
+        # Five starts find no interior solution, so there is no best slack.
+        rc, report = run_json(["search-disjoint4", "--starts", "5"])
+        assert rc == 0
+        assert report["interior_count"] == 0
+        assert report["best_slack"] is None
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -372,9 +397,155 @@ class TestUsage:
             ["claw-scan", "--grid-points", "0", "--samples", "0"],
             ["claw-scan", "--lower", "-1"],
             ["search-disjoint4", "--starts", "0"],
+            ["search-disjoint4", "--beta-scale=-5"],
+            ["search-disjoint4", "--beta-scale", "1e308"],
+            ["claw-scan", "--lower", "5", "--upper", "1"],
+            ["efficiency", "--line", "nan,0,0"],
+            ["efficiency", "--range", "0,inf"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, argv, capsys):
         rc, _ = run(argv)
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+# Anything a user might type for a number: huge, tiny, non-finite, or not a number at all.
+_ANY_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", "1e-320", "800", "-0"]),
+)
+_ANY_JSON = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300]),
+    st.integers(-2, 9),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+@st.composite
+def _numbers(draw, size: int, low: float = -40.0, high: float = 40.0) -> str:
+    """size comma-separated numbers in [low, high], or, half the time, anything near that."""
+    if draw(st.booleans()):
+        return ",".join(draw(st.lists(_ANY_NUMBER, min_size=max(0, size - 1), max_size=size + 1)))
+    return ",".join(repr(x) for x in draw(st.lists(st.floats(low, high), min_size=size, max_size=size)))
+
+
+@st.composite
+def _json_or_junk(draw, valid):
+    """A valid JSON value, or, one time in ten, junk in its place."""
+    return draw(_ANY_JSON) if draw(st.integers(0, 9)) == 0 else draw(valid)
+
+
+def _option(name: str, values):
+    """An optional --name=value argument."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+@st.composite
+def _point_argv(draw, command: str) -> list[str]:
+    m = draw(st.integers(1, 8))
+    return [command, f"--m={m}", f"--beta={draw(_numbers(m - 1))}"]
+
+
+@st.composite
+def _optimize_argv(draw) -> list[str]:
+    # The iteration cap is always given, so no case runs the default 100 000 iterations.
+    return [
+        *draw(_point_argv("optimize")),
+        f"--max-iterations={draw(st.integers(-1, 300))}",
+        *draw(_option("kw-tolerance", st.one_of(st.floats(0.0, 1e-3).map(repr), _ANY_NUMBER))),
+    ]
+
+
+@st.composite
+def _verify_argv(draw) -> tuple[list[str], str]:
+    argv = draw(_point_argv("verify"))
+    m = int(argv[1].removeprefix("--m="))
+    pairs = [f"{i}-{j}" for i in range(1, max(m, 2) + 1) for j in range(i + 1, max(m, 2) + 1)]
+    keys = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(keys), max_size=len(keys)))
+    weights = {k: draw(_json_or_junk(st.just(w / sum(raw)))) for k, w in zip(keys, raw)}
+    if draw(st.integers(0, 9)) == 0:
+        weights[draw(st.sampled_from(["1-9", "2-2", "0-1", "a-b", "12"]))] = 0.0
+    design = draw(_json_or_junk(st.just({"m": draw(_json_or_junk(st.just(m))), "weights": weights})))
+    return [*argv, "--design={file}"], json.dumps(design)
+
+
+@st.composite
+def _scan_argv(draw) -> tuple[list[str], str]:
+    # At most 3 axes of at most 3 steps each: no spec asks for more than 27 points.
+    coordinate = _json_or_junk(st.floats(-3.0, 3.0))
+    axis = st.fixed_dictionaries(
+        {
+            "direction": _json_or_junk(st.lists(coordinate, min_size=3, max_size=3)),
+            "range": _json_or_junk(st.lists(_json_or_junk(st.floats(-30.0, 30.0)), min_size=2, max_size=2)),
+            "count": st.one_of(st.integers(-1, 3), st.sampled_from([None, "3", 2.5, math.inf, math.nan])),
+        }
+    )
+    spec = {"m": draw(_json_or_junk(st.just(4))), "axes": draw(st.lists(axis, min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        spec["fixed"] = draw(_json_or_junk(st.lists(coordinate, min_size=3, max_size=3)))
+    return ["scan", "--spec={file}", "--workers=1"], json.dumps(spec)
+
+
+@st.composite
+def _efficiency_argv(draw) -> list[str]:
+    return [
+        "efficiency",
+        *draw(_option("line", _numbers(3, -3.0, 3.0))),
+        f"--range={draw(_numbers(2, -30.0, 30.0))}",
+        f"--steps={draw(st.integers(-1, 50))}",
+    ]
+
+
+@st.composite
+def _claw_scan_argv(draw) -> list[str]:
+    return [
+        "claw-scan",
+        f"--grid-points={draw(st.integers(-1, 20))}",
+        f"--samples={draw(st.integers(-1, 1000))}",
+        *draw(_option("seed", st.integers(-2, 10))),
+        *draw(_option("lower", _numbers(1, 1e-300, 1e300))),
+        *draw(_option("upper", _numbers(1, 1e-300, 1e300))),
+    ]
+
+
+@st.composite
+def _search_disjoint4_argv(draw) -> list[str]:
+    return [
+        "search-disjoint4",
+        f"--starts={draw(st.integers(-1, 1000))}",
+        *draw(_option("seed", st.integers(-2, 10))),
+        *draw(_option("beta-scale", _numbers(1, 0.0, 1000.0))),
+    ]
+
+
+class TestArgvFuzz:
+    """Every argv with bounded counts ends in exit 0, 1 or 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argvs",
+        [
+            _optimize_argv(),
+            _verify_argv(),
+            _point_argv("classify"),
+            _scan_argv(),
+            _efficiency_argv(),
+            _claw_scan_argv(),
+            _search_disjoint4_argv(),
+        ],
+        ids=["optimize", "verify", "classify", "scan", "efficiency", "claw-scan", "search-disjoint4"],
+    )
+    def test_defined_exit(self, argvs, tmp_path_factory):
+        path = tmp_path_factory.mktemp("argv") / "input.json"
+
+        @given(argvs)
+        @settings(max_examples=60, deadline=None)
+        def check(case):
+            argv, text = case if isinstance(case, tuple) else (case, "")
+            path.write_text(text)
+            assert run([a.format(file=path) for a in argv])[0] in (0, 1, 2), argv
+
+        check()

@@ -37,6 +37,7 @@ from btdesign.four_alt import (
     saturated_inequality_values,
 )
 from btdesign.graphs import Permutation, apply_to_params
+from btdesign.optimality import KW_TOLERANCE
 from btdesign.regions import PathDesign
 
 from helpers import (
@@ -64,12 +65,70 @@ def lambda_tables_from_betas(rng: np.random.Generator, n: int, scale: float = 5.
 def relabeled_raw(raw_formula, lam: list, tau: tuple[int, ...], first: int) -> tuple[dict, tuple]:
     """A representative's raw formula on the intensities relabeled by tau.
 
-    Returns its weights keyed by the pairs they belong to (the reference
-    pairs from _PAIRS4[first] on, carried by tau) and its slacks.
+    Returns its weights, the numerators over their sum, keyed by the pairs
+    they belong to (the reference pairs from _PAIRS4[first] on, carried by
+    tau) and its slacks.
     """
     columns = _COLUMNS[tau]
-    weights, *slacks = raw_formula([lam[c] for c in columns])
-    return dict(zip((_PAIRS4[c] for c in columns[first:]), weights)), tuple(slacks)
+    numerators, slacks = raw_formula([lam[c] for c in columns])
+    total = sum(numerators)
+    return {_PAIRS4[c]: n / total for c, n in zip(columns[first:], numerators)}, slacks
+
+
+def full_normalizer(lam: list):
+    """The full-support denominator, transcribed apart from the numerators (reference labels)."""
+    lij, lik, lil, ljk, ljl, lkl = lam
+    return 3 * (
+        lij * lik**2 * lil**2 * ljk**2 * ljl**2
+        + lij * lik * lil**2 * ljk * ljl**2 * lkl**2
+        - lij * lik * lil**2 * ljk**2 * ljl * lkl**2
+        - lij**2 * lik * lil**2 * ljk * ljl * lkl**2
+        - lij * lik * lil**2 * ljk**2 * ljl**2 * lkl
+        - lij * lik**2 * lil**2 * ljk * ljl**2 * lkl
+        - lij * lik**2 * lil**2 * ljk**2 * ljl * lkl
+        - lij**2 * lik * lil**2 * ljk**2 * ljl * lkl
+        + lij**2 * lik**2 * lil**2 * ljk * ljl * lkl
+        - lij * lik**2 * lil * ljk * ljl**2 * lkl**2
+        - lij**2 * lik * lil * ljk * ljl**2 * lkl**2
+        + lij * lik**2 * lil * ljk**2 * ljl * lkl**2
+        - lij**2 * lik * lil * ljk**2 * ljl * lkl**2
+        - lij**2 * lik**2 * lil * ljk * ljl * lkl**2
+        - lij * lik**2 * lil * ljk**2 * ljl**2 * lkl
+        + lij**2 * lik * lil * ljk**2 * ljl**2 * lkl
+        - lij**2 * lik**2 * lil * ljk * ljl**2 * lkl
+        + lij**2 * lik * lil**2 * ljk**2 * lkl**2
+        + lij**2 * lik**2 * lil * ljl**2 * lkl**2
+        + lij**2 * lik**2 * ljk * ljl**2 * lkl**2
+        + lij**2 * lil**2 * ljk**2 * ljl * lkl**2
+        + lik**2 * lil**2 * ljk**2 * ljl**2 * lkl
+    )
+
+
+def five_point_denominator(lam: list):
+    """3 d1 d2 of the five-point representative missing (1,2)."""
+    l12, l13, l14, l23, l24, l34 = lam
+    d1 = l13**2 * (l14 - l34) ** 2 - 2 * l13 * l14 * l34 * (l14 + l34) + l14**2 * l34**2
+    d2 = l23**2 * (l24 - l34) ** 2 - 2 * l23 * l24 * l34 * (l24 + l34) + l24**2 * l34**2
+    return 3 * d1 * d2
+
+
+def four_point_denominator(lam: list):
+    """3 d of the four-point representative missing (1,2) and (1,3)."""
+    l12, l13, l14, l23, l24, l34 = lam
+    return 3 * (
+        l23**2 * l24**2 + l23**2 * l34**2 + l24**2 * l34**2
+        - 2 * l23**2 * l24 * l34 - 2 * l23 * l24**2 * l34 - 2 * l23 * l24 * l34**2
+    )
+
+
+def fraction_tables(n: int) -> list:
+    """Exact intensity tables lambda_ij = pi_i pi_j / (pi_i + pi_j)^2 at random rational pi."""
+    rng = np.random.default_rng(163)
+    tables = []
+    for _ in range(n):
+        pi = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 60, size=(4, 2))]
+        tables.append([pi[p.i - 1] * pi[p.j - 1] / (pi[p.i - 1] + pi[p.j - 1]) ** 2 for p in _PAIRS4])
+    return tables
 
 
 def in_saturated_region(params: Parameters, path: PathDesign) -> bool:
@@ -105,12 +164,14 @@ class TestFullSupport:
 
     def test_weights_sum_to_one_identically(self):
         # The normalizer is transcribed separately from the numerators, so
-        # the unit sum is a real double-entry check of both.
+        # the identity is a real double-entry check of both.
         rng = np.random.default_rng(103)
         for table in (random_lambda_tables(rng, 10_000), lambda_tables_from_betas(rng, 10_000)):
-            raw = full_support_raw(table)
-            total = sum(raw)
-            np.testing.assert_allclose(total, 1.0, atol=1e-9)
+            numerators, slacks = full_support_raw(table)
+            assert slacks == ()
+            np.testing.assert_allclose(sum(numerators) / full_normalizer(table), 1.0, atol=1e-9)
+        for table in fraction_tables(50):
+            assert sum(full_support_raw(table)[0]) == full_normalizer(table)
 
     def test_small_perturbation_certifies_and_matches_solver(self):
         p = Parameters(4, (0.1, -0.05, 0.02))
@@ -140,18 +201,20 @@ class TestFivePoint:
         # The stationarity system still has a positive solution at the
         # origin; only the missing-direction condition fails.
         table = intensity_vector(Parameters(4, (0.0, 0.0, 0.0)).beta).tolist()
-        raw, slack = five_point_raw(table)
+        numerators, (slack,) = five_point_raw(table)
         # Weights of (1,3), (1,4), (2,3), (2,4), (3,4).
         expected = (2.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0, 1.0 / 9.0)
-        for got, w in zip(raw, expected, strict=True):
-            assert got == pytest.approx(w, rel=1e-12)
+        for got, w in zip(numerators, expected, strict=True):
+            assert got / sum(numerators) == pytest.approx(w, rel=1e-12)
         assert slack < 0.0
 
     def test_weights_sum_to_one_identically(self):
         rng = np.random.default_rng(107)
         table = lambda_tables_from_betas(rng, 10_000)
-        raw, _ = five_point_raw(table)
-        np.testing.assert_allclose(sum(raw), 1.0, atol=1e-8)
+        numerators, _ = five_point_raw(table)
+        np.testing.assert_allclose(sum(numerators) / five_point_denominator(table), 1.0, atol=1e-8)
+        for table in fraction_tables(50):
+            assert sum(five_point_raw(table)[0]) == five_point_denominator(table)
 
     def test_line_point_matches_solver(self):
         p = line_params(1.7)
@@ -220,16 +283,18 @@ class TestFourPointSharedVertex:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(127)
         table = lambda_tables_from_betas(rng, 10_000)
-        raw, _, _ = four_point_shared_raw(table)
-        np.testing.assert_allclose(sum(raw), 1.0, atol=1e-10)
+        numerators, _ = four_point_shared_raw(table)
+        np.testing.assert_allclose(sum(numerators) / four_point_denominator(table), 1.0, atol=1e-10)
+        for table in fraction_tables(50):
+            assert sum(four_point_shared_raw(table)[0]) == four_point_denominator(table)
 
     def test_fraction_intensities_give_exact_weights(self):
         # lambda_ij = pi_i pi_j / (pi_i + pi_j)^2 is rational at rational pi.
         pi = (Fraction(3, 2), Fraction(1, 3), Fraction(5), Fraction(1))
         lam = [pi[p.i - 1] * pi[p.j - 1] / (pi[p.i - 1] + pi[p.j - 1]) ** 2 for p in _PAIRS4]
-        raw, slack12, slack13 = four_point_shared_raw(lam)
-        assert all(type(x) is Fraction for x in (*raw, slack12, slack13))
-        assert sum(raw) == 1 and raw[0] == Fraction(1, 3)
+        numerators, (slack12, slack13) = four_point_shared_raw(lam)
+        assert all(type(x) is Fraction for x in (*numerators, slack12, slack13))
+        assert numerators[0] / sum(numerators) == Fraction(1, 3)
 
     def test_transport_consistency(self):
         # Both relabelings sending the missing pairs onto (1,2), (1,3) give
@@ -387,6 +452,14 @@ class TestClassify:
         expected = {Pair(1, 2): 2 / 9, Pair(1, 3): 2 / 9, Pair(2, 3): 2 / 9}
         for pair, w in expected.items():
             assert label.design.weight(pair) == pytest.approx(w, rel=1e-5)
+
+    def test_symmetric_points_certify_at_strict_tolerance(self):
+        # The float polynomials cancel along these lines from x = 12 on;
+        # the exact retry on the same intensities certifies every point.
+        for x in range(12, 21):
+            for beta in ((-x, -x, 0.0), (-x, 0.0, x)):
+                certificate = classify_m4(Parameters(4, beta)).certificate
+                assert certificate.is_optimal and certificate.tolerance == KW_TOLERANCE, beta
 
     def test_beyond_certifiable_range_raises(self):
         from btdesign import ClassificationError
