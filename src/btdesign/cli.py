@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .core import BtDesignError, Design, Pair, Parameters, information_matrix, log_det
+from .core import BtDesignError, Design, Pair, Parameters, all_pairs, information_matrix, log_det
 from .four_alt import (
     ClassificationError,
     ConsistencyError,
@@ -67,10 +67,8 @@ def parse_beta(text: str, m: int) -> Parameters:
 
 
 def design_to_dict(design: Design) -> dict:
-    return {
-        "m": design.m,
-        "weights": {p.key(): w for p, w in sorted(design.weights.items())},
-    }
+    weights = design.weights
+    return {"m": design.m, "weights": {p.key(): weights[p] for p in all_pairs(design.m) if p in weights}}
 
 
 def design_from_dict(data: dict) -> Design:
@@ -105,7 +103,7 @@ def certificate_to_dict(cert: KwCertificate) -> dict:
         "singular": cert.singular,
         "max_violation": cert.max_violation if math.isfinite(cert.max_violation) else None,
         "tolerance": cert.tolerance,
-        "derivatives": {p.key(): v for p, v in sorted(cert.derivatives.items())},
+        "derivatives": {p.key(): v for p, v in cert.derivatives.items()},  # in all_pairs order
         "equality_pairs": sorted(p.key() for p in cert.equality_pairs),
     }
 
@@ -125,8 +123,8 @@ def label_to_dict(label: RegionLabel) -> dict:
 
 
 def emit_json(data: dict, stream: TextIO) -> None:
-    json.dump(data, stream, indent=2, allow_nan=False)
-    stream.write("\n")
+    """One line of JSON; json.dumps without indent runs the C encoder."""
+    stream.write(json.dumps(data, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ def cmd_classify(args: argparse.Namespace, stdout: TextIO) -> int:
             "path": list(path.order),
             "design": design_to_dict(design),
             "margin": membership.margin,
-            "g_values": {p.key(): v for p, v in sorted(membership.g_values.items())},
+            "g_values": {p.key(): v for p, v in membership.g_values.items()},  # in all_pairs order
             "certificate": certificate_to_dict(certificate),
         }
         emit_json(report, stdout)
@@ -456,8 +454,9 @@ def cmd_search_disjoint4(args: argparse.Namespace, stdout: TextIO) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # exit code 2, message on stderr
+    def error(self, message: str):  # exit code 2, usage and message on stderr
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

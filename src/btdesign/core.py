@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -126,6 +126,20 @@ class Parameters:
         """The length-m log-preference vector including the control zero."""
         return np.append(np.asarray(self.beta, dtype=float), 0.0)
 
+    @cached_property
+    def intensities(self) -> np.ndarray:
+        """Read-only :func:`intensity_vector` of beta, computed on first use.
+
+        A point past the certifiable range still constructs; every access
+        then raises IntensityUnderflowError, since a raise caches nothing.
+        """
+        lam = intensity_vector(self.beta)
+        lam.setflags(write=False)
+        return lam
+
+    def __reduce__(self):  # pickle (m, beta) only; the copy recomputes its intensities
+        return type(self), (self.m, self.beta)
+
 
 def intensity_vector(beta: np.ndarray) -> np.ndarray:
     """Intensities lambda_ij for every pair, in :func:`all_pairs` order.
@@ -207,8 +221,8 @@ class Design:
 
     def as_vector(self, m: int | None = None) -> np.ndarray:
         """Weights aligned with :func:`all_pairs` ordering."""
-        pairs = all_pairs(m or self.m)
-        return np.array([self.weight(p) for p in pairs])
+        get = self.weights.get
+        return np.array([get(p, 0.0) for p in all_pairs(m or self.m)])
 
 
 def design_from_vector(m: int, w: np.ndarray) -> Design:
@@ -240,7 +254,7 @@ def information_matrix(design: Design, params: Parameters) -> InfoMatrix:
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
     F = regression_matrix(params.m)
-    wl = design.as_vector() * intensity_vector(params.beta)
+    wl = design.as_vector() * params.intensities
     M = F.T @ (F * wl[:, None])
     # Rank-one accumulation is symmetric up to rounding; tie it down exactly.
     M = 0.5 * (M + M.T)
@@ -258,8 +272,8 @@ def cholesky_pivots(A: np.ndarray) -> np.ndarray | None:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    d = np.diag(L)
-    if d.min() ** 2 <= SINGULARITY_RTOL * d.max() ** 2:
+    d = L.diagonal().tolist()  # Python floats: numpy scalars cost more than the test itself
+    if min(d) ** 2 <= SINGULARITY_RTOL * max(d) ** 2:
         return None
     return L
 

@@ -146,7 +146,7 @@ def _require_m4(params: Parameters) -> None:
 
 def _intensities(params: Parameters) -> list[float]:
     # Python floats: the closed forms below run about 40 % slower on numpy scalars.
-    return intensity_vector(params.beta).tolist()
+    return params.intensities.tolist()
 
 
 def _closed_form_design(raw: Callable, tau: tuple[int, ...], lam: Intensities) -> Design | None:

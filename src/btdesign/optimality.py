@@ -25,7 +25,6 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
     all_pairs,
     cholesky_pivots,
     information_matrix,
-    intensity_vector,
     log_det,
     regression_matrix,
 )
@@ -40,9 +39,10 @@ KW_TOLERANCE = 1e-7
 class KwCertificate:
     """Outcome of the equivalence-theorem check at one design and parameter point.
 
-    derivatives maps each pair to lambda_ij f^T M^{-1} f - (m-1); the design
-    is optimal iff the largest of these is nonpositive (within the recorded
-    tolerance), and support pairs then sit at zero.
+    derivatives maps each pair, in all_pairs order, to its value
+    lambda_ij f^T M^{-1} f - (m-1); the design is optimal iff the largest of
+    these is nonpositive (within the recorded tolerance), and support pairs
+    then sit at zero.
     """
 
     derivatives: Mapping[Pair, float]
@@ -58,7 +58,7 @@ def kw_check(design: Design, params: Parameters, tolerance: float = KW_TOLERANCE
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
     pairs = all_pairs(params.m)
-    found = _derivatives(design.as_vector(), intensity_vector(params.beta), regression_matrix(params.m))
+    found = _derivatives(design.as_vector(), params.intensities, regression_matrix(params.m))
     if found is None:
         return KwCertificate(
             derivatives={},
@@ -68,10 +68,10 @@ def kw_check(design: Design, params: Parameters, tolerance: float = KW_TOLERANCE
             tolerance=tolerance,
             singular=True,
         )
-    vals = found[0] - (params.m - 1)
-    derivatives = dict(zip(pairs, vals.tolist()))
-    max_violation = float(vals.max())
-    equality = frozenset(p for p, v in derivatives.items() if abs(v) <= tolerance)
+    vals = (found[0] - (params.m - 1)).tolist()
+    derivatives = dict(zip(pairs, vals))
+    max_violation = max(vals)
+    equality = frozenset(p for p, v in zip(pairs, vals) if abs(v) <= tolerance)
     return KwCertificate(
         derivatives=derivatives,
         max_violation=max_violation,

@@ -50,11 +50,12 @@ where the true margin is +0.068.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .core import Design, Pair, Parameters, all_pairs, intensity_vector
+from .core import Design, Pair, Parameters, all_pairs
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ def sorted_beta_path(params: Parameters) -> PathDesign:
 class RegionMembership:
     """Evaluation of one path's region inequalities at one parameter point.
 
-    g_values holds g - offsets for the non-edge pairs only (edges are
-    identically 1); margin is the largest g - 1 over those pairs and the
+    g_values holds g for the non-edge pairs only, in all_pairs order (edges
+    are identically 1); margin is the largest g - 1 over those pairs and the
     point is inside exactly when margin <= 0.
     """
 
@@ -108,34 +109,49 @@ class RegionMembership:
     margin: float
 
 
+@lru_cache(maxsize=None)
+def _path_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of :func:`path_g_values` that depend on m alone.
+
+    column[x, y] is the all_pairs column of the pair of vertices x + 1 and
+    y + 1 (x != y); upper masks the row-wise sums S[a, c], c >= a; (a, b)
+    lists the path positions of every non-edge pair, a + 2 <= b.
+    """
+    x = np.arange(m)
+    u, v = np.minimum.outer(x, x), np.maximum.outer(x, x)
+    column = u * m - u * (u + 1) // 2 + v - u - 1
+    upper = x[:-1, None] <= x[:-1]
+    a, b = np.nonzero(x[:, None] + 2 <= x)
+    for table in (column, upper, a, b):
+        table.setflags(write=False)
+    return column, upper, a, b
+
+
 def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
     """g(i, j) of the path for every pair, from (..., P) intensities in all_pairs order.
 
     Returns an array of lam's shape; edges give exactly 1.  See the module
     docstring for why the sums are accumulated row by row.
     """
-    m = path.m
-    order = np.asarray(path.order)
-    u, v = np.minimum.outer(order, order), np.maximum.outer(order, order)
-    column = (u - 1) * m - (u - 1) * u // 2 + v - u - 1  # of the pair at positions (a, b)
-    k = np.arange(m)
-    inverse = 1.0 / lam[..., column[k[:-1], k[1:]]]
-    S = np.cumsum(np.where(k[:-1, None] <= k[:-1], inverse[..., None, :], 0.0), axis=-1)
-    a, b = np.nonzero(k[:, None] + 2 <= k)
+    column, upper, a, b = _path_tables(path.m)
+    vertex = np.asarray(path.order) - 1  # vertex at each path position, 0-based
+    inverse = 1.0 / lam[..., column[vertex[:-1], vertex[1:]]]
+    S = np.cumsum(np.where(upper, inverse[..., None, :], 0.0), axis=-1)
+    pairs = column[vertex[a], vertex[b]]
     g = np.ones(np.shape(lam))
-    g[..., column[a, b]] = lam[..., column[a, b]] * S[..., a, b - 1]
+    g[..., pairs] = lam[..., pairs] * S[..., a, b - 1]
     return g
 
 
 def g_value(path: PathDesign, params: Parameters, pair: Pair) -> float:
     """Region inequality value g(i, j) of the path at a parameter point."""
-    g = path_g_values(path, intensity_vector(params.beta))
+    g = path_g_values(path, params.intensities)
     return float(g[all_pairs(path.m).index(pair)])
 
 
 def region_membership(path: PathDesign, params: Parameters) -> RegionMembership:
     """Evaluate all non-edge inequalities of the path's region at beta."""
-    g = path_g_values(path, intensity_vector(params.beta))
+    g = path_g_values(path, params.intensities)
     edges = set(path.edges())
     g_values = {p: v for p, v in zip(all_pairs(path.m), g.tolist()) if p not in edges}
     margin = max(g_values.values(), default=1.0) - 1.0

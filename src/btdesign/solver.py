@@ -42,7 +42,6 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
     all_pairs,
     cholesky_pivots,
     design_from_vector,
-    intensity_vector,
     regression_matrix,
 )
 from .graphs import SupportGraph
@@ -116,7 +115,7 @@ def _solve_on_mask(
     m = params.m
     k = m - 1
     F = regression_matrix(m)
-    lam = intensity_vector(params.beta)
+    lam = params.intensities
 
     if config.initial_design is not None:
         if config.initial_design.m != m:

@@ -20,6 +20,7 @@ from btdesign import (
     full_support_weights,
     region_membership,
 )
+from btdesign import core
 from btdesign.core import intensity_vector
 from btdesign.four_alt import saturated_inequality_values
 from btdesign.graphs import Permutation
@@ -46,6 +47,19 @@ def tied_m4_points(draw) -> Parameters:
     """Points where two or more alternatives, the control included, share a log-preference."""
     values = [0.0, *draw(st.lists(_COORDINATE, min_size=1, max_size=2))]
     return Parameters(4, tuple(draw(st.lists(st.sampled_from(values), min_size=3, max_size=3))))
+
+
+def count_intensity_calls(monkeypatch) -> list[int]:
+    """Count calls of core.intensity_vector from here on, in a one-item list."""
+    calls = [0]
+    original = core.intensity_vector
+
+    def counted(beta):
+        calls[0] += 1
+        return original(beta)
+
+    monkeypatch.setattr(core, "intensity_vector", counted)
+    return calls
 
 
 def line_params(t: float) -> Parameters:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btdesign import all_pairs
 from btdesign.cli import build_parser, main
 
 from helpers import sample_in_path_region
@@ -380,6 +381,13 @@ class TestUsage:
         rc, _ = run(["optimize", "--m", "4"])
         assert rc == 2
 
+    def test_parse_error_says_what_was_wrong(self, capsys):
+        rc, out = run(["optimize", "--m", "x", "--beta", "0"])
+        assert (rc, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: btdesign optimize")
+        assert err.splitlines()[-1] == "error: argument --m: invalid int value: 'x'"
+
     def test_usage_error_leaves_the_parser_reusable(self):
         # The parser is built once per process and shared by every call.
         build_parser.cache_clear()
@@ -408,6 +416,30 @@ class TestUsage:
         rc, _ = run(argv)
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--m", "4", "--beta", "1.7,0.85,2.125"],
+            ["verify", "--m", "4", "--beta", "0,0,0", "--design", "{file}"],
+            ["classify", "--m", "4", "--beta", "3.5,1.75,4.375"],
+            ["classify", "--m", "5", "--beta", "12,9,6,3"],
+            ["classify", "--m", "5", "--beta", "0,0,0,0"],
+            ["claw-scan", "--grid-points", "3", "--samples", "10"],
+            ["search-disjoint4", "--starts", "20"],
+        ],
+        ids=["optimize", "verify", "classify-m4", "classify-path", "classify-solver", "claw-scan",
+             "search-disjoint4"],
+    )
+    def test_one_line_that_round_trips(self, argv, tmp_path):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"m": 4, "weights": {p.key(): 1 / 6 for p in all_pairs(4)}}))
+        rc, text = run([a.format(file=design) for a in argv])
+        assert rc in (0, 1)
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.dumps(json.loads(text)) + "\n" == text
 
 
 # Anything a user might type for a number: huge, tiny, non-finite, or not a number at all.

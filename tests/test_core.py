@@ -1,6 +1,7 @@
 """Model primitive tests: intensities, regression vectors, information matrices."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -64,6 +65,42 @@ class TestParameters:
     def test_from_pi_matches_log_ratios(self):
         p = Parameters.from_pi([2.0, 8.0, 4.0])
         assert p.beta == pytest.approx((math.log(0.5), math.log(2.0)))
+
+
+class TestParametersIntensities:
+    def test_bitwise_equal_to_intensity_vector(self):
+        rng = np.random.default_rng(11)
+        for m in range(2, 9):
+            params = random_params(rng, m, scale=12.0)
+            assert params.intensities.tobytes() == intensity_vector(params.beta).tobytes()
+
+    def test_computed_once_and_read_only(self):
+        params = Parameters(4, (1.0, -2.0, 0.5))
+        assert params.intensities is params.intensities
+        assert not params.intensities.flags.writeable
+        with pytest.raises(ValueError):
+            params.intensities[0] = 0.0
+
+    def test_no_part_in_eq_hash_or_repr(self):
+        used, fresh = Parameters(4, (1.0, -2.0, 0.5)), Parameters(4, (1.0, -2.0, 0.5))
+        used.intensities
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "Parameters(m=4, beta=(1.0, -2.0, 0.5))"
+
+    def test_survives_pickling(self):
+        params = Parameters(5, (3.0, -1.0, 0.25, 7.0))
+        expected = params.intensities.tobytes()
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy == params
+        assert copy.intensities.tobytes() == expected
+        assert not copy.intensities.flags.writeable
+
+    def test_past_the_certifiable_range_constructs_and_every_access_raises(self):
+        params = Parameters(4, (800.0, 0.0, 0.0))
+        for _ in range(2):
+            with pytest.raises(IntensityUnderflowError):
+                params.intensities
 
 
 class TestIntensity:

@@ -42,6 +42,7 @@ from btdesign.regions import PathDesign
 
 from helpers import (
     classify_by_pattern_search,
+    count_intensity_calls,
     geometric_params,
     line_params,
     path_orders,
@@ -397,6 +398,14 @@ class TestClassify:
     )
     def test_line_kinds(self, t, kind):
         assert classify_m4(line_params(t)).kind is kind
+
+    def test_one_intensity_call_per_call(self, monkeypatch):
+        # One point of each kind, and one that needs the exact retry.
+        points = [line_params(t) for t in (1.0, 1.7, 2.5, 3.5)] + [Parameters(4, (-14.0, -14.0, 0.0))]
+        calls = count_intensity_calls(monkeypatch)
+        for n, params in enumerate(points, start=1):
+            classify_m4(params)
+            assert calls == [n]
 
     def test_certificates_attached(self):
         rng = np.random.default_rng(137)

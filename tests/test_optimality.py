@@ -17,9 +17,20 @@ from btdesign import (
     log_det,
     region_membership,
 )
+from btdesign.core import _derivatives, intensity_vector, regression_matrix
+from btdesign.graphs import enumerate_spanning_trees, is_path
+from btdesign.optimality import KW_TOLERANCE
 from btdesign.regions import PathDesign
+from btdesign.solver import solve
 
-from helpers import geometric_params, line_params, random_design, random_params, random_permutation
+from helpers import (
+    count_intensity_calls,
+    geometric_params,
+    line_params,
+    random_design,
+    random_params,
+    random_permutation,
+)
 
 
 def directional_derivative(design: Design, params: Parameters, pair: Pair) -> float:
@@ -125,6 +136,32 @@ class TestKwCheck:
             b = kw_check(apply_to_design(sigma, d), apply_to_params(sigma, p))
             assert a.is_optimal == b.is_optimal
             assert a.max_violation == pytest.approx(b.max_violation, abs=1e-9)
+
+
+class TestKwCheckReadsTheIntensitiesOnce:
+    def test_bitwise_equal_to_the_derivative_kernel(self):
+        rng = np.random.default_rng(2024)
+        for m in range(3, 9):
+            pairs = all_pairs(m)
+            for _ in range(4):
+                params = random_params(rng, m, scale=6.0)
+                for design in (random_design(rng, m), solve(params).design):
+                    d, _ = _derivatives(design.as_vector(), intensity_vector(params.beta), regression_matrix(m))
+                    vals = d - (m - 1)
+                    cert = kw_check(design, params)
+                    assert list(cert.derivatives) == list(pairs)
+                    assert np.array(list(cert.derivatives.values())).tobytes() == vals.tobytes()
+                    assert cert.max_violation == vals.max()
+                    assert cert.is_optimal == (vals.max() <= KW_TOLERANCE)
+                    assert cert.equality_pairs == {p for p, v in zip(pairs, vals) if abs(v) <= KW_TOLERANCE}
+
+    def test_one_intensity_call_for_every_non_path_tree(self, monkeypatch):
+        trees = [Design.equal_on(6, t.edges) for t in enumerate_spanning_trees(6) if not is_path(t)]
+        assert len(trees) == 936
+        params = Parameters(6, (1.5, -0.5, 2.0, 0.3, -1.2))
+        calls = count_intensity_calls(monkeypatch)
+        assert not any(kw_check(tree, params).is_optimal for tree in trees)
+        assert calls == [1]
 
 
 class TestDEfficiency:

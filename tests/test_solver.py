@@ -19,7 +19,14 @@ from btdesign import (
 )
 from btdesign.core import _derivatives, information_matrix, intensity_vector, log_det, regression_matrix
 from btdesign.regions import sorted_beta_path
-from btdesign.solver import SolverConfig, _deletion_bound, _multiplicative_step
+from btdesign.solver import (
+    _NEWTON_STEPS,
+    _STABLE_ITERATIONS,
+    SolverConfig,
+    _deletion_bound,
+    _multiplicative_step,
+    _newton_on_support,
+)
 
 from helpers import (
     geometric_params,
@@ -28,6 +35,40 @@ from helpers import (
     tied_m4_points,
     uniform_m4_points,
 )
+
+
+def reference_solve_weights(params: Parameters, config: SolverConfig = SolverConfig()) -> np.ndarray:
+    """solve's weights, replayed from intensity_vector(beta) and core._derivatives.
+
+    The solver's loop on all pairs: stop once max d <= k + tolerance, delete
+    the pairs below the Harman-Pronzato bound, try the Newton finish when
+    the solver does, otherwise take one multiplicative step.
+    """
+    k = params.m - 1
+    F = regression_matrix(params.m)
+    lam = intensity_vector(params.beta)
+    w = np.full(len(F), 1.0 / len(F))
+    live = w > 0.0
+    stable = 0
+    for _ in range(config.max_iterations):
+        d = _derivatives(w, lam, F)[0]
+        eps = d.max() - k
+        if eps <= config.kw_tolerance:
+            return w
+        doomed = live & (d < _deletion_bound(eps, k))
+        live &= ~doomed
+        w[doomed] = 0.0
+        stable = 0 if doomed.any() else stable + 1
+        if stable == _STABLE_ITERATIONS or (stable and live.sum() <= k + _NEWTON_STEPS):
+            stable = 0
+            trial = _newton_on_support(w, lam, F, k, live)
+            if trial is not None:
+                found = _derivatives(trial, lam, F)
+                if found is not None and found[0].max() - k <= config.kw_tolerance:
+                    return trial
+        w[live] *= d[live] / k
+        w /= w.sum()
+    return w
 
 
 class TestSolve:
@@ -195,6 +236,15 @@ class TestSolve:
                 deleted += int(doomed.sum())
                 w = _multiplicative_step(w, lam, F, m)
         assert deleted > 0
+
+
+    def test_weights_bitwise_equal_to_the_reference(self):
+        rng = np.random.default_rng(2024)
+        for m in range(3, 9):
+            for _ in range(5):
+                params = random_params(rng, m, scale=6.0)
+                expected = reference_solve_weights(params)
+                assert solve(params).design.as_vector().tobytes() == expected.tobytes(), params.beta
 
 
 class TestWholePipeline:
