@@ -9,7 +9,6 @@ that doubles as an independent verification oracle.
 from .core import (
     BtDesignError,
     Design,
-    InfoMatrix,
     Pair,
     Parameters,
     SingularMatrixError,
@@ -26,10 +25,6 @@ from .four_alt import (
     classify_m4,
     claw_infeasibility_sample,
     claw_infeasibility_scan,
-    disjoint_four_point_residuals,
-    five_point_weights,
-    four_point_shared_vertex_weights,
-    full_support_weights,
     region_margin,
     search_disjoint_four_point,
 )
@@ -48,10 +43,9 @@ from .regions import (
     PathDesign,
     RegionMembership,
     find_optimal_saturated,
-    g_value,
     region_membership,
 )
-from .solver import RestrictedSolverResult, SolverConfig, SolverResult, solve, solve_restricted
+from .solver import SolverConfig, SolverResult, solve
 
 __version__ = "0.1.0"
 
@@ -60,7 +54,6 @@ __all__ = [
     "ClassificationError",
     "ConsistencyError",
     "Design",
-    "InfoMatrix",
     "KW_TOLERANCE",
     "KwCertificate",
     "Pair",
@@ -70,7 +63,6 @@ __all__ = [
     "RegionKind",
     "RegionLabel",
     "RegionMembership",
-    "RestrictedSolverResult",
     "SingularMatrixError",
     "SolverConfig",
     "SolverResult",
@@ -82,12 +74,7 @@ __all__ = [
     "claw_infeasibility_sample",
     "claw_infeasibility_scan",
     "d_efficiency",
-    "disjoint_four_point_residuals",
     "find_optimal_saturated",
-    "five_point_weights",
-    "four_point_shared_vertex_weights",
-    "full_support_weights",
-    "g_value",
     "information_matrix",
     "is_path",
     "is_tree",
@@ -99,6 +86,5 @@ __all__ = [
     "regression_vector",
     "search_disjoint_four_point",
     "solve",
-    "solve_restricted",
     "support_graph",
 ]

@@ -42,6 +42,11 @@ EXIT_USAGE = 2
 
 # The parameter line used by the efficiency study: beta = t * (1, 1/2, 5/4).
 DEFAULT_EFFICIENCY_LINE = (1.0, 0.5, 1.25)
+# The most points, samples or starts one command evaluates: scan grid size,
+# efficiency steps, claw grid points cubed, claw samples, disjoint starts.
+# It admits every default (the claw grid's 100^3 is the largest) and the
+# 51^3 figure grid, and bounds the arrays they size to some tens of MB.
+MAX_POINTS = 1_000_000
 
 
 class CliError(Exception):
@@ -159,22 +164,27 @@ class ScanSpec:
         for ax in self.axes:
             if ax.count < 2:
                 raise ValueError("each axis needs at least 2 steps")
-            if not (math.isfinite(ax.start) and math.isfinite(ax.stop)):
-                raise ValueError("axis ranges must be finite")
+            if not (math.isfinite(ax.start) and math.isfinite(ax.stop - ax.start)):
+                raise ValueError("axis ranges must be finite, and so must their widths")
             if len(ax.direction) != self.m - 1:
                 raise ValueError(f"axis direction must have {self.m - 1} entries")
         if len(self.fixed) != self.m - 1:
             raise ValueError(f"fixed coordinates must have {self.m - 1} entries")
+        if self.size() > MAX_POINTS:
+            raise ValueError(f"the grid has {self.size()} points, more than {MAX_POINTS}")
 
     def grid(self) -> Iterable[tuple[tuple[int, ...], Parameters]]:
-        """Grid points in lexicographic index order."""
-        axis_values = [ax.values() for ax in self.axes]
-        directions = [np.asarray(ax.direction) for ax in self.axes]
-        base = np.asarray(self.fixed, dtype=float)
+        """Grid points in lexicographic index order.
+
+        The sums run on Python floats: past the largest float they give
+        inf, which Parameters rejects, and numpy prints no overflow warning.
+        """
+        axis_values = [ax.values().tolist() for ax in self.axes]
+        base = [float(x) for x in self.fixed]
         for idx in itertools.product(*(range(len(v)) for v in axis_values)):
-            beta = base.copy()
-            for a, i in enumerate(idx):
-                beta += axis_values[a][i] * directions[a]
+            beta = base
+            for ax, values, i in zip(self.axes, axis_values, idx):
+                beta = [b + values[i] * c for b, c in zip(beta, ax.direction)]
             yield idx, Parameters(self.m, tuple(beta))
 
     def size(self) -> int:
@@ -377,16 +387,16 @@ def cmd_efficiency(args: argparse.Namespace, stdout: TextIO) -> int:
         raise CliError(f"bad line or range: {exc}") from None
     if len(line) != 3:
         raise CliError("the efficiency line needs 3 coefficients (m=4)")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise CliError("the range must be finite")
-    if args.steps < 2:
-        raise CliError("need at least 2 steps")
+    if not (math.isfinite(lo) and math.isfinite(hi - lo)):
+        raise CliError("the range must be finite, and so must its width")
+    if not 2 <= args.steps <= MAX_POINTS:
+        raise CliError(f"--steps must be between 2 and {MAX_POINTS}")
 
     rows = io.StringIO()
     writer = csv.writer(rows)
     writer.writerow(["beta1", "kind", "efficiency"])
     uniform = Design.uniform(4)
-    for t in np.linspace(lo, hi, args.steps):
+    for t in np.linspace(lo, hi, args.steps).tolist():  # Python floats overflow to inf without a warning
         try:
             params = Parameters(4, tuple(t * c for c in line))
         except ValueError as exc:
@@ -399,8 +409,8 @@ def cmd_efficiency(args: argparse.Namespace, stdout: TextIO) -> int:
 
 
 def cmd_claw_scan(args: argparse.Namespace, stdout: TextIO) -> int:
-    if args.grid_points < 1 or args.samples < 1:
-        raise CliError("--grid-points and --samples must be at least 1")
+    if not (1 <= args.grid_points**3 <= MAX_POINTS and 1 <= args.samples <= MAX_POINTS):
+        raise CliError(f"--grid-points cubed and --samples must be between 1 and {MAX_POINTS}")
     if args.seed < 0:
         raise CliError("--seed must be nonnegative")
     # The claw slacks are cubic in pi: past 1e100 they overflow, below 1e-100 they underflow to 0.
@@ -428,8 +438,8 @@ def cmd_claw_scan(args: argparse.Namespace, stdout: TextIO) -> int:
 
 
 def cmd_search_disjoint4(args: argparse.Namespace, stdout: TextIO) -> int:
-    if args.starts < 1:
-        raise CliError("--starts must be at least 1")
+    if not 1 <= args.starts <= MAX_POINTS:
+        raise CliError(f"--starts must be between 1 and {MAX_POINTS}")
     if args.seed < 0:
         raise CliError("--seed must be nonnegative")
     if not 0.0 < args.beta_scale <= sys.float_info.max / 2:

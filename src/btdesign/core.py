@@ -17,7 +17,7 @@ linear algebra on them; everything is immutable and pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -219,10 +219,10 @@ class Design:
         """Pairs carrying more than SUPPORT_THRESHOLD of weight."""
         return tuple(sorted(p for p, w in self.weights.items() if w > SUPPORT_THRESHOLD))
 
-    def as_vector(self, m: int | None = None) -> np.ndarray:
+    def as_vector(self) -> np.ndarray:
         """Weights aligned with :func:`all_pairs` ordering."""
         get = self.weights.get
-        return np.array([get(p, 0.0) for p in all_pairs(m or self.m)])
+        return np.array([get(p, 0.0) for p in all_pairs(self.m)])
 
 
 def design_from_vector(m: int, w: np.ndarray) -> Design:
@@ -232,33 +232,15 @@ def design_from_vector(m: int, w: np.ndarray) -> Design:
     return Design(m, weights)
 
 
-@dataclass(frozen=True)
-class InfoMatrix:
-    """A symmetric positive semidefinite (m-1) x (m-1) information matrix."""
-
-    m: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=float)
-        if a.shape != (self.m - 1, self.m - 1):
-            raise ValueError(f"expected shape {(self.m - 1, self.m - 1)}, got {a.shape}")
-        if np.max(np.abs(a - a.T), initial=0.0) > 1e-14:
-            raise ValueError("information matrix must be symmetric to 1e-14")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-
-def information_matrix(design: Design, params: Parameters) -> InfoMatrix:
-    """M(xi, beta) = sum over pairs of w_ij lambda_ij f(i,j) f(i,j)^T."""
+def information_matrix(design: Design, params: Parameters) -> np.ndarray:
+    """M(xi, beta) = sum over pairs of w_ij lambda_ij f(i,j) f(i,j)^T, (m-1) x (m-1)."""
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
     F = regression_matrix(params.m)
     wl = design.as_vector() * params.intensities
     M = F.T @ (F * wl[:, None])
     # Rank-one accumulation is symmetric up to rounding; tie it down exactly.
-    M = 0.5 * (M + M.T)
-    return InfoMatrix(params.m, M)
+    return 0.5 * (M + M.T)
 
 
 def cholesky_pivots(A: np.ndarray) -> np.ndarray | None:
@@ -292,10 +274,9 @@ def _derivatives(w: np.ndarray, lam: np.ndarray, F: np.ndarray) -> tuple[np.ndar
     return lam * np.einsum("ij,ij->j", Y, Y), Y
 
 
-def log_det(M: InfoMatrix | np.ndarray) -> float:
+def log_det(M: np.ndarray) -> float:
     """log det of a symmetric PSD matrix; -inf flags a singular matrix."""
-    A = M.entries if isinstance(M, InfoMatrix) else np.asarray(M, dtype=float)
-    L = cholesky_pivots(A)
+    L = cholesky_pivots(M)
     if L is None:
         return float("-inf")
     return 2.0 * float(np.sum(np.log(np.diag(L))))

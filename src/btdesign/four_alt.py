@@ -58,8 +58,8 @@ would raise ClassificationError; it could never return an uncertified
 design, because every label passes kw_check.
 
 Four-point designs whose two missing pairs are disjoint carry no known
-optimality region; this module provides the stationarity residuals of that
-system and a randomized search utility for probing it numerically.
+optimality region; search_disjoint_four_point probes that system
+numerically from random starts.
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ class RegionLabel:
     certificate: KwCertificate
     missing_pairs: tuple[Pair, ...] = ()
     path: PathDesign | None = None
-
-
-def _require_m4(params: Parameters) -> None:
-    if params.m != 4:
-        raise ValueError(f"closed-form classification requires m=4, got m={params.m}")
 
 
 def _intensities(params: Parameters) -> list[float]:
@@ -237,17 +232,6 @@ def full_support_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], tuple[()]]:
     return tuple(_full_numerator(lam, columns) for columns in _FULL_COLUMNS), ()
 
 
-def full_support_weights(params: Parameters) -> Design | None:
-    """The six-point optimal design, or None when beta is outside its region.
-
-    The formulas solve the system that makes all six directional derivatives
-    equal; the parameter point lies in the full-support region exactly when
-    every formula weight is strictly positive.
-    """
-    _require_m4(params)
-    return _closed_form_design(full_support_raw, (1, 2, 3, 4), _intensities(params))
-
-
 # ---------------------------------------------------------------------------
 # Five-point designs: one pair unsupported
 # ---------------------------------------------------------------------------
@@ -309,16 +293,6 @@ def _five_point_tau(missing: Pair) -> tuple[int, ...]:
     return (missing.i, missing.j, *sorted({1, 2, 3, 4} - {missing.i, missing.j}))
 
 
-def five_point_weights(params: Parameters, missing: Pair) -> Design | None:
-    """The five-point optimal design missing one pair, or None outside its region.
-
-    The region requires all five weights strictly positive and the
-    directional derivative toward the missing pair nonpositive.
-    """
-    _require_m4(params)
-    return _closed_form_design(five_point_raw, _five_point_tau(missing), _intensities(params))
-
-
 # ---------------------------------------------------------------------------
 # Four-point designs, missing pairs sharing a vertex
 # ---------------------------------------------------------------------------
@@ -368,18 +342,6 @@ def _four_point_tau(missing1: Pair, missing2: Pair) -> tuple[int, ...]:
     return v, b, c, d
 
 
-def four_point_shared_vertex_weights(params: Parameters, missing1: Pair, missing2: Pair) -> Design | None:
-    """The four-point optimal design with two missing pairs at one vertex.
-
-    Returns None when beta is outside the region (a weight is nonpositive
-    or a missing-direction derivative is positive).  The missing pairs must
-    share exactly one vertex; disjoint missing pairs form the other orbit,
-    probed by :func:`search_disjoint_four_point` instead.
-    """
-    _require_m4(params)
-    return _closed_form_design(four_point_shared_raw, _four_point_tau(missing1, missing2), _intensities(params))
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -413,7 +375,7 @@ def _certify(design: Design, params: Parameters, what: str) -> KwCertificate:
 
 def _condition_estimate(design: Design, params: Parameters) -> float:
     """Squared pivot ratio of M; callers have ruled out a singular M."""
-    d = np.diag(cholesky_pivots(information_matrix(design, params).entries))
+    d = np.diag(cholesky_pivots(information_matrix(design, params)))
     return float((d.max() / d.min()) ** 2)
 
 
@@ -460,7 +422,8 @@ def classify_m4(params: Parameters) -> RegionLabel:
     same intensities are tried once more as Fractions, where the division-free
     polynomials evaluate exactly; a singular certificate is not retried.
     """
-    _require_m4(params)
+    if params.m != 4:
+        raise ValueError(f"closed-form classification requires m=4, got m={params.m}")
     lam = _intensities(params)
     try:
         label = _first_certified(params, lam)
@@ -549,60 +512,29 @@ def claw_infeasibility_sample(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DisjointFourPointReport:
-    """Stationarity residuals and boundary slacks of a disjoint-orbit design.
+# The representative support (1,3), (1,4), (2,3), (2,4) misses (1,2) and (3,4).
+_DISJOINT_COLUMNS = [1, 2, 3, 4]
 
-    The supported pairs (ik), (il), (jk), (jl) of a design missing the
-    disjoint pairs (ij) and (kl) must equalize t_e = lambda_e (w_e^2 - w_e/3);
-    residuals lists the three consecutive differences.  slack1 and slack2 are
-    3 minus the two missing-direction expressions (nonnegative where the
-    derivative conditions hold).
+
+def _disjoint_system(w: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals and boundary slacks of the disjoint-orbit system, one row per start.
+
+    w holds weights on the representative support, shape (n, 4), and lam
+    the six intensities in _PAIRS4 order, shape (n, 6).  The supported
+    pairs must equalize t_e = lambda_e (w_e^2 - w_e/3): the residuals are
+    the three consecutive differences of t and sum(w) - 1.  The two slacks
+    are 3 minus the missing-direction expressions of (1,2) and (3,4),
+    nonnegative where the derivative conditions hold.
     """
-
-    support: tuple[Pair, ...]
-    t_values: tuple[float, float, float, float]
-    residuals: tuple[float, float, float]
-    slack1: float
-    slack2: float
-
-
-def _disjoint_support(missing1: Pair, missing2: Pair) -> tuple[Pair, Pair, Pair, Pair]:
-    i, j = missing1.i, missing1.j
-    k, l = missing2.i, missing2.j
-    return Pair(i, k), Pair(i, l), Pair(j, k), Pair(j, l)
-
-
-def disjoint_four_point_residuals(params: Parameters, design: Design) -> DisjointFourPointReport:
-    """Evaluate the disjoint-orbit system at a concrete design."""
-    _require_m4(params)
-    support = design.support()
-    if len(support) != 4:
-        raise ValueError(f"expected a four-point design, got support {support}")
-    missing = sorted(p for p in _PAIRS4 if p not in support)
-    if len(missing) != 2 or {missing[0].i, missing[0].j} & {missing[1].i, missing[1].j}:
-        raise ValueError(
-            f"missing pairs {missing} are not disjoint; use the shared-vertex formulas instead"
-        )
-    lam = dict(zip(_PAIRS4, _intensities(params)))
-    sup = _disjoint_support(missing[0], missing[1])
-    w = [design.weight(p) for p in sup]
-    t = tuple(lam[p] * (wp**2 - wp / 3.0) for p, wp in zip(sup, w))
-    residuals = (t[0] - t[1], t[1] - t[2], t[2] - t[3])
-
-    lij, lkl = lam[missing[0]], lam[missing[1]]
-    w_il, w_jk, w_jl = w[1], w[2], w[3]
-    ljl = lam[sup[3]]
-    denom = ljl * w_jl * (3.0 * w_jl - 1.0)
-    lhs1 = lij * (3.0 * (w_il + w_jl) - 2.0) * (3.0 * (w_il + w_jl) - 1.0) / denom
-    lhs2 = lkl * (3.0 * (w_jk + w_jl) - 2.0) * (3.0 * (w_jk + w_jl) - 1.0) / denom
-    return DisjointFourPointReport(
-        support=sup,
-        t_values=tuple(float(x) for x in t),
-        residuals=tuple(float(r) for r in residuals),
-        slack1=float(3.0 - lhs1),
-        slack2=float(3.0 - lhs2),
-    )
+    lam_sup = lam[:, _DISJOINT_COLUMNS]
+    t = lam_sup * (w**2 - w / 3.0)
+    residuals = np.stack([t[:, 0] - t[:, 1], t[:, 1] - t[:, 2], t[:, 2] - t[:, 3], w.sum(axis=1) - 1.0], axis=1)
+    w_il, w_jk, w_jl = w[:, 1], w[:, 2], w[:, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = lam_sup[:, 3] * w_jl * (3.0 * w_jl - 1.0)
+        lhs1 = lam[:, 0] * (3.0 * (w_il + w_jl) - 2.0) * (3.0 * (w_il + w_jl) - 1.0) / denom
+        lhs2 = lam[:, 5] * (3.0 * (w_jk + w_jl) - 2.0) * (3.0 * (w_jk + w_jl) - 1.0) / denom
+    return residuals, np.stack([3.0 - lhs1, 3.0 - lhs2], axis=1)
 
 
 @dataclass(frozen=True)
@@ -635,21 +567,16 @@ def search_disjoint_four_point(
     two boundary inequalities and, when those hold, the full certificate.
     """
     rng = np.random.default_rng(seed)
-    sup = _disjoint_support(Pair(1, 2), Pair(3, 4))
+    sup = tuple(_PAIRS4[c] for c in _DISJOINT_COLUMNS)
     margin = 1e-6
 
     beta = rng.uniform(-beta_scale, beta_scale, size=(n_starts, 3))
     lam = intensity_vector(beta)
-    lam_sup = lam[:, [_PAIRS4.index(p) for p in sup]]
-    lam12, lam34 = lam[:, 0], lam[:, 5]
+    lam_sup = lam[:, _DISJOINT_COLUMNS]
 
     w = rng.dirichlet(np.ones(4), size=n_starts)
     for _ in range(60):
-        t = lam_sup * (w**2 - w / 3.0)
-        F = np.stack(
-            [t[:, 0] - t[:, 1], t[:, 1] - t[:, 2], t[:, 2] - t[:, 3], w.sum(axis=1) - 1.0],
-            axis=1,
-        )
+        F, _ = _disjoint_system(w, lam)
         dt = lam_sup * (2.0 * w - 1.0 / 3.0)
         J = np.zeros((n_starts, 4, 4))
         J[:, 0, 0] = dt[:, 0]
@@ -668,19 +595,10 @@ def search_disjoint_four_point(
         if np.abs(F).max() < 1e-14:
             break
 
-    t = lam_sup * (w**2 - w / 3.0)
-    res = np.abs(
-        np.stack([t[:, 0] - t[:, 1], t[:, 1] - t[:, 2], t[:, 2] - t[:, 3], w.sum(axis=1) - 1.0], axis=1)
-    ).max(axis=1)
-    converged = res < 1e-10
+    residuals, slacks = _disjoint_system(w, lam)
+    converged = np.abs(residuals).max(axis=1) < 1e-10
     interior = converged & (w.min(axis=1) > margin) & (w.max(axis=1) < 1.0 / 3.0 - margin)
-
-    w_il, w_jk, w_jl = w[:, 1], w[:, 2], w[:, 3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = lam_sup[:, 3] * w_jl * (3.0 * w_jl - 1.0)
-        lhs1 = lam12 * (3.0 * (w_il + w_jl) - 2.0) * (3.0 * (w_il + w_jl) - 1.0) / denom
-        lhs2 = lam34 * (3.0 * (w_jk + w_jl) - 2.0) * (3.0 * (w_jk + w_jl) - 1.0) / denom
-    slack = np.minimum(3.0 - lhs1, 3.0 - lhs2)
+    slack = slacks.min(axis=1)
 
     interior_idx = np.flatnonzero(interior)
     best_slack = float("-inf")

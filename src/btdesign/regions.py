@@ -143,12 +143,6 @@ def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
     return g
 
 
-def g_value(path: PathDesign, params: Parameters, pair: Pair) -> float:
-    """Region inequality value g(i, j) of the path at a parameter point."""
-    g = path_g_values(path, params.intensities)
-    return float(g[all_pairs(path.m).index(pair)])
-
-
 def region_membership(path: PathDesign, params: Parameters) -> RegionMembership:
     """Evaluate all non-edge inequalities of the path's region at beta."""
     g = path_g_values(path, params.intensities)

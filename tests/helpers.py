@@ -15,14 +15,19 @@ from btdesign import (
     PathDesign,
     RegionKind,
     all_pairs,
-    five_point_weights,
-    four_point_shared_vertex_weights,
-    full_support_weights,
     region_membership,
 )
 from btdesign import core
 from btdesign.core import intensity_vector
-from btdesign.four_alt import saturated_inequality_values
+from btdesign.four_alt import (
+    _closed_form_design,
+    _five_point_tau,
+    _four_point_tau,
+    five_point_raw,
+    four_point_shared_raw,
+    full_support_raw,
+    saturated_inequality_values,
+)
 from btdesign.graphs import Permutation
 from btdesign.regions import sorted_beta_path
 
@@ -106,21 +111,22 @@ def classify_by_pattern_search(params: Parameters) -> tuple[RegionKind, tuple[Pa
     The reference that classify_m4's one candidate per kind is tested
     against: full support, then all 6 five-point patterns, then all 12
     shared-vertex four-point patterns, then the sorted-beta path, each
-    through the public weight functions.  Nothing is certified.
+    through its closed form.  Nothing is certified.
     """
-    design = full_support_weights(params)
+    lam = intensity_vector(params.beta).tolist()
+    design = _closed_form_design(full_support_raw, (1, 2, 3, 4), lam)
     if design is not None:
         return RegionKind.FULL_SUPPORT, (), design
     for missing in all_pairs(4):
-        design = five_point_weights(params, missing)
+        design = _closed_form_design(five_point_raw, _five_point_tau(missing), lam)
         if design is not None:
             return RegionKind.FIVE_POINT, (missing,), design
     for missing_pairs in shared_vertex_patterns():
-        design = four_point_shared_vertex_weights(params, *missing_pairs)
+        design = _closed_form_design(four_point_shared_raw, _four_point_tau(*missing_pairs), lam)
         if design is not None:
             return RegionKind.FOUR_POINT_SHARED_VERTEX, missing_pairs, design
     path = sorted_beta_path(params)
-    if all(v <= 0.0 for v in saturated_inequality_values(path, intensity_vector(params.beta).tolist())):
+    if all(v <= 0.0 for v in saturated_inequality_values(path, lam)):
         return RegionKind.SATURATED, (), path.design()
     return None
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btdesign import all_pairs
-from btdesign.cli import build_parser, main
+from btdesign.cli import MAX_POINTS, build_parser, main
 
 from helpers import sample_in_path_region
 
@@ -372,6 +373,13 @@ class TestScans:
         assert report["best_slack"] is None
 
 
+# Scan specs that ask for too many points, or whose grid runs past the largest float.
+_BAD_SPECS = {
+    "huge": {"m": 4, "axes": [{"direction": [1, 0, 0], "range": [0, 1], "count": 1e13}]},
+    "overflow": {"m": 4, "axes": [{"direction": [10, 0, 0], "range": [0, 1e308], "count": 3}]},
+}
+
+
 class TestUsage:
     def test_unknown_command(self):
         rc, _ = run(["frobnicate"])
@@ -410,12 +418,25 @@ class TestUsage:
             ["claw-scan", "--lower", "5", "--upper", "1"],
             ["efficiency", "--line", "nan,0,0"],
             ["efficiency", "--range", "0,inf"],
+            ["efficiency", "--steps", str(MAX_POINTS + 1)],
+            ["efficiency", "--line", "10,0,0", "--range", "0,1e308", "--steps", "3"],
+            ["efficiency", "--range=-1e308,1e308"],
+            ["claw-scan", "--grid-points", str(round(MAX_POINTS ** (1 / 3)) + 1)],
+            ["claw-scan", "--samples", str(MAX_POINTS + 1)],
+            ["search-disjoint4", "--starts", str(MAX_POINTS + 1)],
+            ["scan", "--workers=1", "--spec={specs}/huge.json"],
+            ["scan", "--workers=1", "--spec={specs}/overflow.json"],
         ],
     )
-    def test_out_of_range_value_is_usage_error(self, argv, capsys):
-        rc, _ = run(argv)
+    def test_out_of_range_value_is_usage_error(self, argv, capsys, tmp_path):
+        for name, spec in _BAD_SPECS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print to stderr too
+            rc, _ = run([a.format(specs=tmp_path) for a in argv])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 class TestJsonOutput:

@@ -16,10 +16,6 @@ from btdesign import (
     classify_m4,
     claw_infeasibility_sample,
     claw_infeasibility_scan,
-    disjoint_four_point_residuals,
-    five_point_weights,
-    four_point_shared_vertex_weights,
-    full_support_weights,
     kw_check,
     information_matrix,
     log_det,
@@ -31,6 +27,10 @@ from btdesign.core import all_pairs, intensity_vector
 from btdesign.four_alt import (
     _COLUMNS,
     _PAIRS4,
+    _closed_form_design,
+    _disjoint_system,
+    _five_point_tau,
+    _four_point_tau,
     five_point_raw,
     four_point_shared_raw,
     full_support_raw,
@@ -158,7 +158,8 @@ class TestSaturatedInequalities:
 
 class TestFullSupport:
     def test_origin_gives_uniform(self):
-        d = full_support_weights(Parameters(4, (0.0, 0.0, 0.0)))
+        lam = intensity_vector(Parameters(4, (0.0, 0.0, 0.0)).beta).tolist()
+        d = _closed_form_design(full_support_raw, (1, 2, 3, 4), lam)
         assert d is not None
         for p in all_pairs(4):
             assert d.weight(p) == pytest.approx(1.0 / 6.0, abs=1e-14)
@@ -176,7 +177,7 @@ class TestFullSupport:
 
     def test_small_perturbation_certifies_and_matches_solver(self):
         p = Parameters(4, (0.1, -0.05, 0.02))
-        d = full_support_weights(p)
+        d = _closed_form_design(full_support_raw, (1, 2, 3, 4), intensity_vector(p.beta).tolist())
         assert d is not None
         assert all(0.0 < w < 1.0 / 3.0 for w in d.weights.values())
         assert kw_check(d, p).max_violation <= 1e-12
@@ -185,18 +186,15 @@ class TestFullSupport:
             assert d.weight(pair) == pytest.approx(result.design.weight(pair), abs=1e-7)
 
     def test_line_point_outside_six_point_region(self):
-        assert full_support_weights(line_params(2.5)) is None
-
-    def test_requires_m4(self):
-        with pytest.raises(ValueError):
-            full_support_weights(Parameters(3, (0.0, 0.0)))
+        lam = intensity_vector(line_params(2.5).beta).tolist()
+        assert _closed_form_design(full_support_raw, (1, 2, 3, 4), lam) is None
 
 
 class TestFivePoint:
     def test_origin_is_out_of_region(self):
-        p = Parameters(4, (0.0, 0.0, 0.0))
+        lam = intensity_vector(Parameters(4, (0.0, 0.0, 0.0)).beta).tolist()
         for missing in all_pairs(4):
-            assert five_point_weights(p, missing) is None
+            assert _closed_form_design(five_point_raw, _five_point_tau(missing), lam) is None
 
     def test_origin_raw_solution(self):
         # The stationarity system still has a positive solution at the
@@ -219,7 +217,7 @@ class TestFivePoint:
 
     def test_line_point_matches_solver(self):
         p = line_params(1.7)
-        d = five_point_weights(p, Pair(3, 4))
+        d = _closed_form_design(five_point_raw, _five_point_tau(Pair(3, 4)), intensity_vector(p.beta).tolist())
         assert d is not None
         assert d.weight(Pair(3, 4)) == 0.0
         assert kw_check(d, p).max_violation <= 1e-10
@@ -228,8 +226,12 @@ class TestFivePoint:
             assert d.weight(pair) == pytest.approx(result.design.weight(pair), abs=1e-6)
 
     def test_only_one_missing_pair_certifies_on_the_line(self):
-        p = line_params(1.7)
-        in_region = [missing for missing in all_pairs(4) if five_point_weights(p, missing) is not None]
+        lam = intensity_vector(line_params(1.7).beta).tolist()
+        in_region = [
+            missing
+            for missing in all_pairs(4)
+            if _closed_form_design(five_point_raw, _five_point_tau(missing), lam) is not None
+        ]
         assert in_region == [Pair(3, 4)]
 
     def test_transport_consistency(self):
@@ -252,7 +254,8 @@ class TestFourPointSharedVertex:
         p = line_params(2.5)
         label = classify_m4(p)
         assert label.kind is RegionKind.FOUR_POINT_SHARED_VERTEX
-        d = four_point_shared_vertex_weights(p, *label.missing_pairs)
+        lam = intensity_vector(p.beta).tolist()
+        d = _closed_form_design(four_point_shared_raw, _four_point_tau(*label.missing_pairs), lam)
         assert d is not None
         assert kw_check(d, p).max_violation <= 1e-10
 
@@ -317,7 +320,7 @@ class TestFourPointSharedVertex:
 
     def test_disjoint_missing_pairs_rejected(self):
         with pytest.raises(ValueError):
-            four_point_shared_vertex_weights(line_params(2.5), Pair(1, 2), Pair(3, 4))
+            _four_point_tau(Pair(1, 2), Pair(3, 4))
 
     def test_pattern_count(self):
         assert len(shared_vertex_patterns()) == 12
@@ -350,13 +353,13 @@ class TestClaw:
 
 class TestDisjointFourPoint:
     def test_equal_case_satisfies_equations_but_not_inequalities(self):
-        p = Parameters(4, (0.0, 0.0, 0.0))
-        d = Design.equal_on(4, [Pair(1, 3), Pair(1, 4), Pair(2, 3), Pair(2, 4)])
-        report = disjoint_four_point_residuals(p, d)
-        assert all(abs(r) < 1e-15 for r in report.residuals)
+        # Weight 1/4 on (1,3), (1,4), (2,3), (2,4) at the origin.
+        lam = intensity_vector(np.zeros((1, 3)))
+        residuals, ((slack1, slack2),) = _disjoint_system(np.full((1, 4), 0.25), lam)
+        assert np.abs(residuals).max() < 1e-15
         # Both scaled derivative expressions evaluate to 4, exceeding 3.
-        assert report.slack1 == pytest.approx(-1.0, abs=1e-12)
-        assert report.slack2 == pytest.approx(-1.0, abs=1e-12)
+        assert slack1 == pytest.approx(-1.0, abs=1e-12)
+        assert slack2 == pytest.approx(-1.0, abs=1e-12)
 
     def test_third_weight_saturation_forces_zero(self):
         # t(w) = lambda w (w - 1/3) vanishes only at w = 0 and w = 1/3, and
@@ -366,12 +369,6 @@ class TestDisjointFourPoint:
         t = 0.2 * w * (w - 1.0 / 3.0)
         assert t.max() < 0.0
         assert 0.2 * (1.0 / 3.0) * (1.0 / 3.0 - 1.0 / 3.0) == 0.0
-
-    def test_rejects_shared_vertex_design(self):
-        p = Parameters(4, (0.0, 0.0, 0.0))
-        d = Design.equal_on(4, [Pair(1, 4), Pair(2, 3), Pair(2, 4), Pair(3, 4)])
-        with pytest.raises(ValueError):
-            disjoint_four_point_residuals(p, d)
 
     def test_search_finds_no_certified_solution(self):
         report = search_disjoint_four_point(n_starts=3000, seed=11)
@@ -438,11 +435,12 @@ class TestClassify:
             label = classify_m4(random_params(rng, 4, scale=5.0))
             assert region_margin(label) <= 1e-7
 
-    def test_agrees_with_public_wrappers(self):
+    def test_agrees_with_the_closed_form(self):
         p = line_params(1.7)
         label = classify_m4(p)
         assert label.kind is RegionKind.FIVE_POINT
-        again = five_point_weights(p, label.missing_pairs[0])
+        lam = intensity_vector(p.beta).tolist()
+        again = _closed_form_design(five_point_raw, _five_point_tau(label.missing_pairs[0]), lam)
         for pair in all_pairs(4):
             assert again.weight(pair) == label.design.weight(pair)
 

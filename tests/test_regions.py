@@ -11,7 +11,6 @@ from btdesign import (
     Parameters,
     apply_to_params,
     find_optimal_saturated,
-    g_value,
     kw_check,
     region_membership,
     solve,
@@ -19,7 +18,7 @@ from btdesign import (
 from btdesign.four_alt import saturated_inequality_values
 from btdesign.core import all_pairs, intensity_vector
 from btdesign.graphs import enumerate_spanning_trees, is_path, support_graph
-from btdesign.regions import PathDesign, sorted_beta_path
+from btdesign.regions import PathDesign, path_g_values, sorted_beta_path
 
 from helpers import (
     geometric_params,
@@ -57,13 +56,14 @@ class TestGValue:
         rng = np.random.default_rng(3)
         path = PathDesign((2, 4, 1, 3))
         p = random_params(rng, 4)
+        g = dict(zip(all_pairs(4), path_g_values(path, p.intensities).tolist()))
         for edge in path.edges():
-            assert g_value(path, p, edge) == 1.0
+            assert g[edge] == 1.0
 
     def test_origin_second_neighbor_is_two(self):
         path = PathDesign.canonical(4)
         p = Parameters(4, (0.0, 0.0, 0.0))
-        assert g_value(path, p, Pair(1, 3)) == pytest.approx(2.0, rel=1e-15)
+        assert region_membership(path, p).g_values[Pair(1, 3)] == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize("pi1", [3.0, 20.0])
     def test_geometric_closed_form(self, pi1):
@@ -72,10 +72,11 @@ class TestGValue:
         m = 5
         params = geometric_params(m, pi1)
         path = PathDesign.canonical(m)
-        for pair in all_pairs(m):
+        g = path_g_values(path, params.intensities)
+        for pair, value in zip(all_pairs(m), g.tolist()):
             k = pair.j - pair.i
             expected = k * pi1 ** (k - 1) * (1 + pi1) ** 2 / (1 + pi1**k) ** 2
-            assert g_value(path, params, pair) == pytest.approx(expected, rel=1e-12)
+            assert value == pytest.approx(expected, rel=1e-12)
 
 
 class TestRegionMembership:
