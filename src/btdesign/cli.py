@@ -45,7 +45,8 @@ DEFAULT_EFFICIENCY_LINE = (1.0, 0.5, 1.25)
 # The most points, samples or starts one command evaluates: scan grid size,
 # efficiency steps, claw grid points cubed, claw samples, disjoint starts.
 # It admits every default (the claw grid's 100^3 is the largest) and the
-# 51^3 figure grid, and bounds the arrays they size to some tens of MB.
+# 51^3 figure grid.  At the bound the largest command, search-disjoint4 at
+# about 0.55 kB per start, peaks near 0.6 GB; a scan holds 0.35 kB per point.
 MAX_POINTS = 1_000_000
 
 

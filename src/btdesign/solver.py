@@ -2,8 +2,8 @@
 
 With directional values d_ij = lambda_ij f^T M(w)^{-1} f and k = m-1, each
 iteration stops once max d_ij <= k + kw_tolerance (the equivalence theorem
-then certifies the design), deletes for good every pair
-with d_ij < k (1 + eps/2 - sqrt(eps (4 + eps - 4/k)) / 2), eps = max d - k,
+then certifies the design), deletes for good every pair with
+d_ij < k (1 + eps/2 - sqrt(eps (4 + eps - 4/k)) / 2), eps = max d - k,
 which by Harman & Pronzato (2007, Statist. Probab. Lett. 77, "Improvements on
 removing nonoptimal support points in D-optimum design algorithms") supports
 no D-optimal design, and applies the multiplicative update
@@ -11,7 +11,8 @@ w_ij <- w_ij d_ij / k (Silvey, Titterington & Torsney 1978), which keeps the
 simplex and never decreases log det M(w).
 
 Newton's method then maximizes log det exactly on the live support; the
-result is adopted only if it passes the directional check on every pair.  A finish is tried after every iteration that deletes no pair while
+result is adopted only if it passes the directional check on every pair.
+A finish is tried after every iteration that deletes no pair while
 at most k + _NEWTON_STEPS pairs are live, and otherwise after every
 _STABLE_ITERATIONS such iterations in a row.  The gate comes from the step
 cap: a Newton run drops at most one pair per step, so only from at most
