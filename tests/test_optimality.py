@@ -63,17 +63,29 @@ class TestDirectionalDerivative:
         for pair in path.edges():
             assert directional_derivative(path.design(), params, pair) == pytest.approx(0.0, abs=1e-10)
 
-    def test_equal_weights_are_the_best_design_on_a_tree(self):
+    def test_equal_weights_are_the_best_design_on_a_path(self):
         # Equal weights on a spanning tree zero the derivative toward each of
         # its pairs, so, log det being concave, no other design on the tree
-        # does better.  The claw is never optimal over all pairs (TestClaw).
+        # does better.
         rng = np.random.default_rng(233)
-        for edges in ([Pair(1, 2), Pair(2, 3), Pair(3, 4)], [Pair(1, 2), Pair(1, 3), Pair(1, 4)]):
-            design = Design.equal_on(4, edges)
-            for _ in range(10):
-                params = random_params(rng, 4, scale=5.0)
-                for pair in edges:
-                    assert directional_derivative(design, params, pair) == pytest.approx(0.0, abs=1e-9)
+        edges = [Pair(1, 2), Pair(2, 3), Pair(3, 4)]
+        design = Design.equal_on(4, edges)
+        for _ in range(10):
+            params = random_params(rng, 4, scale=5.0)
+            for pair in edges:
+                assert directional_derivative(design, params, pair) == pytest.approx(0.0, abs=1e-9)
+
+    def test_equal_weights_are_the_best_claw_design_but_never_optimal(self):
+        # The claw is a tree too, so equal weights are best on it, yet some
+        # pair off the claw always has a positive derivative.
+        rng = np.random.default_rng(239)
+        claw = [Pair(1, 2), Pair(1, 3), Pair(1, 4)]
+        design = Design.equal_on(4, claw)
+        for _ in range(50):
+            cert = kw_check(design, random_params(rng, 4, scale=6.0))
+            assert not cert.is_optimal
+            for pair in claw:
+                assert cert.derivatives[pair] == pytest.approx(0.0, abs=1e-9)
 
     def test_singular_has_no_derivatives(self):
         p = Parameters(4, (0.0, 0.0, 0.0))
