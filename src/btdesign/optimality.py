@@ -57,8 +57,16 @@ def kw_check(design: Design, params: Parameters, tolerance: float = KW_TOLERANCE
     """Evaluate the optimality criterion on every pair and certify the result."""
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
-    pairs = all_pairs(params.m)
     found = _derivatives(design.as_vector(), params.intensities, regression_matrix(params.m))
+    return _certificate(found, params.m, tolerance)
+
+
+def _certificate(found: tuple[np.ndarray, np.ndarray] | None, m: int, tolerance: float) -> KwCertificate:
+    """The certificate for a core._derivatives result at a design; None means M is singular.
+
+    kw_check and solve both certify through here, so solve's certificate is
+    kw_check of its design without a second evaluation.
+    """
     if found is None:
         return KwCertificate(
             derivatives={},
@@ -68,7 +76,8 @@ def kw_check(design: Design, params: Parameters, tolerance: float = KW_TOLERANCE
             tolerance=tolerance,
             singular=True,
         )
-    vals = (found[0] - (params.m - 1)).tolist()
+    pairs = all_pairs(m)
+    vals = (found[0] - (m - 1)).tolist()
     derivatives = dict(zip(pairs, vals))
     max_violation = max(vals)
     equality = frozenset(p for p, v in zip(pairs, vals) if abs(v) <= tolerance)

@@ -17,7 +17,7 @@ from btdesign import (
     all_pairs,
     region_membership,
 )
-from btdesign import core
+from btdesign import core, optimality, solver
 from btdesign.core import intensity_vector
 from btdesign.four_alt import (
     _closed_form_design,
@@ -64,6 +64,20 @@ def count_intensity_calls(monkeypatch) -> list[int]:
         return original(beta)
 
     monkeypatch.setattr(core, "intensity_vector", counted)
+    return calls
+
+
+def count_derivative_calls(monkeypatch) -> list[int]:
+    """Count calls of core._derivatives from solver and optimality from here on, in a one-item list."""
+    calls = [0]
+    original = core._derivatives
+
+    def counted(w, lam, F):
+        calls[0] += 1
+        return original(w, lam, F)
+
+    monkeypatch.setattr(solver, "_derivatives", counted)
+    monkeypatch.setattr(optimality, "_derivatives", counted)
     return calls
 
 

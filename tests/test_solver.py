@@ -13,6 +13,7 @@ from btdesign import (
     all_pairs,
     classify_m4,
     find_optimal_saturated,
+    kw_check,
     solve,
 )
 from btdesign.core import _derivatives, information_matrix, intensity_vector, log_det, regression_matrix
@@ -27,6 +28,7 @@ from btdesign.solver import (
 )
 
 from helpers import (
+    count_derivative_calls,
     geometric_params,
     random_params,
     sample_in_path_region,
@@ -162,6 +164,27 @@ class TestSolve:
         assert result.converged
         assert result.iterations < 1000
 
+    def test_cut_back_finishes_a_large_support_sooner(self):
+        # The third m = 30 point of this stream: a finish that re-linearized
+        # after every dropped pair failed here until iteration 188.
+        rng = np.random.default_rng(5)
+        points = [Parameters(30, tuple(rng.uniform(-6.0, 6.0, 29))) for _ in range(3)]
+        result = solve(points[2])
+        assert result.converged
+        assert result.iterations <= 100
+
+    @pytest.mark.parametrize("m, bound", [(4, 6.0), (5, 8.0), (6, 10.0), (7, 11.5), (8, 13.0)])
+    def test_derivative_evaluations_per_solve(self, m, bound, monkeypatch):
+        # Cost without a timer: one evaluation per iteration, per Newton step
+        # and per finish check, and none for the certificate.  Re-linearizing
+        # after every dropped pair and certifying with kw_check averaged
+        # 6.7 / 9.05 / 11.45 / 13.84 / 15.69 evaluations at m = 4..8 here.
+        rng = np.random.default_rng(263 + m)
+        points = [Parameters(m, tuple(rng.uniform(-6.0, 6.0, m - 1))) for _ in range(100)]
+        calls = count_derivative_calls(monkeypatch)
+        assert all(solve(params).converged for params in points)
+        assert calls[0] / len(points) < bound
+
     def test_m7_tail_point_converges(self):
         # Outside every path region; this solve once hit the 100 000-iteration cap.
         beta = (-2.389172507307342, -5.831192976807449, 3.5680804896961824,
@@ -234,6 +257,46 @@ class TestSolve:
                 params = random_params(rng, m, scale=6.0)
                 expected = reference_solve_weights(params)
                 assert solve(params).design.as_vector().tobytes() == expected.tobytes(), params.beta
+
+
+def assert_is_kw_check(result, params: Parameters, tolerance: float) -> None:
+    """solve's certificate is field by field kw_check of its design, derivatives bitwise."""
+    expected = kw_check(result.design, params, tolerance=tolerance)
+    cert = result.certificate
+    assert list(cert.derivatives) == list(expected.derivatives)
+    assert [v.hex() for v in cert.derivatives.values()] == [v.hex() for v in expected.derivatives.values()]
+    assert cert.max_violation.hex() == expected.max_violation.hex()
+    assert cert.is_optimal == expected.is_optimal
+    assert cert.equality_pairs == expected.equality_pairs
+    assert cert.tolerance == expected.tolerance == tolerance
+    assert cert.singular == expected.singular
+
+
+class TestCertificate:
+    """solve certifies its design from the evaluation it already holds."""
+
+    def test_seeded_points(self):
+        rng = np.random.default_rng(269)
+        for m in range(2, 10):
+            for _ in range(5):
+                params = random_params(rng, m, scale=6.0)
+                assert_is_kw_check(solve(params), params, SolverConfig().kw_tolerance)
+
+    def test_iteration_cap(self):
+        params = Parameters(4, (1.1, -1.8, -3.7))
+        result = solve(params, SolverConfig(max_iterations=3))
+        assert not result.converged
+        assert_is_kw_check(result, params, SolverConfig().kw_tolerance)
+
+    def test_tight_tolerance(self):
+        rng = np.random.default_rng(271)
+        config = SolverConfig(kw_tolerance=1e-12)
+        for m in range(3, 9):
+            for _ in range(3):
+                params = random_params(rng, m, scale=6.0)
+                result = solve(params, config)
+                assert result.converged
+                assert_is_kw_check(result, params, config.kw_tolerance)
 
 
 class TestWholePipeline:
