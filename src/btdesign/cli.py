@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -45,8 +45,10 @@ DEFAULT_EFFICIENCY_LINE = (1.0, 0.5, 1.25)
 # The most points, samples or starts one command evaluates: scan grid size,
 # efficiency steps, claw grid points cubed, claw samples, disjoint starts.
 # It admits every default (the claw grid's 100^3 is the largest) and the
-# 51^3 figure grid.  At the bound the largest command, search-disjoint4 at
-# about 0.55 kB per start, peaks near 0.6 GB; a scan holds 0.35 kB per point.
+# 51^3 figure grid.  At the bound search-disjoint4 peaks near 70 MB (its
+# draws, 56 bytes per start, are made up front; the Newton work runs in
+# blocks); a parallel scan holds 0.35 kB per point, a serial one a point at
+# a time, and both hold the CSV text, about 65 bytes per point.
 MAX_POINTS = 1_000_000
 
 
@@ -247,16 +249,26 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _scan_points(spec: ScanSpec) -> Iterator[tuple[tuple[int, ...], Parameters]]:
+    """spec.grid(), lazily; a point past the largest float raises CliError."""
+    grid = spec.grid()
+    while True:
+        try:
+            point = next(grid)
+        except StopIteration:
+            return
+        except ValueError as exc:
+            raise CliError(f"bad scan grid: {exc}") from None
+        yield point
+
+
 def run_scan(spec: ScanSpec, stream: TextIO, workers: int | None = None) -> int:
     """Classify every grid point and write CSV rows in deterministic order."""
     workers = workers if workers is not None else worker_count()
-    try:
-        points = list(spec.grid())
-    except ValueError as exc:  # a grid point past the largest float
-        raise CliError(f"bad scan grid: {exc}") from None
     writer = csv.writer(stream)
     writer.writerow([*(f"beta{i}" for i in range(1, spec.m)), "kind", "support_size", "margin"])
     if workers > 1:
+        points = list(_scan_points(spec))
         # Imported here: multiprocessing adds ~2 MB to every process that loads the CLI.
         from concurrent.futures import ProcessPoolExecutor
 
@@ -265,9 +277,9 @@ def run_scan(spec: ScanSpec, stream: TextIO, workers: int | None = None) -> int:
             for row in rows:
                 writer.writerow(row)
     else:
-        for point in points:
+        for point in _scan_points(spec):
             writer.writerow(_scan_row(point))
-    return len(points)
+    return spec.size()
 
 
 # ---------------------------------------------------------------------------
