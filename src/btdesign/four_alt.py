@@ -514,6 +514,10 @@ def claw_infeasibility_sample(
 
 # The representative support (1,3), (1,4), (2,3), (2,4) misses (1,2) and (3,4).
 _DISJOINT_COLUMNS = [1, 2, 3, 4]
+# Starts per block of the search: the block's intensities, its (n, 4, 4)
+# Jacobian and the copies det and solve make stay near 1 MB each, however
+# many starts are drawn.
+_DISJOINT_BLOCK = 8192
 
 
 def _disjoint_system(w: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -535,6 +539,35 @@ def _disjoint_system(w: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.nda
         lhs1 = lam[:, 0] * (3.0 * (w_il + w_jl) - 2.0) * (3.0 * (w_il + w_jl) - 1.0) / denom
         lhs2 = lam[:, 5] * (3.0 * (w_jk + w_jl) - 2.0) * (3.0 * (w_jk + w_jl) - 1.0) / denom
     return residuals, np.stack([3.0 - lhs1, 3.0 - lhs2], axis=1)
+
+
+def _disjoint_newton(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Up to 60 Newton steps on the disjoint-orbit system from the starts w.
+
+    All starts step together until every residual is below 1e-14; a start
+    whose Jacobian is singular stays where it is.
+    """
+    lam_sup = lam[:, _DISJOINT_COLUMNS]
+    for _ in range(60):
+        F, _ = _disjoint_system(w, lam)
+        dt = lam_sup * (2.0 * w - 1.0 / 3.0)
+        J = np.zeros((len(w), 4, 4))
+        J[:, 0, 0] = dt[:, 0]
+        J[:, 0, 1] = -dt[:, 1]
+        J[:, 1, 1] = dt[:, 1]
+        J[:, 1, 2] = -dt[:, 2]
+        J[:, 2, 2] = dt[:, 2]
+        J[:, 2, 3] = -dt[:, 3]
+        J[:, 3, :] = 1.0
+        dets = np.linalg.det(J)
+        bad = ~np.isfinite(dets) | (np.abs(dets) < 1e-30)
+        J[bad] = np.eye(4)
+        step = np.linalg.solve(J, F[..., None])[..., 0]
+        step[bad] = 0.0
+        w = w - step
+        if np.abs(F).max() < 1e-14:
+            break
+    return w
 
 
 @dataclass(frozen=True)
@@ -571,34 +604,17 @@ def search_disjoint_four_point(
     margin = 1e-6
 
     beta = rng.uniform(-beta_scale, beta_scale, size=(n_starts, 3))
-    lam = intensity_vector(beta)
-    lam_sup = lam[:, _DISJOINT_COLUMNS]
-
     w = rng.dirichlet(np.ones(4), size=n_starts)
-    for _ in range(60):
-        F, _ = _disjoint_system(w, lam)
-        dt = lam_sup * (2.0 * w - 1.0 / 3.0)
-        J = np.zeros((n_starts, 4, 4))
-        J[:, 0, 0] = dt[:, 0]
-        J[:, 0, 1] = -dt[:, 1]
-        J[:, 1, 1] = dt[:, 1]
-        J[:, 1, 2] = -dt[:, 2]
-        J[:, 2, 2] = dt[:, 2]
-        J[:, 2, 3] = -dt[:, 3]
-        J[:, 3, :] = 1.0
-        dets = np.linalg.det(J)
-        bad = ~np.isfinite(dets) | (np.abs(dets) < 1e-30)
-        J[bad] = np.eye(4)
-        step = np.linalg.solve(J, F[..., None])[..., 0]
-        step[bad] = 0.0
-        w = w - step
-        if np.abs(F).max() < 1e-14:
-            break
-
-    residuals, slacks = _disjoint_system(w, lam)
-    converged = np.abs(residuals).max(axis=1) < 1e-10
-    interior = converged & (w.min(axis=1) > margin) & (w.max(axis=1) < 1.0 / 3.0 - margin)
-    slack = slacks.min(axis=1)
+    interior = np.zeros(n_starts, dtype=bool)
+    slack = np.empty(n_starts)
+    for lo in range(0, n_starts, _DISJOINT_BLOCK):
+        block = slice(lo, lo + _DISJOINT_BLOCK)
+        lam = intensity_vector(beta[block])
+        w[block] = wb = _disjoint_newton(w[block], lam)
+        residuals, slacks = _disjoint_system(wb, lam)
+        converged = np.abs(residuals).max(axis=1) < 1e-10
+        interior[block] = converged & (wb.min(axis=1) > margin) & (wb.max(axis=1) < 1.0 / 3.0 - margin)
+        slack[block] = slacks.min(axis=1)
 
     interior_idx = np.flatnonzero(interior)
     best_slack = float("-inf")
