@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -177,10 +177,11 @@ class ScanSpec:
             raise ValueError(f"the grid has {self.size()} points, more than {MAX_POINTS}")
 
     def grid(self) -> Iterable[tuple[tuple[int, ...], Parameters]]:
-        """Grid points in lexicographic index order.
+        """Grid points in lexicographic index order, drawn lazily.
 
         The sums run on Python floats: past the largest float they give
-        inf, which Parameters rejects, and numpy prints no overflow warning.
+        inf, which Parameters rejects (raised here as CliError), and numpy
+        prints no overflow warning.
         """
         axis_values = [ax.values().tolist() for ax in self.axes]
         base = [float(x) for x in self.fixed]
@@ -188,7 +189,11 @@ class ScanSpec:
             beta = base
             for ax, values, i in zip(self.axes, axis_values, idx):
                 beta = [b + values[i] * c for b, c in zip(beta, ax.direction)]
-            yield idx, Parameters(self.m, tuple(beta))
+            try:
+                params = Parameters(self.m, tuple(beta))
+            except ValueError as exc:
+                raise CliError(f"bad scan grid: {exc}") from None
+            yield idx, params
 
     def size(self) -> int:
         out = 1
@@ -249,26 +254,13 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _scan_points(spec: ScanSpec) -> Iterator[tuple[tuple[int, ...], Parameters]]:
-    """spec.grid(), lazily; a point past the largest float raises CliError."""
-    grid = spec.grid()
-    while True:
-        try:
-            point = next(grid)
-        except StopIteration:
-            return
-        except ValueError as exc:
-            raise CliError(f"bad scan grid: {exc}") from None
-        yield point
-
-
 def run_scan(spec: ScanSpec, stream: TextIO, workers: int | None = None) -> int:
     """Classify every grid point and write CSV rows in deterministic order."""
     workers = workers if workers is not None else worker_count()
     writer = csv.writer(stream)
     writer.writerow([*(f"beta{i}" for i in range(1, spec.m)), "kind", "support_size", "margin"])
     if workers > 1:
-        points = list(_scan_points(spec))
+        points = list(spec.grid())
         # Imported here: multiprocessing adds ~2 MB to every process that loads the CLI.
         from concurrent.futures import ProcessPoolExecutor
 
@@ -277,7 +269,7 @@ def run_scan(spec: ScanSpec, stream: TextIO, workers: int | None = None) -> int:
             for row in rows:
                 writer.writerow(row)
     else:
-        for point in _scan_points(spec):
+        for point in spec.grid():
             writer.writerow(_scan_row(point))
     return spec.size()
 

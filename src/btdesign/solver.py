@@ -150,6 +150,7 @@ def _newton_on_support(
         else:  # k pairs remain
             break
         v = v + step
+        # A step that was cut moved further than its last piece shows.
         if not cut and np.abs(step).max() <= _NEWTON_STEP_TOL:
             break
     if len(support) == k:

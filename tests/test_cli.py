@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btdesign import all_pairs
-from btdesign.cli import MAX_POINTS, build_parser, main
+from btdesign import all_pairs, cli
+from btdesign.cli import MAX_POINTS, CliError, ScanAxis, ScanSpec, build_parser, main, run_scan
 
 from helpers import sample_in_path_region
 
@@ -191,6 +191,27 @@ class TestScan:
         ],
         "fixed": [0, 0, 0],
     }
+
+    def test_serial_scan_streams_the_grid(self, monkeypatch):
+        # Each row is classified as soon as its point is drawn, so a serial
+        # scan holds one grid point at a time.
+        spec = ScanSpec(m=4, axes=(ScanAxis((1.0, 0.0, 0.0), -1.0, 1.0, 5),), fixed=(0.0, 0.0, 0.0))
+        drawn, seen = [], []
+        grid, scan_row = ScanSpec.grid, cli._scan_row
+        monkeypatch.setattr(ScanSpec, "grid", lambda self: (drawn.append(p) or p for p in grid(self)))
+        monkeypatch.setattr(cli, "_scan_row", lambda point: seen.append(len(drawn)) or scan_row(point))
+        assert run_scan(spec, io.StringIO(), workers=1) == 5
+        assert seen == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_errors_keep_their_source(self, workers):
+        overflow = ScanSpec(m=4, axes=(ScanAxis((10.0, 0.0, 0.0), 0.0, 1e308, 3),), fixed=(0.0, 0.0, 0.0))
+        with pytest.raises(CliError, match="bad scan grid"):
+            run_scan(overflow, io.StringIO(), workers=workers)
+        # A grid the closed forms cannot classify fails in classify_m4, not as a bad grid.
+        m5 = ScanSpec(m=5, axes=(ScanAxis((1.0, 0.0, 0.0, 0.0), 0.0, 1.0, 3),), fixed=(0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="requires m=4"):
+            run_scan(m5, io.StringIO(), workers=workers)
 
     def test_grid_rows_and_determinism(self, tmp_path):
         spec_file = tmp_path / "spec.json"

@@ -24,6 +24,7 @@ from btdesign import (
     solve,
 )
 from btdesign.core import all_pairs, intensity_vector
+from btdesign import four_alt
 from btdesign.four_alt import (
     _COLUMNS,
     _PAIRS4,
@@ -375,6 +376,17 @@ class TestDisjointFourPoint:
         assert report.certified_count == 0
         assert report.interior_count > 0
         assert report.best_slack < 0.0
+
+    def test_search_blocks_do_not_change_the_report(self, monkeypatch):
+        # 3000 starts make one block by default, and eleven full blocks plus a
+        # short one at 256 per block.
+        expected = search_disjoint_four_point(n_starts=3000, seed=11)
+        monkeypatch.setattr(four_alt, "_DISJOINT_BLOCK", 256)
+        report = search_disjoint_four_point(n_starts=3000, seed=11)
+        assert (report.n_starts, report.interior_count, report.certified_count) == (
+            expected.n_starts, expected.interior_count, expected.certified_count)
+        assert report.best_slack == pytest.approx(expected.best_slack, abs=1e-12)
+        assert report.best_point == pytest.approx(expected.best_point, abs=1e-12)
 
 
 class TestClassify:
