@@ -559,7 +559,10 @@ def _disjoint_newton(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
         J[:, 2, 2] = dt[:, 2]
         J[:, 2, 3] = -dt[:, 3]
         J[:, 3, :] = 1.0
-        dets = np.linalg.det(J)
+        # numpy warns when J is exactly singular; the test below already
+        # treats such starts as singular.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dets = np.linalg.det(J)
         bad = ~np.isfinite(dets) | (np.abs(dets) < 1e-30)
         J[bad] = np.eye(4)
         step = np.linalg.solve(J, F[..., None])[..., 0]

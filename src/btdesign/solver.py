@@ -28,9 +28,14 @@ the support stays large (m = 20 took up to 7 254 iterations, against 104).
 Where the optimal support itself has more than k + _NEWTON_STEPS pairs, as
 at m = 30 for beta in [-6, 6], only the periodic retry runs.
 
-The final design is certified from the evaluation that stopped the loop,
-so the certificate costs no extra factorization except at the iteration
-cap.
+A finish runs only after an iteration that deleted no pair, so the
+evaluation of that iteration's stopping test is at exactly w: the finish's
+first model reuses it, and every later model is evaluated on all pairs at
+the weights the finish would return.  The result is certified from the
+evaluation it already holds: the one that stopped the loop, or for an
+adopted finish that converged, the finish's own last evaluation (a finish
+that ends on k pairs evaluates its result once).  Only at the iteration
+cap is the final design evaluated once more.
 """
 
 from __future__ import annotations
@@ -92,72 +97,89 @@ def _multiplicative_step(w: np.ndarray, lam: np.ndarray, F: np.ndarray, m: int) 
 
 def _deletion_bound(eps: float, k: int) -> float:
     """Lower bound on d at any D-optimal support point, given eps = max d - k > 0."""
-    return k * (1.0 + eps / 2.0 - np.sqrt(eps * (4.0 + eps - 4.0 / k)) / 2.0)
+    return k * (1.0 + eps / 2.0 - math.sqrt(eps * (4.0 + eps - 4.0 / k)) / 2.0)
 
 
 def _newton_on_support(
-    w: np.ndarray, lam: np.ndarray, F: np.ndarray, k: int, live: np.ndarray
-) -> np.ndarray | None:
+    w: np.ndarray, lam: np.ndarray, F: np.ndarray, k: int, live: np.ndarray, d: np.ndarray, Y: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
     """Maximize log det M(w) over weights on the live pairs summing to one.
 
-    Newton on the KKT system of the simplex constraint, started at w; the
-    Hessian of log det is -(lambda_i lambda_j (f_i^T M^{-1} f_j)^2).  A step
-    that would drive weights nonpositive is cut back on the same quadratic
-    model: it stops where the first of them reaches zero, that pair leaves
-    the trial support, the model gradient moves to the new point
-    (g <- g + t H s) and the smaller KKT system is solved again, until the
-    model step stays inside the simplex.  Only then is the step taken and
-    the model rebuilt at the new point, so one step can drop several pairs.
-    On k pairs log det is sum log w + const, so the optimum is exactly 1/k
-    each.  Returns None when M or the KKT matrix is singular.
+    Newton on the KKT system of the simplex constraint, started at w, whose
+    weight lies on the live pairs; (d, Y) is core._derivatives at w on all
+    pairs, and builds the first model.  The Hessian of log det is
+    -(lambda_i lambda_j (f_i^T M^{-1} f_j)^2).  A step that would drive
+    weights nonpositive is cut back on the same quadratic model: it stops
+    where the first of them reaches zero, that pair leaves the trial
+    support, the model gradient moves to the new point (g <- g + t H s) and
+    the smaller KKT system is solved again, until the model step stays
+    inside the simplex.  Only then is the step taken and the model rebuilt
+    from _derivatives on all pairs at the renormalized new point, so one
+    step can drop several pairs.  On k pairs log det is sum log w + const,
+    so the optimum is exactly 1/k each.
+
+    Returns (trial, found) with found bitwise _derivatives(trial, lam, F):
+    a finish whose cut-free step is at most _NEWTON_STEP_TOL returns the
+    point of its last model with that model's evaluation, one that ends on
+    k pairs or runs out of steps evaluates its result once.  Returns None
+    when M or the KKT matrix is singular.
     """
     support = np.flatnonzero(live)
-    v = w[support] / w[support].sum()
+    n = len(support)
+    v = w[support]
+    trial = w
     for _ in range(_NEWTON_STEPS):
-        if len(support) == k:
+        if n == k:
             break
         ls = lam[support]
-        found = _derivatives(v, ls, F[support])
-        if found is None:
-            return None
-        d, Y = found
-        n = len(support)
+        Ys = Y[:, support]
         # kkt [s; mu] = rhs is the model's Newton system; rhs[:n] is minus its gradient.
         kkt = np.ones((n + 1, n + 1))
         kkt[n, n] = 0.0
-        kkt[:n, :n] = -(ls[:, None] * ls) * (Y.T @ Y) ** 2
+        kkt[:n, :n] = -(ls[:, None] * ls) * (Ys.T @ Ys) ** 2
         rhs = np.zeros(n + 1)
-        rhs[:n] = -d
+        rhs[:n] = -d[support]
         cut = False
-        while len(support) > k:
+        while n > k:
             try:
                 step = np.linalg.solve(kkt, rhs)[:n]
             except np.linalg.LinAlgError:
                 return None
-            if not np.any(v + step <= 0.0):
+            if not (v + step <= 0.0).any():
                 break
             # Move to where the first weight reaches zero, then drop that pair.
             reach = np.where(step < 0.0, v / np.maximum(-step, 1e-300), np.inf)
             j = np.argmin(reach)
             v = v + reach[j] * step
             rhs[:n] -= reach[j] * (kkt[:n, :n] @ step)
-            keep = np.arange(n + 1) != j
-            kkt, rhs = kkt[np.ix_(keep, keep)], rhs[keep]
-            keep = keep[:n]
-            support, v = support[keep], v[keep] / v[keep].sum()
+            keep = np.arange(n)
+            keep[j:] += 1
+            kkt, rhs = kkt.take(keep, 0).take(keep, 1), rhs.take(keep)
+            keep = keep[:-1]
+            support, v = support.take(keep), v.take(keep)
+            v /= v.sum()
             n -= 1
             cut = True
         else:  # k pairs remain
             break
-        v = v + step
         # A step that was cut moved further than its last piece shows.
         if not cut and np.abs(step).max() <= _NEWTON_STEP_TOL:
-            break
-    if len(support) == k:
-        v = np.full(k, 1.0 / k)
+            return trial, (d, Y)
+        v = v + step
+        v /= v.sum()
+        trial = np.zeros_like(w)
+        trial[support] = v
+        found = _derivatives(trial, lam, F)
+        if found is None:
+            return None
+        d, Y = found
+    if n > k:  # out of steps: (d, Y) was evaluated at trial
+        return trial, (d, Y)
+    v = np.full(k, 1.0 / k)
     trial = np.zeros_like(w)
     trial[support] = v / v.sum()
-    return trial
+    found = _derivatives(trial, lam, F)
+    return None if found is None else (trial, found)
 
 
 def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverResult:
@@ -171,33 +193,35 @@ def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverRe
     lam = params.intensities
     w = np.full(len(F), 1.0 / len(F))
     live = w > 0.0
+    n_live = len(F)
     stable = attempts = 0
     for iterations in range(1, config.max_iterations + 1):
         found = _derivatives(w, lam, F)
         if found is None:
             raise SingularMatrixError(f"information matrix is singular after {iterations - 1} iterations")
-        d, _ = found
-        eps = d.max() - k
+        d = found[0]
+        eps = float(d.max()) - k
         if eps <= config.kw_tolerance:
             break
 
         doomed = live & (d < _deletion_bound(eps, k))
-        if doomed.any():
+        deleted = int(np.count_nonzero(doomed))
+        if deleted:
             live &= ~doomed
             w[doomed] = 0.0
+            n_live -= deleted
             stable = 0
         else:
             stable += 1
 
-        if stable == _STABLE_ITERATIONS or (stable and live.sum() <= k + _NEWTON_STEPS):
+        if stable == _STABLE_ITERATIONS or (stable and n_live <= k + _NEWTON_STEPS):
             stable = 0
             attempts += 1
-            trial = _newton_on_support(w, lam, F, k, live)
-            if trial is not None:
-                found = _derivatives(trial, lam, F)
-                if found is not None and found[0].max() - k <= config.kw_tolerance:
-                    w = trial
-                    break
+            # Nothing was deleted this iteration, so found is still the evaluation at w.
+            finish = _newton_on_support(w, lam, F, k, live, *found)
+            if finish is not None and finish[1][0].max() - k <= config.kw_tolerance:
+                w, found = finish
+                break
 
         w[live] *= d[live] / k
         w /= w.sum()

@@ -386,6 +386,14 @@ class TestScans:
         assert report["certified_count"] == 0
         assert report["best_slack"] < 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_search_disjoint4_singular_jacobians_are_quiet(self):
+        # At this scale some starts have exactly singular Jacobians; the search
+        # leaves them where they are, and numpy's det warning was only noise.
+        rc, report = run_json(["search-disjoint4", "--starts=367", "--beta-scale=390.0"])
+        assert rc == 0
+        assert report["certified_count"] == 0
+
     def test_search_disjoint4_without_interior_solution(self):
         # Five starts find no interior solution, so there is no best slack.
         rc, report = run_json(["search-disjoint4", "--starts", "5"])
@@ -612,6 +620,7 @@ class TestArgvFuzz:
         ],
         ids=["optimize", "verify", "classify", "scan", "efficiency", "claw-scan", "search-disjoint4"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_defined_exit(self, argvs, tmp_path_factory):
         path = tmp_path_factory.mktemp("argv") / "input.json"
 

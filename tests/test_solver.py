@@ -42,7 +42,9 @@ def reference_solve_weights(params: Parameters, config: SolverConfig = SolverCon
 
     The solver's loop on all pairs: stop once max d <= k + tolerance, delete
     the pairs below the Harman-Pronzato bound, try the Newton finish when
-    the solver does, otherwise take one multiplicative step.
+    the solver does, handing it the evaluation at w and adopting its result
+    when the evaluation it returns passes on every pair, otherwise take one
+    multiplicative step.
     """
     k = params.m - 1
     F = regression_matrix(params.m)
@@ -51,7 +53,7 @@ def reference_solve_weights(params: Parameters, config: SolverConfig = SolverCon
     live = w > 0.0
     stable = 0
     for _ in range(config.max_iterations):
-        d = _derivatives(w, lam, F)[0]
+        d, Y = _derivatives(w, lam, F)
         eps = d.max() - k
         if eps <= config.kw_tolerance:
             return w
@@ -61,10 +63,10 @@ def reference_solve_weights(params: Parameters, config: SolverConfig = SolverCon
         stable = 0 if doomed.any() else stable + 1
         if stable == _STABLE_ITERATIONS or (stable and live.sum() <= k + _NEWTON_STEPS):
             stable = 0
-            trial = _newton_on_support(w, lam, F, k, live)
-            if trial is not None:
-                found = _derivatives(trial, lam, F)
-                if found is not None and found[0].max() - k <= config.kw_tolerance:
+            finish = _newton_on_support(w, lam, F, k, live, d, Y)
+            if finish is not None:
+                trial, (trial_d, _) = finish
+                if trial_d.max() - k <= config.kw_tolerance:
                     return trial
         w[live] *= d[live] / k
         w /= w.sum()
@@ -173,12 +175,13 @@ class TestSolve:
         assert result.converged
         assert result.iterations <= 100
 
-    @pytest.mark.parametrize("m, bound", [(4, 6.0), (5, 8.0), (6, 10.0), (7, 11.5), (8, 13.0)])
+    @pytest.mark.parametrize("m, bound", [(4, 5.0), (5, 6.5), (6, 7.8), (7, 8.6), (8, 9.6)])
     def test_derivative_evaluations_per_solve(self, m, bound, monkeypatch):
-        # Cost without a timer: one evaluation per iteration, per Newton step
-        # and per finish check, and none for the certificate.  Re-linearizing
-        # after every dropped pair and certifying with kw_check averaged
-        # 6.7 / 9.05 / 11.45 / 13.84 / 15.69 evaluations at m = 4..8 here.
+        # Cost without a timer: one evaluation per iteration and per Newton
+        # step after a finish's first, none for a converged finish's check or
+        # the certificate.  Evaluating a finish's first model and its result
+        # again averaged 5.44 / 7.10 / 8.67 / 9.60 / 10.56 evaluations at
+        # m = 4..8 here.
         rng = np.random.default_rng(263 + m)
         points = [Parameters(m, tuple(rng.uniform(-6.0, 6.0, m - 1))) for _ in range(100)]
         calls = count_derivative_calls(monkeypatch)
@@ -257,6 +260,32 @@ class TestSolve:
                 params = random_params(rng, m, scale=6.0)
                 expected = reference_solve_weights(params)
                 assert solve(params).design.as_vector().tobytes() == expected.tobytes(), params.beta
+
+    def test_finish_returns_the_evaluation_at_its_weights(self, monkeypatch):
+        # solve adopts and certifies from the evaluation a finish returns, so
+        # it must be core._derivatives at the returned weights, bitwise: the
+        # last model's for a converged finish, a fresh one on k pairs.
+        ends = {"converged": 0, "k pairs": 0}
+
+        def checked(w, lam, F, k, live, d, Y):
+            finish = _newton_on_support(w, lam, F, k, live, d, Y)
+            if finish is not None:
+                trial, (trial_d, trial_Y) = finish
+                expected_d, expected_Y = _derivatives(trial, lam, F)
+                assert trial_d.tobytes() == expected_d.tobytes()
+                assert trial_Y.tobytes() == expected_Y.tobytes()
+                if np.count_nonzero(trial) == k:
+                    ends["k pairs"] += 1
+                elif trial_d.max() - k <= SolverConfig().kw_tolerance:
+                    ends["converged"] += 1
+            return finish
+
+        monkeypatch.setattr("btdesign.solver._newton_on_support", checked)
+        rng = np.random.default_rng(277)
+        for m in range(3, 10):
+            for _ in range(10):
+                assert solve(random_params(rng, m, scale=6.0)).converged
+        assert ends["converged"] > 0 and ends["k pairs"] > 0, ends
 
 
 def assert_is_kw_check(result, params: Parameters, tolerance: float) -> None:
