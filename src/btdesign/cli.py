@@ -23,8 +23,7 @@ import numpy as np
 
 from .core import BtDesignError, Design, Pair, Parameters, all_pairs, information_matrix, log_det
 from .four_alt import (
-    ClassificationError,
-    ConsistencyError,
+    RegionKind,
     RegionLabel,
     classify_m4,
     claw_infeasibility_sample,
@@ -34,7 +33,7 @@ from .four_alt import (
 )
 from .optimality import KwCertificate, d_efficiency, kw_check
 from .regions import find_optimal_saturated
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, SolverResult, solve
 
 EXIT_OK = 0
 EXIT_NOT_OPTIMAL = 1
@@ -94,15 +93,19 @@ def design_from_dict(data: dict) -> Design:
         raise CliError(str(exc)) from None
 
 
-def load_design(path: str) -> Design:
+def _read_json(path: str, what: str):
+    """The JSON value in a file; a file that cannot be read or parsed is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read design file {path}: {exc}") from None
+        raise CliError(f"cannot read {what} {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CliError(f"design file {path} is not valid JSON: {exc}") from None
-    return design_from_dict(data)
+        raise CliError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def load_design(path: str) -> Design:
+    return design_from_dict(_read_json(path, "design file"))
 
 
 def certificate_to_dict(cert: KwCertificate) -> dict:
@@ -117,10 +120,11 @@ def certificate_to_dict(cert: KwCertificate) -> dict:
 
 
 def label_to_dict(label: RegionLabel) -> dict:
+    margin = region_margin(label)
     out = {
         "kind": label.kind.value,
         "design": design_to_dict(label.design),
-        "margin": region_margin(label),
+        "margin": margin if math.isfinite(margin) else None,
         "certificate": certificate_to_dict(label.certificate),
     }
     if label.missing_pairs:
@@ -223,14 +227,7 @@ def scan_spec_from_dict(data: dict) -> ScanSpec:
 
 
 def load_scan_spec(path: str) -> ScanSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read scan spec {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"scan spec {path} is not valid JSON: {exc}") from None
-    return scan_spec_from_dict(data)
+    return scan_spec_from_dict(_read_json(path, "scan spec"))
 
 
 def _scan_row(args: tuple[tuple[int, ...], Parameters]) -> tuple:
@@ -296,12 +293,6 @@ def cmd_optimize(args: argparse.Namespace, stdout: TextIO) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    if params.m == 4:
-        try:
-            report["region"] = label_to_dict(classify_m4(params))
-        except (ClassificationError, ConsistencyError) as exc:
-            report["region"] = None
-            report["region_error"] = str(exc)
     emit_json(report, stdout)
     return EXIT_OK if result.converged else EXIT_NOT_OPTIMAL
 
@@ -324,43 +315,35 @@ def cmd_verify(args: argparse.Namespace, stdout: TextIO) -> int:
     return EXIT_OK if cert.is_optimal else EXIT_NOT_OPTIMAL
 
 
-def cmd_classify(args: argparse.Namespace, stdout: TextIO) -> int:
-    params = parse_beta(args.beta, args.m)
+def _answer(params: Parameters) -> tuple[RegionLabel, SolverResult | None]:
+    """The design at beta with its certificate, from the first route that applies.
+
+    The m = 4 closed forms; else the sorted-beta path when beta is in its
+    region, checked by kw_check; else the solver, whose answer is the
+    unsaturated kind and comes with its SolverResult.
+    """
     if params.m == 4:
-        try:
-            emit_json(label_to_dict(classify_m4(params)), stdout)
-        except (ClassificationError, ConsistencyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_OPTIMAL
-        return EXIT_OK
+        return classify_m4(params), None
     found = find_optimal_saturated(params)
     if found is not None:
-        path, membership = found
+        path = found[0]
         design = path.design()
-        certificate = kw_check(design, params)
-        report = {
-            "kind": "saturated",
-            "path": list(path.order),
-            "design": design_to_dict(design),
-            "margin": membership.margin,
-            "g_values": {p.key(): v for p, v in membership.g_values.items()},  # in all_pairs order
-            "certificate": certificate_to_dict(certificate),
-        }
-        emit_json(report, stdout)
-        if not certificate.is_optimal:
-            print(f"error: path {list(path.order)} is not certified optimal at this point", file=sys.stderr)
-            return EXIT_NOT_OPTIMAL
-        return EXIT_OK
+        return RegionLabel(RegionKind.SATURATED, design, kw_check(design, params), path=path), None
     result = solve(params)
-    report = {
-        "kind": "unsaturated",
-        "design": design_to_dict(result.design),
-        "support": [p.key() for p in result.design.support()],
-        "certificate": certificate_to_dict(result.certificate),
-        "converged": result.converged,
-    }
+    return RegionLabel(RegionKind.UNSATURATED, result.design, result.certificate), result
+
+
+def cmd_classify(args: argparse.Namespace, stdout: TextIO) -> int:
+    label, result = _answer(parse_beta(args.beta, args.m))
+    report = label_to_dict(label)
+    if result is not None:
+        report["support"] = [p.key() for p in result.design.support()]
+        report["converged"] = result.converged
     emit_json(report, stdout)
-    return EXIT_OK if result.converged else EXIT_NOT_OPTIMAL
+    if not label.certificate.is_optimal:
+        print(f"error: the {label.kind.value} design is not certified optimal at this point", file=sys.stderr)
+        return EXIT_NOT_OPTIMAL
+    return EXIT_OK
 
 
 def _write_csv(text: str, path: str | None, stdout: TextIO) -> None:
@@ -388,27 +371,20 @@ def cmd_efficiency(args: argparse.Namespace, stdout: TextIO) -> int:
     try:
         line = tuple(float(x) for x in args.line.split(","))
         lo, hi = (float(x) for x in args.range.split(","))
+        axis = ScanAxis(line, lo, hi, args.steps)
+        spec = ScanSpec(m=4, axes=(axis,), fixed=(0.0, 0.0, 0.0))
     except ValueError as exc:
-        raise CliError(f"bad line or range: {exc}") from None
-    if len(line) != 3:
-        raise CliError("the efficiency line needs 3 coefficients (m=4)")
-    if not (math.isfinite(lo) and math.isfinite(hi - lo)):
-        raise CliError("the range must be finite, and so must its width")
-    if not 2 <= args.steps <= MAX_POINTS:
-        raise CliError(f"--steps must be between 2 and {MAX_POINTS}")
+        raise CliError(f"bad line, range or steps: {exc}") from None
 
     rows = io.StringIO()
     writer = csv.writer(rows)
     writer.writerow(["beta1", "kind", "efficiency"])
     uniform = Design.uniform(4)
-    for t in np.linspace(lo, hi, args.steps).tolist():  # Python floats overflow to inf without a warning
-        try:
-            params = Parameters(4, tuple(t * c for c in line))
-        except ValueError as exc:
-            raise CliError(f"bad line or range: {exc}") from None
+    t = axis.values().tolist()
+    for (i,), params in spec.grid():
         label = classify_m4(params)
         eff = d_efficiency(uniform, label.design, params)
-        writer.writerow([f"{t:.12g}", label.kind.value, f"{eff:.12g}"])
+        writer.writerow([f"{t[i]:.12g}", label.kind.value, f"{eff:.12g}"])
     _write_csv(rows.getvalue(), args.output, stdout)
     return EXIT_OK
 

@@ -122,14 +122,16 @@ class RegionKind(Enum):
     FIVE_POINT = "five-point"
     FOUR_POINT_SHARED_VERTEX = "four-point-shared-vertex"
     SATURATED = "saturated"
+    UNSATURATED = "unsaturated"  # a solver answer off every path region; never from classify_m4
 
 
 @dataclass(frozen=True)
 class RegionLabel:
-    """A certified classification of a parameter point.
+    """A classification of a parameter point with its design's certificate.
 
     missing_pairs lists the unsupported pairs for the five- and four-point
-    kinds; path is set for the saturated kind.
+    kinds; path is set for the saturated kind.  classify_m4 returns only
+    labels whose certificate holds.
     """
 
     kind: RegionKind
@@ -439,13 +441,17 @@ def classify_m4(params: Parameters) -> RegionLabel:
 def region_margin(label: RegionLabel) -> float:
     """Slack of the binding region constraint; nonpositive inside the region.
 
-    Full support binds on the smallest weight; every other kind binds on the
-    largest directional derivative toward an unsupported pair.
+    A design that supports every pair binds on its smallest weight; any other
+    binds on the largest directional derivative toward an unsupported pair.
+    A singular certificate has no derivatives, and its margin is inf.
     """
     if label.kind is RegionKind.FULL_SUPPORT:
         return -min(label.design.weights.values())
+    if label.certificate.singular:
+        return math.inf
     support = set(label.design.support())
-    return max(v for p, v in label.certificate.derivatives.items() if p not in support)
+    off = [v for p, v in label.certificate.derivatives.items() if p not in support]
+    return max(off) if off else -min(label.design.weights.values())
 
 
 # ---------------------------------------------------------------------------

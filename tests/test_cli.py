@@ -11,8 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btdesign import all_pairs, cli
+from btdesign import (
+    Design,
+    Pair,
+    Parameters,
+    PathDesign,
+    all_pairs,
+    cli,
+    information_matrix,
+    log_det,
+    region_membership,
+)
 from btdesign.cli import MAX_POINTS, CliError, ScanAxis, ScanSpec, build_parser, main, run_scan
+from btdesign.core import SUPPORT_THRESHOLD
 
 from helpers import sample_in_path_region
 
@@ -28,22 +39,42 @@ def run_json(argv):
     return rc, json.loads(text)
 
 
+def report_log_det(report: dict, beta: str) -> float:
+    """log det of the information matrix of a report's design at beta."""
+    m = report["design"]["m"]
+    design = Design(m, {Pair.from_key(k): w for k, w in report["design"]["weights"].items()})
+    return log_det(information_matrix(design, Parameters(m, tuple(float(b) for b in beta.split(",")))))
+
+
 class TestOptimize:
-    def test_origin(self):
-        rc, report = run_json(["optimize", "--m", "4", "--beta", "0,0,0"])
+    def assert_matches_classify(self, beta: str) -> dict:
+        """optimize at m = 4 converges to classify's design: log det within 1e-7."""
+        rc, report = run_json(["optimize", "--m", "4", f"--beta={beta}"])
+        assert rc == 0 and report["converged"]
+        assert "region" not in report
+        rc, label = run_json(["classify", "--m", "4", f"--beta={beta}"])
         assert rc == 0
-        assert report["converged"]
-        assert report["region"]["kind"] == "full-support"
+        assert report_log_det(report, beta) == pytest.approx(report_log_det(label, beta), abs=1e-7)
+        return report
+
+    def test_origin(self):
+        report = self.assert_matches_classify("0,0,0")
         for w in report["design"]["weights"].values():
             assert w == pytest.approx(1.0 / 6.0, abs=1e-8)
 
     def test_saturated_line_point(self):
-        rc, report = run_json(["optimize", "--m", "4", "--beta", "3.5,1.75,4.375"])
-        assert rc == 0
-        assert report["region"]["kind"] == "saturated"
+        report = self.assert_matches_classify("3.5,1.75,4.375")
         assert sorted(report["support"]) == ["1-2", "1-3", "2-4"]
         for key in report["support"]:
             assert report["design"]["weights"][key] == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+    def test_m4_runs_only_the_solver(self, monkeypatch):
+        def refuse(params):
+            raise AssertionError("optimize called classify_m4")
+
+        monkeypatch.setattr(cli, "classify_m4", refuse)
+        rc, report = run_json(["optimize", "--m", "4", "--beta", "1.7,0.85,2.125"])
+        assert rc == 0 and report["converged"]
 
     def test_two_alternatives(self):
         rc, report = run_json(["optimize", "--m", "2", "--beta", "0"])
@@ -159,6 +190,62 @@ class TestClassify:
         assert rc == 0
         assert report["kind"] == "unsaturated"
         assert report["converged"] and report["certificate"]["is_optimal"]
+
+
+# Every classify route: the closed forms at m = 4, the sorted-beta path, and
+# the solver, whose supports below are all pairs, a strict subset, or both.
+_ROUTES = [
+    (2, "0", "saturated"),
+    (3, "40,40", "saturated"),  # singular certificate: no margin
+    (4, "0,0,0", "full-support"),
+    (4, "1.7,0.85,2.125", "five-point"),
+    (4, "2.5,1.25,3.125", "four-point-shared-vertex"),
+    (4, "3.5,1.75,4.375", "saturated"),
+    (5, "12,9,6,3", "saturated"),
+    (5, "0,0,0,0", "unsaturated"),
+    (5, "3,0,1.5,-2", "unsaturated"),
+    (9, "24,21,18,15,12,9,6,3", "saturated"),
+    (9, "0,0,0,0,0,0,0,0", "unsaturated"),
+    (9, "1,-2,3,0.5,-1,2,4,-3", "unsaturated"),
+]
+# The keys only some kinds carry.
+_KIND_KEYS = {"five-point": {"missing_pairs"}, "four-point-shared-vertex": {"missing_pairs"},
+              "saturated": {"path"}, "unsaturated": {"support", "converged"}}
+
+
+def margin_from_report(report: dict) -> float | None:
+    """The binding region constraint, recomputed from a report's own certificate and design.
+
+    A design on every pair binds on its smallest weight, any other on the
+    largest derivative toward a pair it does not support.
+    """
+    certificate, weights = report["certificate"], report["design"]["weights"]
+    if certificate["singular"]:
+        return None
+    support = {k for k, w in weights.items() if w > SUPPORT_THRESHOLD}
+    off = [v for k, v in certificate["derivatives"].items() if k not in support]
+    return max(off) if off else -min(weights.values())
+
+
+class TestOneShape:
+    """Every classify answer has one shape and one margin, whichever route gave it."""
+
+    @pytest.mark.parametrize("m,beta,kind", _ROUTES)
+    def test_margin_is_the_certificates(self, m, beta, kind):
+        rc, report = run_json(["classify", f"--m={m}", f"--beta={beta}"])
+        assert rc == (0 if report["certificate"]["is_optimal"] else 1)
+        assert report["kind"] == kind
+        assert report["margin"] == margin_from_report(report)
+        assert set(report) == {"kind", "design", "margin", "certificate"} | _KIND_KEYS.get(kind, set())
+
+    def test_path_margin_is_m_minus_1_times_g_minus_1(self):
+        # On a path d = (m - 1)(g - 1), so the margin is (m - 1) times the
+        # region's max g - 1: -3.563 = 4 x (-0.891) at this m = 5 point.
+        beta = "12,9,6,3"
+        _, report = run_json(["classify", "--m", "5", f"--beta={beta}"])
+        params = Parameters(5, (12.0, 9.0, 6.0, 3.0))
+        g_margin = region_membership(PathDesign.canonical(5), params).margin
+        assert report["margin"] == pytest.approx(4 * g_margin, rel=1e-9)
 
 
 class TestUnderflow:

@@ -78,6 +78,22 @@ class TestGValue:
             expected = k * pi1 ** (k - 1) * (1 + pi1) ** 2 / (1 + pi1**k) ** 2
             assert value == pytest.approx(expected, rel=1e-12)
 
+    def test_kw_derivatives_are_m_minus_1_times_g_minus_1(self):
+        # M is the comparison graph's Laplacian grounded at the control, so
+        # lambda_ij f^T M^-1 f = lambda_ij R_ij with R the effective resistance
+        # (Ghosh, Boyd & Saberi 2008).  On a path each edge conducts
+        # lambda / (m - 1), so R_ij = (m - 1) sum 1/lambda over the edges
+        # between i and j, and the KW derivative lambda_ij R_ij - (m - 1)
+        # is (m - 1)(g(i, j) - 1).
+        rng = np.random.default_rng(311)
+        for _ in range(300):
+            m = int(rng.integers(3, 13))
+            path = PathDesign(tuple(int(v) + 1 for v in rng.permutation(m)))
+            params = Parameters(m, tuple(rng.uniform(-6.0, 6.0, m - 1)))
+            derivatives = np.array(list(kw_check(path.design(), params).derivatives.values()))
+            want = (m - 1) * (path_g_values(path, params.intensities) - 1.0)
+            assert (np.abs(derivatives - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all(), (m, path, params)
+
 
 class TestRegionMembership:
     def test_geometric_point_inside_canonical(self):
