@@ -73,9 +73,14 @@ def parse_beta(text: str, m: int) -> Parameters:
         raise CliError(str(exc)) from None
 
 
+@functools.cache
+def _pair_keys(m: int) -> tuple[str, ...]:
+    """The "i-j" keys of all_pairs(m), in that order."""
+    return tuple(p.key() for p in all_pairs(m))
+
+
 def design_to_dict(design: Design) -> dict:
-    weights = design.weights
-    return {"m": design.m, "weights": {p.key(): weights[p] for p in all_pairs(design.m) if p in weights}}
+    return {"m": design.m, "weights": {k: x for k, x in zip(_pair_keys(design.m), design.w.tolist()) if x != 0.0}}
 
 
 def design_from_dict(data: dict) -> Design:
@@ -108,14 +113,16 @@ def load_design(path: str) -> Design:
     return design_from_dict(_read_json(path, "design file"))
 
 
-def certificate_to_dict(cert: KwCertificate) -> dict:
+def certificate_to_dict(cert: KwCertificate, m: int) -> dict:
+    keys = _pair_keys(m)
+    equal = np.flatnonzero(np.abs(cert.derivatives) <= cert.tolerance).tolist()
     return {
         "is_optimal": cert.is_optimal,
         "singular": cert.singular,
         "max_violation": cert.max_violation if math.isfinite(cert.max_violation) else None,
         "tolerance": cert.tolerance,
-        "derivatives": {p.key(): v for p, v in cert.derivatives.items()},  # in all_pairs order
-        "equality_pairs": sorted(p.key() for p in cert.equality_pairs),
+        "derivatives": dict(zip(keys, cert.derivatives.tolist())),  # in all_pairs order; empty if singular
+        "equality_pairs": sorted(keys[k] for k in equal),
     }
 
 
@@ -125,7 +132,7 @@ def label_to_dict(label: RegionLabel) -> dict:
         "kind": label.kind.value,
         "design": design_to_dict(label.design),
         "margin": margin if math.isfinite(margin) else None,
-        "certificate": certificate_to_dict(label.certificate),
+        "certificate": certificate_to_dict(label.certificate, label.design.m),
     }
     if label.missing_pairs:
         out["missing_pairs"] = [p.key() for p in label.missing_pairs]
@@ -289,7 +296,7 @@ def cmd_optimize(args: argparse.Namespace, stdout: TextIO) -> int:
         "design": design_to_dict(result.design),
         "support": [p.key() for p in result.design.support()],
         "log_det": log_det(information_matrix(result.design, params)),
-        "certificate": certificate_to_dict(result.certificate),
+        "certificate": certificate_to_dict(result.certificate, params.m),
         "iterations": result.iterations,
         "converged": result.converged,
     }
@@ -307,7 +314,7 @@ def cmd_verify(args: argparse.Namespace, stdout: TextIO) -> int:
         "m": params.m,
         "beta": list(params.beta),
         "design": design_to_dict(design),
-        "certificate": certificate_to_dict(cert),
+        "certificate": certificate_to_dict(cert, params.m),
     }
     if not cert.singular:
         report["log_det"] = log_det(information_matrix(design, params))

@@ -16,6 +16,7 @@ linear algebra on them; everything is immutable and pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -62,10 +63,6 @@ class Pair:
             object.__setattr__(self, "j", j)
         if self.i < 1:
             raise ValueError(f"alternative indices start at 1, got ({self.i}, {self.j})")
-        object.__setattr__(self, "_hash", hash((self.i, self.j)))
-
-    def __hash__(self) -> int:  # cached; pairs key every weight table
-        return self._hash
 
     def key(self) -> str:
         return f"{self.i}-{self.j}"
@@ -91,6 +88,16 @@ def all_pairs(m: int) -> tuple[Pair, ...]:
     if m < 2:
         raise ValueError(f"need at least two alternatives, got m={m}")
     return tuple(Pair(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
+
+
+@lru_cache(maxsize=None)
+def _pair_columns(m: int) -> np.ndarray:
+    """columns[x, y] is the all_pairs(m) index of the pair of alternatives x + 1 and y + 1, x != y."""
+    u, v = np.triu_indices(m, 1)  # row-major upper triangle: all_pairs order
+    columns = np.zeros((m, m), dtype=np.intp)
+    columns[u, v] = columns[v, u] = np.arange(len(u))
+    columns.setflags(write=False)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -184,52 +191,53 @@ def regression_matrix(m: int) -> np.ndarray:
     return F
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
-    """An approximate design: nonnegative weights on pairs, summing to one."""
+    """An approximate design: nonnegative weights on pairs, summing to one.
+
+    w holds the weights in all_pairs(m) order, read-only.  The constructor
+    copies an array of that length, or a mapping in which absent pairs weigh 0.
+    """
 
     m: int
-    weights: Mapping[Pair, float]
+    w: np.ndarray
 
     def __post_init__(self) -> None:
-        weights = {p: float(w) for p, w in self.weights.items()}
-        for p, w in weights.items():
-            check_pair(p, self.m)
-            if not math.isfinite(w) or w < 0.0:
-                raise ValueError(f"weight for {p} must be finite and nonnegative, got {w}")
-        total = math.fsum(weights.values())
+        n = len(all_pairs(self.m))
+        if isinstance(self.w, Mapping):
+            w = np.zeros(n)
+            for p, x in self.w.items():
+                check_pair(p, self.m)
+                w[_pair_columns(self.m)[p.i - 1, p.j - 1]] = x
+        else:
+            w = np.array(self.w, dtype=float)
+            if w.shape != (n,):
+                raise ValueError(f"expected {n} weights for m={self.m}, got shape {w.shape}")
+        bad = np.flatnonzero(~np.isfinite(w) | (w < 0.0)).tolist()
+        if bad:
+            raise ValueError(f"weight for {all_pairs(self.m)[bad[0]]} must be finite and nonnegative, got {w[bad[0]]}")
+        total = math.fsum(w.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
-        object.__setattr__(self, "weights", weights)
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
 
     @classmethod
     def uniform(cls, m: int) -> "Design":
-        pairs = all_pairs(m)
-        return cls(m, {p: 1.0 / len(pairs) for p in pairs})
+        n = len(all_pairs(m))
+        return cls(m, np.full(n, 1.0 / n))
 
     @classmethod
     def equal_on(cls, m: int, pairs: Iterable[Pair]) -> "Design":
         pairs = list(pairs)
-        return cls(m, {p: 1.0 / len(pairs) for p in pairs})
+        return cls(m, dict.fromkeys(pairs, 1.0 / len(pairs)))
 
     def weight(self, pair: Pair) -> float:
-        return self.weights.get(pair, 0.0)
+        return float(self.w[_pair_columns(self.m)[pair.i - 1, pair.j - 1]])
 
     def support(self) -> tuple[Pair, ...]:
-        """Pairs carrying more than SUPPORT_THRESHOLD of weight."""
-        return tuple(sorted(p for p, w in self.weights.items() if w > SUPPORT_THRESHOLD))
-
-    def as_vector(self) -> np.ndarray:
-        """Weights aligned with :func:`all_pairs` ordering."""
-        get = self.weights.get
-        return np.array([get(p, 0.0) for p in all_pairs(self.m)])
-
-
-def design_from_vector(m: int, w: np.ndarray) -> Design:
-    """Inverse of :meth:`Design.as_vector`, dropping exact zeros."""
-    pairs = all_pairs(m)
-    weights = {p: float(x) for p, x in zip(pairs, w) if x != 0.0}
-    return Design(m, weights)
+        """Pairs carrying more than SUPPORT_THRESHOLD of weight, in all_pairs order."""
+        return tuple(itertools.compress(all_pairs(self.m), (self.w > SUPPORT_THRESHOLD).tolist()))
 
 
 def information_matrix(design: Design, params: Parameters) -> np.ndarray:
@@ -237,7 +245,7 @@ def information_matrix(design: Design, params: Parameters) -> np.ndarray:
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
     F = regression_matrix(params.m)
-    wl = design.as_vector() * params.intensities
+    wl = design.w * params.intensities
     M = F.T @ (F * wl[:, None])
     # Rank-one accumulation is symmetric up to rounding; tie it down exactly.
     return 0.5 * (M + M.T)

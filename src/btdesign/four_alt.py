@@ -74,6 +74,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .core import (
+    SUPPORT_THRESHOLD,
     BtDesignError,
     Design,
     Pair,
@@ -162,7 +163,9 @@ def _closed_form_design(raw: Callable, tau: tuple[int, ...], lam: Intensities) -
     if not all(s >= 0 for s in slacks):
         return None
     total = sum(numerators)
-    return Design(4, {_PAIRS4[c]: float(n / total) for c, n in zip(columns[6 - len(numerators):], numerators)})
+    w = np.zeros(6)
+    w[list(columns[6 - len(numerators):])] = [float(n / total) for n in numerators]
+    return Design(4, w)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +448,13 @@ def region_margin(label: RegionLabel) -> float:
     binds on the largest directional derivative toward an unsupported pair.
     A singular certificate has no derivatives, and its margin is inf.
     """
+    w = label.design.w
     if label.kind is RegionKind.FULL_SUPPORT:
-        return -min(label.design.weights.values())
+        return -float(w.min())
     if label.certificate.singular:
         return math.inf
-    support = set(label.design.support())
-    off = [v for p, v in label.certificate.derivatives.items() if p not in support]
-    return max(off) if off else -min(label.design.weights.values())
+    off = label.certificate.derivatives[w <= SUPPORT_THRESHOLD]
+    return float(off.max()) if off.size else -float(w.min())
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +612,6 @@ def search_disjoint_four_point(
     two boundary inequalities and, when those hold, the full certificate.
     """
     rng = np.random.default_rng(seed)
-    sup = tuple(_PAIRS4[c] for c in _DISJOINT_COLUMNS)
     margin = 1e-6
 
     beta = rng.uniform(-beta_scale, beta_scale, size=(n_starts, 3))
@@ -635,7 +637,7 @@ def search_disjoint_four_point(
             best_slack = s
             best_point = tuple(float(b) for b in beta[idx]) + tuple(float(x) for x in w[idx])
         if s >= 0.0:
-            candidate = Design(4, dict(zip(sup, (x / w[idx].sum() for x in w[idx]))))
+            candidate = Design(4, np.pad(w[idx] / w[idx].sum(), 1))  # zero on (1,2) and (3,4)
             point = Parameters(4, tuple(beta[idx]))
             if kw_check(candidate, point).is_optimal:
                 certified += 1

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Design, Pair, Parameters, all_pairs
+from .core import Design, Pair, Parameters, _pair_columns, all_pairs
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,10 @@ def q_matrix(sigma: Permutation, m: int | None = None) -> np.ndarray:
 
 
 def apply_to_design(sigma: Permutation, design: Design) -> Design:
-    """Relabel every supported pair by sigma (re-canonicalizing the order)."""
-    return Design(design.m, {sigma.pair(p): w for p, w in design.weights.items()})
+    """Relabel every pair by sigma: pair (i, j) gets the weight of (sigma^-1(i), sigma^-1(j))."""
+    inverse = np.asarray(sigma.inverse().images) - 1
+    u, v = np.triu_indices(design.m, 1)  # the pairs in all_pairs order, 0-based
+    return Design(design.m, design.w[_pair_columns(design.m)[inverse[u], inverse[v]]])
 
 
 def apply_to_params(sigma: Permutation, params: Parameters) -> Parameters:

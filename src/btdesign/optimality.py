@@ -12,17 +12,14 @@ every direction and returns the result as a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks this binding is traced
     Design,
-    Pair,
     Parameters,
     SingularMatrixError,
     _derivatives,
-    all_pairs,
     cholesky_pivots,
     information_matrix,
     log_det,
@@ -35,20 +32,19 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
 KW_TOLERANCE = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KwCertificate:
     """Outcome of the equivalence-theorem check at one design and parameter point.
 
-    derivatives maps each pair, in all_pairs order, to its value
-    lambda_ij f^T M^{-1} f - (m-1); the design is optimal iff the largest of
-    these is nonpositive (within the recorded tolerance), and support pairs
-    then sit at zero.
+    derivatives is a read-only array holding, for each pair in all_pairs
+    order, lambda_ij f^T M^{-1} f - (m-1), and is empty when M is singular;
+    the design is optimal iff the largest of these is nonpositive (within
+    the recorded tolerance), and support pairs then sit at zero.
     """
 
-    derivatives: Mapping[Pair, float]
+    derivatives: np.ndarray
     max_violation: float
     is_optimal: bool
-    equality_pairs: frozenset[Pair]
     tolerance: float = KW_TOLERANCE
     singular: bool = False
 
@@ -57,7 +53,7 @@ def kw_check(design: Design, params: Parameters, tolerance: float = KW_TOLERANCE
     """Evaluate the optimality criterion on every pair and certify the result."""
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
-    found = _derivatives(design.as_vector(), params.intensities, regression_matrix(params.m))
+    found = _derivatives(design.w, params.intensities, regression_matrix(params.m))
     return _certificate(found, params.m, tolerance)
 
 
@@ -68,26 +64,11 @@ def _certificate(found: tuple[np.ndarray, np.ndarray] | None, m: int, tolerance:
     kw_check of its design without a second evaluation.
     """
     if found is None:
-        return KwCertificate(
-            derivatives={},
-            max_violation=float("inf"),
-            is_optimal=False,
-            equality_pairs=frozenset(),
-            tolerance=tolerance,
-            singular=True,
-        )
-    pairs = all_pairs(m)
-    vals = (found[0] - (m - 1)).tolist()
-    derivatives = dict(zip(pairs, vals))
-    max_violation = max(vals)
-    equality = frozenset(p for p, v in zip(pairs, vals) if abs(v) <= tolerance)
-    return KwCertificate(
-        derivatives=derivatives,
-        max_violation=max_violation,
-        is_optimal=max_violation <= tolerance,
-        equality_pairs=equality,
-        tolerance=tolerance,
-    )
+        return KwCertificate(np.empty(0), float("inf"), False, tolerance, singular=True)
+    derivatives = found[0] - (m - 1)
+    derivatives.setflags(write=False)
+    max_violation = float(derivatives.max())
+    return KwCertificate(derivatives, max_violation, max_violation <= tolerance, tolerance)
 
 
 def d_efficiency(design: Design, reference: Design, params: Parameters) -> float:

@@ -51,11 +51,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
-from .core import Design, Pair, Parameters, all_pairs
+from .core import Design, Pair, Parameters, _pair_columns
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,16 @@ class PathDesign:
     def edges(self) -> tuple[Pair, ...]:
         return tuple(Pair(self.order[k], self.order[k + 1]) for k in range(self.m - 1))
 
+    def _edge_columns(self) -> np.ndarray:
+        """The all_pairs columns of the edges, in visiting order."""
+        vertex = np.asarray(self.order) - 1
+        return _pair_columns(self.m)[vertex[:-1], vertex[1:]]
+
     def design(self) -> Design:
         """The rigid equal-weight design on the path's edges."""
-        return Design.equal_on(self.m, self.edges())
+        w = np.zeros(self.m * (self.m - 1) // 2)
+        w[self._edge_columns()] = 1.0 / (self.m - 1)
+        return Design(self.m, w)
 
     @classmethod
     def canonical(cls, m: int) -> "PathDesign":
@@ -98,33 +104,28 @@ def sorted_beta_path(params: Parameters) -> PathDesign:
 class RegionMembership:
     """Evaluation of one path's region inequalities at one parameter point.
 
-    g_values holds g for the non-edge pairs only, in all_pairs order (edges
-    are identically 1); margin is the largest g - 1 over those pairs and the
-    point is inside exactly when margin <= 0.
+    margin is the largest g - 1 over the non-edge pairs, 0 when there are
+    none (edges give exactly 1); the point is inside exactly when margin <= 0.
     """
 
     path: PathDesign
-    g_values: Mapping[Pair, float]
     inside: bool
     margin: float
 
 
 @lru_cache(maxsize=None)
-def _path_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _path_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index tables of :func:`path_g_values` that depend on m alone.
 
-    column[x, y] is the all_pairs column of the pair of vertices x + 1 and
-    y + 1 (x != y); upper masks the row-wise sums S[a, c], c >= a; (a, b)
-    lists the path positions of every non-edge pair, a + 2 <= b.
+    upper masks the row-wise sums S[a, c], c >= a; (a, b) lists the path
+    positions of every non-edge pair, a + 2 <= b.
     """
     x = np.arange(m)
-    u, v = np.minimum.outer(x, x), np.maximum.outer(x, x)
-    column = u * m - u * (u + 1) // 2 + v - u - 1
     upper = x[:-1, None] <= x[:-1]
     a, b = np.nonzero(x[:, None] + 2 <= x)
-    for table in (column, upper, a, b):
+    for table in (upper, a, b):
         table.setflags(write=False)
-    return column, upper, a, b
+    return upper, a, b
 
 
 def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
@@ -133,9 +134,10 @@ def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
     Returns an array of lam's shape; edges give exactly 1.  See the module
     docstring for why the sums are accumulated row by row.
     """
-    column, upper, a, b = _path_tables(path.m)
+    column = _pair_columns(path.m)
+    upper, a, b = _path_tables(path.m)
     vertex = np.asarray(path.order) - 1  # vertex at each path position, 0-based
-    inverse = 1.0 / lam[..., column[vertex[:-1], vertex[1:]]]
+    inverse = 1.0 / lam[..., path._edge_columns()]
     S = np.cumsum(np.where(upper, inverse[..., None, :], 0.0), axis=-1)
     pairs = column[vertex[a], vertex[b]]
     g = np.ones(np.shape(lam))
@@ -145,11 +147,9 @@ def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
 
 def region_membership(path: PathDesign, params: Parameters) -> RegionMembership:
     """Evaluate all non-edge inequalities of the path's region at beta."""
-    g = path_g_values(path, params.intensities)
-    edges = set(path.edges())
-    g_values = {p: v for p, v in zip(all_pairs(path.m), g.tolist()) if p not in edges}
-    margin = max(g_values.values(), default=1.0) - 1.0
-    return RegionMembership(path=path, g_values=g_values, inside=margin <= 0.0, margin=margin)
+    g = np.delete(path_g_values(path, params.intensities), path._edge_columns())  # edges give exactly 1
+    margin = (float(g.max()) if g.size else 1.0) - 1.0
+    return RegionMembership(path=path, inside=margin <= 0.0, margin=margin)
 
 
 def find_optimal_saturated(params: Parameters) -> tuple[PathDesign, RegionMembership] | None:

@@ -51,7 +51,6 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
     SingularMatrixError,
     _derivatives,
     cholesky_pivots,
-    design_from_vector,
     regression_matrix,
 )
 from .optimality import KwCertificate, _certificate
@@ -229,7 +228,7 @@ def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverRe
         found = _derivatives(w, lam, F)
 
     # found was evaluated at exactly the weights of design, so this is kw_check(design, params).
-    design = design_from_vector(params.m, w)
+    design = Design(params.m, w)
     certificate = _certificate(found, params.m, config.kw_tolerance)
     return SolverResult(
         design=design,

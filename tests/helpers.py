@@ -81,6 +81,19 @@ def count_derivative_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def count_pair_hashes(monkeypatch) -> list[int]:
+    """Count hashes of Pair objects from here on, in a one-item list."""
+    calls = [0]
+    original = Pair.__hash__
+
+    def counted(pair):
+        calls[0] += 1
+        return original(pair)
+
+    monkeypatch.setattr(Pair, "__hash__", counted)
+    return calls
+
+
 def line_params(t: float) -> Parameters:
     """The m=4 line beta = t * (1, 1/2, 5/4) used in the efficiency study."""
     return Parameters(4, (t, t / 2.0, 5.0 * t / 4.0))

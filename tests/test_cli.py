@@ -21,6 +21,7 @@ from btdesign import (
     information_matrix,
     log_det,
     region_membership,
+    solve,
 )
 from btdesign.cli import MAX_POINTS, CliError, ScanAxis, ScanSpec, build_parser, main, run_scan
 from btdesign.core import SUPPORT_THRESHOLD
@@ -99,6 +100,24 @@ class TestVerify:
         rc, verdict = run_json(["verify", "--m", "4", "--beta", "0.3,-0.2,0.5", "--design", str(design_file)])
         assert rc == 0
         assert verdict["certificate"]["is_optimal"]
+
+    def test_echoes_only_nonzero_weights(self, tmp_path):
+        # A pair listed at weight 0 is left out of the echoed design, as in every other command.
+        design_file = tmp_path / "zero.json"
+        third = 1.0 / 3.0
+        design_file.write_text(json.dumps({"m": 4, "weights": {"1-2": third, "2-3": 0.0, "2-4": third, "1-3": third}}))
+        rc, verdict = run_json(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
+        assert rc == 1
+        assert verdict["design"]["weights"] == {"1-2": third, "1-3": third, "2-4": third}
+
+    def test_design_dict_round_trip(self):
+        rng = np.random.default_rng(71)
+        for m in range(2, 8):
+            params = Parameters(m, tuple(rng.uniform(-6.0, 6.0, m - 1)))
+            for design in (Design.uniform(m), solve(params).design, PathDesign.canonical(m).design()):
+                back = cli.design_from_dict(json.loads(json.dumps(cli.design_to_dict(design))))
+                assert back.m == m and back.support() == design.support()
+                np.testing.assert_allclose(back.w, design.w, rtol=1e-15, atol=0.0)
 
     def test_claw_design_not_optimal(self, tmp_path):
         design_file = tmp_path / "claw.json"

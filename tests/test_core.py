@@ -1,5 +1,7 @@
 """Model primitive tests: intensities, regression vectors, information matrices."""
 
+import io
+import json
 import math
 import pickle
 
@@ -13,19 +15,22 @@ from btdesign import (
     Pair,
     Parameters,
     all_pairs,
+    classify_m4,
     information_matrix,
+    kw_check,
     log_det,
     regression_vector,
+    solve,
 )
+from btdesign.cli import main
 from btdesign.core import (
     IntensityUnderflowError,
     _derivatives,
-    design_from_vector,
     intensity_vector,
     regression_matrix,
 )
 
-from helpers import random_design, random_params
+from helpers import count_pair_hashes, geometric_params, random_design, random_params
 
 
 def intensity(z: float) -> float:
@@ -211,10 +216,41 @@ class TestDesign:
         with pytest.raises(ValueError):
             Design(3, {Pair(1, 4): 1.0})
 
+    def test_rejects_wrong_length_array(self):
+        with pytest.raises(ValueError, match="expected 6 weights"):
+            Design(4, np.full(5, 0.2))
+        with pytest.raises(ValueError, match="expected 6 weights"):
+            Design(4, np.full((2, 3), 1.0 / 6.0))
+
+    def test_mapping_and_array_agree(self):
+        rng = np.random.default_rng(61)
+        for m in range(2, 10):
+            pairs = all_pairs(m)
+            w = rng.dirichlet(np.ones(len(pairs)))
+            assert Design(m, dict(zip(pairs, w))).w.tobytes() == Design(m, w).w.tobytes()
+            # Pairs absent from a mapping weigh 0.
+            on = sorted(rng.choice(len(pairs), size=m - 1, replace=False).tolist())
+            sparse = np.zeros(len(pairs))
+            sparse[on] = 1.0 / len(on)
+            from_mapping = Design(m, {pairs[k]: 1.0 / len(on) for k in on})
+            assert from_mapping.w.tobytes() == Design(m, sparse).w.tobytes()
+            assert from_mapping.support() == tuple(pairs[k] for k in on)
+
+    def test_weights_are_a_read_only_copy(self):
+        w = np.full(6, 1.0 / 6.0)
+        d = Design(4, w)
+        assert not d.w.flags.writeable and not np.shares_memory(d.w, w)
+        with pytest.raises(ValueError):
+            d.w[0] = 0.5
+        w[0], w[1] = 0.0, 1.0 / 3.0  # the caller keeps using its own array
+        assert d.w.tolist() == [1.0 / 6.0] * 6
+        solved = solve(Parameters(4, (1.0, -0.5, 2.0))).design
+        assert not solved.w.flags.writeable
+
     def test_vector_round_trip(self):
         rng = np.random.default_rng(0)
         d = random_design(rng, 4)
-        assert design_from_vector(4, d.as_vector()).weights == pytest.approx(d.weights)
+        assert Design(4, d.w).w.tobytes() == d.w.tobytes()
 
 
 class TestInformationMatrix:
@@ -344,7 +380,7 @@ class TestDerivativeKernel:
         assert _derivatives(np.ones(3) / 3, np.ones(3), np.zeros((3, 3))) is None
         cycle = Design.equal_on(4, [Pair(1, 2), Pair(1, 4), Pair(2, 4)])
         p = Parameters(4, (0.0, 0.0, 0.0))
-        assert _derivatives(cycle.as_vector(), intensity_vector(p.beta), regression_matrix(4)) is None
+        assert _derivatives(cycle.w, intensity_vector(p.beta), regression_matrix(4)) is None
 
     def test_path_inverse_closed_form(self):
         # Canonical path at the origin: M = (1/12) F^T F with F the path's
@@ -352,7 +388,7 @@ class TestDerivativeKernel:
         # all-ones upper triangle, and f(1,4)^T M^{-1} f(1,4) = 36.
         p = Parameters(4, (0.0, 0.0, 0.0))
         d = Design.equal_on(4, [Pair(1, 2), Pair(2, 3), Pair(3, 4)])
-        values, Y = _derivatives(d.as_vector(), intensity_vector(p.beta), regression_matrix(4))
+        values, Y = _derivatives(d.w, intensity_vector(p.beta), regression_matrix(4))
         f14 = all_pairs(4).index(Pair(1, 4))
         F = regression_matrix(4)
         np.testing.assert_allclose(Y.T @ Y[:, f14], F @ [36.0, 24.0, 12.0], rtol=1e-10)
@@ -368,3 +404,28 @@ class TestIntensityVector:
         assert batch.shape == (4, len(all_pairs(5)))
         for beta, row in zip(betas, batch):
             assert row.tolist() == intensity_vector(beta).tolist()
+
+
+class TestPairHashes:
+    """Designs and certificates are arrays, so answering hashes no Pair."""
+
+    def test_none_in_solve_classify_m4_or_kw_check(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        solves = [random_params(rng, m, scale=6.0) for m in range(4, 9) for _ in range(3)]
+        m4 = [random_params(rng, 4, scale=8.0) for _ in range(40)]
+        m4 += [Parameters(4, beta) for beta in ((1.7, 0.85, 2.125), (2.5, 1.25, 3.125), (-12.0, -12.0, 0.0))]
+        hashes = count_pair_hashes(monkeypatch)
+        designs = [(solve(p).design, p) for p in solves]
+        kinds = {classify_m4(p).kind for p in m4}
+        for design, p in designs:
+            kw_check(design, p)
+        assert hashes == [0]
+        assert len(kinds) == 4  # every closed-form kind was reached
+
+    def test_few_in_an_in_region_m30_classify(self, monkeypatch):
+        beta = ",".join(repr(b) for b in geometric_params(30, 25.0).beta)
+        out = io.StringIO()
+        hashes = count_pair_hashes(monkeypatch)
+        assert main(["classify", "--m", "30", f"--beta={beta}"], stdout=out) == 0
+        assert json.loads(out.getvalue())["kind"] == "saturated"
+        assert hashes[0] <= 64

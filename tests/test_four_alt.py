@@ -180,7 +180,7 @@ class TestFullSupport:
         p = Parameters(4, (0.1, -0.05, 0.02))
         d = _closed_form_design(full_support_raw, (1, 2, 3, 4), intensity_vector(p.beta).tolist())
         assert d is not None
-        assert all(0.0 < w < 1.0 / 3.0 for w in d.weights.values())
+        assert all(0.0 < w < 1.0 / 3.0 for w in d.w.tolist())
         assert kw_check(d, p).max_violation <= 1e-12
         result = solve(p)
         for pair in all_pairs(4):
@@ -439,7 +439,7 @@ class TestClassify:
     def test_deterministic(self):
         p = line_params(2.5)
         a, b = classify_m4(p), classify_m4(p)
-        assert a.kind is b.kind and a.design.weights == b.design.weights
+        assert a.kind is b.kind and a.design.w.tolist() == b.design.w.tolist()
 
     def test_margin_sign(self):
         rng = np.random.default_rng(149)
@@ -520,7 +520,7 @@ def assert_matches_pattern_search(params: Parameters) -> None:
     assert found is not None, params.beta
     label = classify_m4(params)
     kind, missing, design = found
-    assert (label.kind, label.missing_pairs, label.design.weights) == (kind, missing, design.weights), params.beta
+    assert (label.kind, label.missing_pairs, label.design.w.tolist()) == (kind, missing, design.w.tolist()), params.beta
 
 
 @st.composite

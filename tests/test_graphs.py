@@ -174,13 +174,13 @@ class TestDesignAndParameterAction:
         d = random_design(rng, 4)
         p = random_params(rng, 4)
         e = Permutation.identity(4)
-        assert apply_to_design(e, d).weights == pytest.approx(d.weights)
+        assert apply_to_design(e, d).w.tolist() == pytest.approx(d.w.tolist())
         assert apply_to_params(e, p).beta == pytest.approx(p.beta)
 
     def test_relabels_support(self):
         d = Design(4, {Pair(1, 3): 1.0})
         moved = apply_to_design(Permutation.transposition(4, 1, 2), d)
-        assert moved.weights == {Pair(2, 3): 1.0}
+        assert moved.support() == (Pair(2, 3),) and moved.weight(Pair(2, 3)) == 1.0
 
     def test_log_det_transport(self):
         rng = np.random.default_rng(29)

@@ -40,7 +40,8 @@ class TestPathDesign:
         path = PathDesign((3, 1, 2, 4))
         assert path.edges() == (Pair(1, 3), Pair(1, 2), Pair(2, 4))
         d = path.design()
-        assert all(w == pytest.approx(1.0 / 3.0) for w in d.weights.values())
+        assert np.count_nonzero(d.w) == 3
+        assert all(d.weight(edge) == pytest.approx(1.0 / 3.0) for edge in path.edges())
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -63,7 +64,8 @@ class TestGValue:
     def test_origin_second_neighbor_is_two(self):
         path = PathDesign.canonical(4)
         p = Parameters(4, (0.0, 0.0, 0.0))
-        assert region_membership(path, p).g_values[Pair(1, 3)] == pytest.approx(2.0, rel=1e-15)
+        g = path_g_values(path, p.intensities)
+        assert g[all_pairs(4).index(Pair(1, 3))] == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize("pi1", [3.0, 20.0])
     def test_geometric_closed_form(self, pi1):
@@ -90,17 +92,20 @@ class TestGValue:
             m = int(rng.integers(3, 13))
             path = PathDesign(tuple(int(v) + 1 for v in rng.permutation(m)))
             params = Parameters(m, tuple(rng.uniform(-6.0, 6.0, m - 1)))
-            derivatives = np.array(list(kw_check(path.design(), params).derivatives.values()))
+            derivatives = kw_check(path.design(), params).derivatives
             want = (m - 1) * (path_g_values(path, params.intensities) - 1.0)
             assert (np.abs(derivatives - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all(), (m, path, params)
 
 
 class TestRegionMembership:
     def test_geometric_point_inside_canonical(self):
-        membership = region_membership(PathDesign.canonical(4), geometric_params(4, 20.0))
+        path, params = PathDesign.canonical(4), geometric_params(4, 20.0)
+        membership = region_membership(path, params)
         assert membership.inside
         assert membership.margin < 0.0
-        assert set(membership.g_values) == {Pair(1, 3), Pair(1, 4), Pair(2, 4)}
+        # The margin ranges over the non-edge pairs only: edges give g = 1.
+        g = dict(zip(all_pairs(4), path_g_values(path, params.intensities).tolist()))
+        assert membership.margin == max(g[Pair(1, 3)], g[Pair(1, 4)], g[Pair(2, 4)]) - 1.0
 
     def test_origin_outside_every_path(self):
         for m in (4, 5):

@@ -133,7 +133,7 @@ class TestSolve:
             params = random_params(rng, m, scale=4.0)
             label = classify_m4(params)
             lam = intensity_vector(params.beta)
-            w = label.design.as_vector()
+            w = label.design.w
             stepped = _multiplicative_step(w, lam, F, m)
             assert np.abs(stepped - w).max() <= 1e-9
 
@@ -259,7 +259,7 @@ class TestSolve:
             for _ in range(5):
                 params = random_params(rng, m, scale=6.0)
                 expected = reference_solve_weights(params)
-                assert solve(params).design.as_vector().tobytes() == expected.tobytes(), params.beta
+                assert solve(params).design.w.tobytes() == expected.tobytes(), params.beta
 
     def test_finish_returns_the_evaluation_at_its_weights(self, monkeypatch):
         # solve adopts and certifies from the evaluation a finish returns, so
@@ -292,11 +292,10 @@ def assert_is_kw_check(result, params: Parameters, tolerance: float) -> None:
     """solve's certificate is field by field kw_check of its design, derivatives bitwise."""
     expected = kw_check(result.design, params, tolerance=tolerance)
     cert = result.certificate
-    assert list(cert.derivatives) == list(expected.derivatives)
-    assert [v.hex() for v in cert.derivatives.values()] == [v.hex() for v in expected.derivatives.values()]
+    assert cert.derivatives.shape == expected.derivatives.shape
+    assert cert.derivatives.tobytes() == expected.derivatives.tobytes()
     assert cert.max_violation.hex() == expected.max_violation.hex()
     assert cert.is_optimal == expected.is_optimal
-    assert cert.equality_pairs == expected.equality_pairs
     assert cert.tolerance == expected.tolerance == tolerance
     assert cert.singular == expected.singular
 
