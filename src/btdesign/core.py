@@ -222,6 +222,9 @@ class Design:
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
+    def __reduce__(self):  # pickle and deepcopy through the constructor, which keeps w a read-only copy
+        return type(self), (self.m, self.w)
+
     @classmethod
     def uniform(cls, m: int) -> "Design":
         n = len(all_pairs(m))
@@ -268,18 +271,19 @@ def cholesky_pivots(A: np.ndarray) -> np.ndarray | None:
     return L
 
 
-def _derivatives(w: np.ndarray, lam: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _derivatives(w: np.ndarray, lam: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Directional values d_p = lambda_p f_p^T M^{-1} f_p for every row f_p of F.
 
     M = F^T diag(w lambda) F is factored once, M = L L^T; then Y = L^{-1} F^T
     gives f_p^T M^{-1} f_q = (Y^T Y)_pq, so d is lambda times the column sums
-    of Y**2.  Returns (d, Y), or None when M is singular.
+    of Y**2.  Returns (d, Y, L), or None when M is singular; L also gives
+    log det M, twice the sum of log diag L, to the callers that need it.
     """
     L = cholesky_pivots(F.T @ (F * (w * lam)[:, None]))
     if L is None:
         return None
     Y = np.linalg.solve(L, F.T)
-    return lam * np.einsum("ij,ij->j", Y, Y), Y
+    return lam * np.einsum("ij,ij->j", Y, Y), Y, L
 
 
 def log_det(M: np.ndarray) -> float:

@@ -52,10 +52,13 @@ replaced, labels (kind, weights, missing pairs, path, certificate) and
 errors were bit-identical at 201 410 lattice and random points with |beta|
 up to 40 and at 6 000 points bisected to within 2^-40 of a kind boundary;
 independently, solve's certified support contains every sorted-path edge
-at random points for m = 4..7.  The search stays as the test oracle
-(tests/helpers.classify_by_pattern_search).  A point where the rule failed
-would raise ClassificationError; it could never return an uncertified
-design, because every label passes kw_check.
+at random points for m = 4..7.  solve starts on that sorted path, yet the
+check stays independent of the start: the optimum is unique (log det is
+strictly concave in M, and w -> M is injective), so the start changes
+only how soon solve gets there, never which support it certifies.  The
+search stays as the test oracle (tests/helpers.classify_by_pattern_search).
+A point where the rule failed would raise ClassificationError; it could
+never return an uncertified design, because every label passes kw_check.
 
 Four-point designs whose two missing pairs are disjoint carry no known
 optimality region; search_disjoint_four_point probes that system

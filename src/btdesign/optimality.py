@@ -48,6 +48,12 @@ class KwCertificate:
     tolerance: float = KW_TOLERANCE
     singular: bool = False
 
+    def __post_init__(self) -> None:
+        self.derivatives.setflags(write=False)
+
+    def __reduce__(self):  # pickle and deepcopy through the constructor, which keeps derivatives read-only
+        return type(self), (self.derivatives, self.max_violation, self.is_optimal, self.tolerance, self.singular)
+
 
 def kw_check(design: Design, params: Parameters, tolerance: float = KW_TOLERANCE) -> KwCertificate:
     """Evaluate the optimality criterion on every pair and certify the result."""
@@ -57,7 +63,7 @@ def kw_check(design: Design, params: Parameters, tolerance: float = KW_TOLERANCE
     return _certificate(found, params.m, tolerance)
 
 
-def _certificate(found: tuple[np.ndarray, np.ndarray] | None, m: int, tolerance: float) -> KwCertificate:
+def _certificate(found: tuple[np.ndarray, np.ndarray, np.ndarray] | None, m: int, tolerance: float) -> KwCertificate:
     """The certificate for a core._derivatives result at a design; None means M is singular.
 
     kw_check and solve both certify through here, so solve's certificate is
@@ -66,7 +72,6 @@ def _certificate(found: tuple[np.ndarray, np.ndarray] | None, m: int, tolerance:
     if found is None:
         return KwCertificate(np.empty(0), float("inf"), False, tolerance, singular=True)
     derivatives = found[0] - (m - 1)
-    derivatives.setflags(write=False)
     max_violation = float(derivatives.max())
     return KwCertificate(derivatives, max_violation, max_violation <= tolerance, tolerance)
 

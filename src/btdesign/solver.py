@@ -1,41 +1,37 @@
-"""Iterative locally D-optimal design solver on the weight simplex.
+"""Locally D-optimal design solver: an active-set loop on the weight simplex.
 
-With directional values d_ij = lambda_ij f^T M(w)^{-1} f and k = m-1, each
-iteration stops once max d_ij <= k + kw_tolerance (the equivalence theorem
-then certifies the design), deletes for good every pair with
-d_ij < k (1 + eps/2 - sqrt(eps (4 + eps - 4/k)) / 2), eps = max d - k,
-which by Harman & Pronzato (2007, Statist. Probab. Lett. 77, "Improvements on
-removing nonoptimal support points in D-optimum design algorithms") supports
-no D-optimal design, and applies the multiplicative update
-w_ij <- w_ij d_ij / k (Silvey, Titterington & Torsney 1978), which keeps the
-simplex and never decreases log det M(w).
+With directional values d_ij = lambda_ij f^T M(w)^{-1} f and k = m-1, the
+equivalence theorem certifies a design once max d_ij <= k + kw_tolerance.
+Every saturated D-optimal design is a path, and only the path that visits
+the alternatives in descending order of beta can hold beta in its region
+(regions.sorted_beta_path), so the loop starts there, at weight 1/k on each
+of its k edges.  Each round
 
-Newton's method then maximizes log det exactly on the live support; the
-result is adopted only if it passes the directional check on every pair.
-A Newton step that would leave the simplex is cut back on its own quadratic
-model, one pair at a time, until the model step stays inside, so one
-re-linearization can drop many pairs (see _newton_on_support).  A finish
-is tried after every iteration that deletes no pair while at most
-k + _NEWTON_STEPS pairs are live, and otherwise after every
-_STABLE_ITERATIONS such iterations in a row.  The gate bounds the KKT
-system a finish solves, whose cost grows with the cube of the live count.
-With beta uniform in [-6, 6] (median solve time, 2-core host) it keeps the
-largest finish at m = 30 at 166 live pairs instead of 263 and the solves
-at 55-64 ms instead of 65-69 ms; at m = 20 it costs time, 14-16 ms against
-9.5 ms, because the solves wait for their finish: 56 iterations on average
-instead of 11.  Without the periodic retry, Newton is never tried while
-the support stays large (m = 20 took up to 7 254 iterations, against 104).
-Where the optimal support itself has more than k + _NEWTON_STEPS pairs, as
-at m = 30 for beta in [-6, 6], only the periodic retry runs.
+* stops once max d <= k + kw_tolerance;
+* otherwise takes a Fedorov-Wynn step toward the (at most k) largest
+  violators: pair p gets a_p = (d_p - k) / (k (d_p - 1)), the exact
+  maximizer of log det along w -> (1 - a) w + a e_p (Fedorov 1972), the
+  steps are scaled so that they sum to at most 1/2, and the trial is
+  (1 - sum a) w + a;
+* runs one Newton finish on the trial's support (_newton_on_support);
+* ranks designs certified first, then by log det: the finish replaces the
+  trial unless it ranks lower (a finish that meets a singular M or KKT
+  system keeps the trial), and the round ends the loop, keeping w, unless
+  its design ranks higher than w.
 
-A finish runs only after an iteration that deleted no pair, so the
-evaluation of that iteration's stopping test is at exactly w: the finish's
-first model reuses it, and every later model is evaluated on all pairs at
-the weights the finish would return.  The result is certified from the
-evaluation it already holds: the one that stopped the loop, or for an
-adopted finish that converged, the finish's own last evaluation (a finish
-that ends on k pairs evaluates its result once).  Only at the iteration
-cap is the final design evaluated once more.
+The guard and the stop keep the loop from cycling: a finish's cut-back can
+drop the pair the step just added, and the same point would return.  A pair
+that a finish dropped wrongly returns as a violator in the next round.
+Where float rounding alone leaves d - k near 1e-8 (|beta| near 20), a round
+cannot raise log det, and the loop stops there uncertified.
+
+log det is strictly concave in M and w -> M is injective (M_ij = -w_ij
+lambda_ij off the diagonal), so the optimum is unique and the start changes
+only the time, never the answer.  Every evaluation comes from
+core._derivatives, whose one Cholesky factor also gives log det, and the
+result is certified from the evaluation already held at its weights.
+iterations counts rounds, that is, stopping tests: a solve stopped by
+max_iterations has failed that many of them, having stepped once fewer.
 """
 
 from __future__ import annotations
@@ -54,10 +50,8 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
     regression_matrix,
 )
 from .optimality import KwCertificate, _certificate
+from .regions import sorted_beta_path
 
-# Iterations without a deletion before (each retry of) the exact finish on a
-# support larger than the gate of k + _NEWTON_STEPS pairs.
-_STABLE_ITERATIONS = 10
 # Newton steps (re-linearizations) per finish; convergence is quadratic
 # once the support is right.
 _NEWTON_STEPS = 30
@@ -82,34 +76,30 @@ class SolverResult:
     certificate: KwCertificate
     iterations: int
     converged: bool
-    newton_attempts: int
 
 
-def _multiplicative_step(w: np.ndarray, lam: np.ndarray, F: np.ndarray, m: int) -> np.ndarray:
-    """One multiplicative update, renormalized; exposed for property tests."""
-    found = _derivatives(w, lam, F)
-    if found is None:
-        raise SingularMatrixError("information matrix is singular")
-    w = w * found[0] / (m - 1)
-    return w / w.sum()
-
-
-def _deletion_bound(eps: float, k: int) -> float:
-    """Lower bound on d at any D-optimal support point, given eps = max d - k > 0."""
-    return k * (1.0 + eps / 2.0 - math.sqrt(eps * (4.0 + eps - 4.0 / k)) / 2.0)
+def _fedorov_wynn_step(w: np.ndarray, d: np.ndarray, k: int, tolerance: float) -> np.ndarray:
+    """The round's trial: Fedorov-Wynn steps toward the (at most k) largest violators of k + tolerance."""
+    top = np.argsort(d, kind="stable")[-k:]
+    top = top[d[top] - k > tolerance]
+    a = (d[top] - k) / (k * (d[top] - 1.0))
+    a *= 0.5 / max(a.sum(), 0.5)
+    trial = (1.0 - a.sum()) * w
+    trial[top] += a
+    return trial
 
 
 def _newton_on_support(
-    w: np.ndarray, lam: np.ndarray, F: np.ndarray, k: int, live: np.ndarray, d: np.ndarray, Y: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
+    w: np.ndarray, lam: np.ndarray, F: np.ndarray, k: int, live: np.ndarray, found: tuple
+) -> tuple[np.ndarray, tuple] | None:
     """Maximize log det M(w) over weights on the live pairs summing to one.
 
     Newton on the KKT system of the simplex constraint, started at w, whose
-    weight lies on the live pairs; (d, Y) is core._derivatives at w on all
-    pairs, and builds the first model.  The Hessian of log det is
-    -(lambda_i lambda_j (f_i^T M^{-1} f_j)^2).  A step that would drive
-    weights nonpositive is cut back on the same quadratic model: it stops
-    where the first of them reaches zero, that pair leaves the trial
+    weight lies on the live pairs; found = (d, Y, L) is core._derivatives
+    at w on all pairs, and (d, Y) builds the first model.  The Hessian of
+    log det is -(lambda_i lambda_j (f_i^T M^{-1} f_j)^2).  A step that would
+    drive weights nonpositive is cut back on the same quadratic model: it
+    stops where the first of them reaches zero, that pair leaves the trial
     support, the model gradient moves to the new point (g <- g + t H s) and
     the smaller KKT system is solved again, until the model step stays
     inside the simplex.  Only then is the step taken and the model rebuilt
@@ -123,6 +113,7 @@ def _newton_on_support(
     k pairs or runs out of steps evaluates its result once.  Returns None
     when M or the KKT matrix is singular.
     """
+    d, Y = found[:2]
     support = np.flatnonzero(live)
     n = len(support)
     v = w[support]
@@ -163,7 +154,7 @@ def _newton_on_support(
             break
         # A step that was cut moved further than its last piece shows.
         if not cut and np.abs(step).max() <= _NEWTON_STEP_TOL:
-            return trial, (d, Y)
+            return trial, found
         v = v + step
         v /= v.sum()
         trial = np.zeros_like(w)
@@ -171,9 +162,9 @@ def _newton_on_support(
         found = _derivatives(trial, lam, F)
         if found is None:
             return None
-        d, Y = found
-    if n > k:  # out of steps: (d, Y) was evaluated at trial
-        return trial, (d, Y)
+        d, Y = found[:2]
+    if n > k:  # out of steps: found was evaluated at trial
+        return trial, found
     v = np.full(k, 1.0 / k)
     trial = np.zeros_like(w)
     trial[support] = v / v.sum()
@@ -184,48 +175,35 @@ def _newton_on_support(
 def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverResult:
     """Find a locally D-optimal design for the given parameter point.
 
-    The loop starts from the uniform design on all pairs; see the module
-    docstring for its stopping rule, deletions and Newton finishes.
+    The loop starts on the sorted-beta path; see the module docstring for
+    its rounds, its steps and its stopping rules.
     """
     k = params.m - 1
     F = regression_matrix(params.m)
     lam = params.intensities
-    w = np.full(len(F), 1.0 / len(F))
-    live = w > 0.0
-    n_live = len(F)
-    stable = attempts = 0
+    w = np.zeros(len(F))
+    w[sorted_beta_path(params)._edge_columns()] = 1.0 / k
+    found = _derivatives(w, lam, F)
+    if found is None:
+        raise SingularMatrixError("information matrix is singular after 0 iterations")
+
+    def rank(found):  # certified first, then by log det, read from the factor L
+        return found[0].max() - k <= config.kw_tolerance, 2.0 * float(np.log(found[2].diagonal()).sum())
+
     for iterations in range(1, config.max_iterations + 1):
-        found = _derivatives(w, lam, F)
-        if found is None:
-            raise SingularMatrixError(f"information matrix is singular after {iterations - 1} iterations")
-        d = found[0]
-        eps = float(d.max()) - k
-        if eps <= config.kw_tolerance:
+        held = rank(found)
+        if held[0] or iterations == config.max_iterations:
             break
-
-        doomed = live & (d < _deletion_bound(eps, k))
-        deleted = int(np.count_nonzero(doomed))
-        if deleted:
-            live &= ~doomed
-            w[doomed] = 0.0
-            n_live -= deleted
-            stable = 0
-        else:
-            stable += 1
-
-        if stable == _STABLE_ITERATIONS or (stable and n_live <= k + _NEWTON_STEPS):
-            stable = 0
-            attempts += 1
-            # Nothing was deleted this iteration, so found is still the evaluation at w.
-            finish = _newton_on_support(w, lam, F, k, live, *found)
-            if finish is not None and finish[1][0].max() - k <= config.kw_tolerance:
-                w, found = finish
-                break
-
-        w[live] *= d[live] / k
-        w /= w.sum()
-    else:  # the iteration cap: the last update moved w, so evaluate it once more
-        found = _derivatives(w, lam, F)
+        trial = _fedorov_wynn_step(w, found[0], k, config.kw_tolerance)
+        stepped = _derivatives(trial, lam, F)
+        if stepped is None:
+            break
+        finish = _newton_on_support(trial, lam, F, k, trial > 0.0, stepped)
+        if finish is not None and rank(finish[1]) >= rank(stepped):
+            trial, stepped = finish
+        if rank(stepped) <= held:
+            break
+        w, found = trial, stepped
 
     # found was evaluated at exactly the weights of design, so this is kw_check(design, params).
     design = Design(params.m, w)
@@ -235,5 +213,4 @@ def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverRe
         certificate=certificate,
         iterations=iterations,
         converged=certificate.max_violation <= config.kw_tolerance,
-        newton_attempts=attempts,
     )

@@ -81,6 +81,20 @@ def count_derivative_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def count_factorizations(monkeypatch) -> list[int]:
+    """Count calls of cholesky_pivots from core, solver and optimality from here on, in a one-item list."""
+    calls = [0]
+    original = core.cholesky_pivots
+
+    def counted(A):
+        calls[0] += 1
+        return original(A)
+
+    for module in (core, solver, optimality):
+        monkeypatch.setattr(module, "cholesky_pivots", counted)
+    return calls
+
+
 def count_pair_hashes(monkeypatch) -> list[int]:
     """Count hashes of Pair objects from here on, in a one-item list."""
     calls = [0]

@@ -1,5 +1,6 @@
 """Model primitive tests: intensities, regression vectors, information matrices."""
 
+import copy
 import io
 import json
 import math
@@ -247,6 +248,15 @@ class TestDesign:
         solved = solve(Parameters(4, (1.0, -0.5, 2.0))).design
         assert not solved.w.flags.writeable
 
+    @pytest.mark.parametrize("copy_of", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy, copy.copy])
+    def test_copies_stay_read_only(self, copy_of):
+        d = Design(4, np.array([0.5, 0.0, 0.0, 0.25, 0.0, 0.25]))
+        c = copy_of(d)
+        assert c.m == 4 and c.w.tobytes() == d.w.tobytes()
+        assert not c.w.flags.writeable
+        with pytest.raises(ValueError):
+            c.w[0] = 0.0
+
     def test_vector_round_trip(self):
         rng = np.random.default_rng(0)
         d = random_design(rng, 4)
@@ -355,14 +365,15 @@ class TestLogDet:
 
 
 class TestDerivativeKernel:
-    """_derivatives: d = lambda f^T M^{-1} f and Y = L^{-1} F^T from one factor of M."""
+    """_derivatives: d = lambda f^T M^{-1} f and Y = L^{-1} F^T from one factor L of M, returned too."""
 
     def test_scaled_identity(self):
         # F = I and w * lambda = 2 give M = 2 I, so M^{-1} f = f / 2.
         w, lam = np.full(3, 0.5), np.full(3, 4.0)
-        d, Y = _derivatives(w, lam, np.eye(3))
+        d, Y, L = _derivatives(w, lam, np.eye(3))
         np.testing.assert_allclose(Y.T @ Y, 0.5 * np.eye(3))
         np.testing.assert_allclose(d, 2.0 * np.ones(3))
+        np.testing.assert_allclose(L, math.sqrt(2.0) * np.eye(3))
 
     def test_residual_on_random_spd(self):
         rng = np.random.default_rng(37)
@@ -370,7 +381,8 @@ class TestDerivativeKernel:
             F = rng.normal(size=(6, 3))
             w, lam = rng.dirichlet(np.ones(6)), rng.uniform(0.01, 0.25, 6)
             M = F.T @ (F * (w * lam)[:, None])
-            d, Y = _derivatives(w, lam, F)
+            d, Y, L = _derivatives(w, lam, F)
+            np.testing.assert_allclose(L @ L.T, M, rtol=1e-12)
             X = F @ np.linalg.inv(M)  # row p is (M^{-1} f_p)^T
             G = Y.T @ Y
             assert np.linalg.norm(G - X @ F.T) <= 1e-10 * np.linalg.norm(G)
@@ -388,7 +400,7 @@ class TestDerivativeKernel:
         # all-ones upper triangle, and f(1,4)^T M^{-1} f(1,4) = 36.
         p = Parameters(4, (0.0, 0.0, 0.0))
         d = Design.equal_on(4, [Pair(1, 2), Pair(2, 3), Pair(3, 4)])
-        values, Y = _derivatives(d.w, intensity_vector(p.beta), regression_matrix(4))
+        values, Y, _ = _derivatives(d.w, intensity_vector(p.beta), regression_matrix(4))
         f14 = all_pairs(4).index(Pair(1, 4))
         F = regression_matrix(4)
         np.testing.assert_allclose(Y.T @ Y[:, f14], F @ [36.0, 24.0, 12.0], rtol=1e-10)

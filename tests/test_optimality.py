@@ -1,5 +1,8 @@
 """Equivalence-theorem checks, certificates, and D-efficiency."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,18 @@ class TestKwCheck:
         assert cert.derivatives.shape == (len(all_pairs(4)),)
         assert (np.abs(cert.derivatives) <= cert.tolerance).all()
 
+    @pytest.mark.parametrize("copy_of", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy])
+    def test_copies_stay_read_only(self, copy_of):
+        cert = kw_check(Design.uniform(4), line_params(3.5))
+        c = copy_of(cert)
+        assert c.derivatives.tobytes() == cert.derivatives.tobytes()
+        assert (c.max_violation, c.is_optimal, c.tolerance, c.singular) == (
+            cert.max_violation, cert.is_optimal, cert.tolerance, cert.singular
+        )
+        assert not c.derivatives.flags.writeable
+        with pytest.raises(ValueError):
+            c.derivatives[0] = 0.0
+
     def test_uniform_fails_deep_on_the_line(self):
         # Past the saturated threshold the uniform design is far from optimal.
         cert = kw_check(Design.uniform(4), line_params(3.5))
@@ -172,7 +187,7 @@ class TestKwCheckReadsTheIntensitiesOnce:
             for _ in range(4):
                 params = random_params(rng, m, scale=6.0)
                 for design in (random_design(rng, m), solve(params).design):
-                    d, _ = _derivatives(design.w, intensity_vector(params.beta), regression_matrix(m))
+                    d = _derivatives(design.w, intensity_vector(params.beta), regression_matrix(m))[0]
                     vals = d - (m - 1)
                     cert = kw_check(design, params)
                     assert cert.derivatives.shape == (len(pairs),)
