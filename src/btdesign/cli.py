@@ -83,13 +83,21 @@ def design_to_dict(design: Design) -> dict:
     return {"m": design.m, "weights": {k: x for k, x in zip(_pair_keys(design.m), design.w.tolist()) if x != 0.0}}
 
 
-def design_from_dict(data: dict) -> Design:
+def design_from_dict(data: dict, m: int) -> Design:
+    """The design a JSON object describes; it must be a design for m alternatives.
+
+    m is checked before any pair table is built, so a junk "m" such as 1e300
+    is a usage error, not an attempt to list its pairs.
+    """
     try:
-        m = int(data["m"])
+        given = int(data["m"])
         raw = {Pair.from_key(k): float(v) for k, v in data["weights"].items()}
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CliError(f"malformed design object: {exc}") from None
-    total = math.fsum(raw.values())
+    if given != m:
+        raise CliError(f"design file has m={data['m']} but --m is {m}")
+    # fsum raises on inf + -inf; any non-finite weight leaves no sum.
+    total = math.fsum(raw.values()) if all(map(math.isfinite, raw.values())) else math.nan
     if not math.isfinite(total) or abs(total - 1.0) > 1e-6:
         raise CliError(f"design weights must sum to 1 (got {total})")
     try:
@@ -109,8 +117,8 @@ def _read_json(path: str, what: str):
         raise CliError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
-def load_design(path: str) -> Design:
-    return design_from_dict(_read_json(path, "design file"))
+def load_design(path: str, m: int) -> Design:
+    return design_from_dict(_read_json(path, "design file"), m)
 
 
 def certificate_to_dict(cert: KwCertificate, m: int) -> dict:
@@ -161,7 +169,10 @@ class ScanAxis:
     count: int
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        # Near the largest float, linspace's last sample can round past it to
+        # inf, which Parameters then rejects; numpy's warning would only repeat that.
+        with np.errstate(over="ignore"):
+            return np.linspace(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True)
@@ -306,9 +317,7 @@ def cmd_optimize(args: argparse.Namespace, stdout: TextIO) -> int:
 
 def cmd_verify(args: argparse.Namespace, stdout: TextIO) -> int:
     params = parse_beta(args.beta, args.m)
-    design = load_design(args.design)
-    if design.m != params.m:
-        raise CliError(f"design file has m={design.m} but --m is {params.m}")
+    design = load_design(args.design, params.m)
     cert = kw_check(design, params)
     report = {
         "m": params.m,

@@ -33,6 +33,9 @@ SUPPORT_THRESHOLD = 1e-9
 # matrix as singular (separates structurally rank-deficient designs from
 # merely ill-conditioned ones at the problem sizes we target).
 SINGULARITY_RTOL = 1e-12
+# The smallest normal float: a Cholesky pivot whose square lies below it
+# has lost its relative precision, and its inverse can overflow.
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 class BtDesignError(Exception):
@@ -160,7 +163,9 @@ def intensity_vector(beta: np.ndarray) -> np.ndarray:
     this is the one place that says so.
     """
     beta = np.asarray(beta, dtype=float)
-    a = np.exp(-np.abs(np.inner(beta, regression_matrix(beta.shape[-1] + 1))))
+    with np.errstate(over="ignore"):  # a gap past the float range is infinite, and its intensity 0
+        z = np.inner(beta, regression_matrix(beta.shape[-1] + 1))
+    a = np.exp(-np.abs(z))
     # Composed rounding can land one ulp above the analytic peak of 1/4
     # (e.g. z = 1e-12); clamp so the mathematical bound holds exactly.
     lam = np.minimum(a / (1.0 + a) ** 2, 0.25)
@@ -257,8 +262,10 @@ def information_matrix(design: Design, params: Parameters) -> np.ndarray:
 def cholesky_pivots(A: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of A, or None when A is numerically singular.
 
-    A pivot that is nonpositive (the factorization breaks down), or at most
-    SINGULARITY_RTOL times the largest pivot, counts as singular.
+    A pivot that is nonpositive (the factorization breaks down), at most
+    SINGULARITY_RTOL times the largest pivot, or whose square is below the
+    normal floats (at m = 2 with a subnormal intensity, M^{-1} would
+    overflow) counts as singular.
     """
     A = np.asarray(A, dtype=float)
     try:
@@ -266,7 +273,8 @@ def cholesky_pivots(A: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     d = L.diagonal().tolist()  # Python floats: numpy scalars cost more than the test itself
-    if min(d) ** 2 <= SINGULARITY_RTOL * max(d) ** 2:
+    low = min(d) ** 2
+    if low <= SINGULARITY_RTOL * max(d) ** 2 or low < _SMALLEST_NORMAL:
         return None
     return L
 

@@ -115,7 +115,7 @@ class TestVerify:
         for m in range(2, 8):
             params = Parameters(m, tuple(rng.uniform(-6.0, 6.0, m - 1)))
             for design in (Design.uniform(m), solve(params).design, PathDesign.canonical(m).design()):
-                back = cli.design_from_dict(json.loads(json.dumps(cli.design_to_dict(design))))
+                back = cli.design_from_dict(json.loads(json.dumps(cli.design_to_dict(design))), m)
                 assert back.m == m and back.support() == design.support()
                 np.testing.assert_allclose(back.w, design.w, rtol=1e-15, atol=0.0)
 
@@ -148,6 +148,12 @@ class TestVerify:
         rc, _ = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
         assert rc == 2
 
+    def test_opposite_infinite_weights_are_usage_error(self, tmp_path):
+        design_file = tmp_path / "infs.json"
+        design_file.write_text('{"m": 4, "weights": {"1-2": Infinity, "1-3": -Infinity}}')
+        rc, _ = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
+        assert rc == 2
+
     def test_infinite_m_is_usage_error(self, tmp_path):
         design_file = tmp_path / "inf.json"
         design_file.write_text('{"m": Infinity, "weights": {"1-2": 1.0}}')
@@ -157,6 +163,13 @@ class TestVerify:
     def test_dimension_mismatch_is_usage_error(self, tmp_path):
         design_file = tmp_path / "m3.json"
         design_file.write_text(json.dumps({"m": 3, "weights": {"1-2": 0.5, "1-3": 0.5}}))
+        rc, _ = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
+        assert rc == 2
+
+    def test_huge_design_m_is_usage_error(self, tmp_path):
+        # A junk m is refused before any pair table is built for it.
+        design_file = tmp_path / "huge.json"
+        design_file.write_text(json.dumps({"m": 1e300, "weights": {"1-2": 1.0}}))
         rc, _ = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
         assert rc == 2
 
@@ -275,6 +288,15 @@ class TestUnderflow:
     def test_exit_1_with_error_line(self, command, m, big, capsys):
         beta = ",".join([big] + ["0"] * (m - 2))
         rc, _ = run([command, "--m", str(m), f"--beta={beta}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("max_iterations", ["1", "2"])
+    def test_subnormal_intensity_is_reported(self, max_iterations, capsys):
+        # At a gap of 710 the one intensity of m = 2 is subnormal: M^{-1} would
+        # overflow, so M counts as singular.
+        rc, _ = run(["optimize", "--m=2", "--beta=710.0", f"--max-iterations={max_iterations}"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
@@ -476,6 +498,13 @@ class TestEfficiency:
     def test_bad_range_is_usage_error(self):
         rc, _ = run(["efficiency", "--range", "zero,4"])
         assert rc == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_range_up_to_the_largest_float_is_reported(self):
+        # The last sample rounds past the largest float, with no numpy warning;
+        # the second is already beyond the certifiable range, so exit 1.
+        rc, _ = run(["efficiency", "--range=0.0,1.7976931348623157e+308", "--steps=7"])
+        assert rc == 1
 
 
 class TestScans:

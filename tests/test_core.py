@@ -131,6 +131,12 @@ class TestIntensity:
             with pytest.raises(ValueError):
                 intensity_vector([[0.0, 1.0], [z, 0.0]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gap_past_the_float_range_underflows(self):
+        # Finite log-preferences whose difference overflows: an infinite gap, intensity 0.
+        with pytest.raises(IntensityUnderflowError):
+            intensity_vector([1.7976931348623157e308, -9.9792015476736e291])
+
     @given(st.floats(min_value=-60.0, max_value=60.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_even_and_bounded(self, z):
@@ -340,6 +346,12 @@ class TestLogDet:
         p = Parameters(4, (0.1, -0.4, 0.2))
         cycle = Design.equal_on(4, [Pair(1, 2), Pair(1, 4), Pair(2, 4)])
         assert log_det(information_matrix(cycle, p)) == float("-inf")
+
+    def test_subnormal_pivot_is_singular(self):
+        # m = 2 at a gap of 710: M is the one subnormal intensity, and 1/M overflows.
+        M = information_matrix(Design.uniform(2), Parameters(2, (710.0,)))
+        assert 0.0 < M[0, 0] < np.finfo(float).tiny
+        assert log_det(M) == float("-inf")
 
     def test_cofactor_oracle_uniform_origin(self):
         p = Parameters(4, (0.0, 0.0, 0.0))
