@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -255,37 +255,27 @@ def _scan_row(args: tuple[tuple[int, ...], Parameters]) -> tuple:
     return (*beta, label.kind.value, len(label.design.support()), f"{region_margin(label):.12g}")
 
 
-def worker_count() -> int:
-    """Worker cap from BTDESIGN_THREADS, defaulting to the hardware count."""
-    env = os.environ.get("BTDESIGN_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise CliError(f"BTDESIGN_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise CliError("BTDESIGN_THREADS must be at least 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def run_scan(spec: ScanSpec, stream: TextIO, workers: int | None = None) -> int:
-    """Classify every grid point and write CSV rows in deterministic order."""
-    workers = workers if workers is not None else worker_count()
+    """Classify every grid point and write CSV rows in deterministic order.
+
+    The scan runs on min(workers, CPU count) processes, all of them when
+    workers is None; one scans in-process, a point at a time.
+    """
+    if workers is not None and workers < 1:
+        raise CliError(f"--workers must be at least 1, got {workers}")
+    cpu = os.cpu_count() or 1
+    workers = min(workers or cpu, cpu)
     writer = csv.writer(stream)
     writer.writerow([*(f"beta{i}" for i in range(1, spec.m)), "kind", "support_size", "margin"])
-    if workers > 1:
+    if workers == 1:
+        writer.writerows(map(_scan_row, spec.grid()))
+    else:
         points = list(spec.grid())
         # Imported here: multiprocessing adds ~2 MB to every process that loads the CLI.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(_scan_row, points, chunksize=max(1, len(points) // (8 * workers)))
-            for row in rows:
-                writer.writerow(row)
-    else:
-        for point in spec.grid():
-            writer.writerow(_scan_row(point))
+            writer.writerows(pool.map(_scan_row, points, chunksize=max(1, len(points) // (8 * workers))))
     return spec.size()
 
 
@@ -378,7 +368,7 @@ def _write_csv(text: str, path: str | None, stdout: TextIO) -> None:
 def cmd_scan(args: argparse.Namespace, stdout: TextIO) -> int:
     spec = load_scan_spec(args.spec)
     rows = io.StringIO()
-    run_scan(spec, rows, workers=args.workers or None)
+    run_scan(spec, rows, workers=args.workers)
     _write_csv(rows.getvalue(), args.output, stdout)
     return EXIT_OK
 
@@ -415,20 +405,7 @@ def cmd_claw_scan(args: argparse.Namespace, stdout: TextIO) -> int:
         raise CliError("need 1e-100 <= --lower <= --upper <= 1e100")
     grid = claw_infeasibility_scan(points_per_axis=args.grid_points, lower=args.lower, upper=args.upper)
     sample = claw_infeasibility_sample(n_samples=args.samples, seed=args.seed, lower=args.lower, upper=args.upper)
-    report = {
-        "grid": {
-            "points_checked": grid.points_checked,
-            "feasible_count": grid.feasible_count,
-            "max_min_slack": grid.max_min_slack,
-            "worst_point": list(grid.worst_point),
-        },
-        "random": {
-            "points_checked": sample.points_checked,
-            "feasible_count": sample.feasible_count,
-            "max_min_slack": sample.max_min_slack,
-            "worst_point": list(sample.worst_point),
-        },
-    }
+    report = {"grid": asdict(grid), "random": asdict(sample)}
     emit_json(report, stdout)
     feasible = grid.feasible_count + sample.feasible_count
     return EXIT_OK if feasible == 0 else EXIT_NOT_OPTIMAL
@@ -442,16 +419,10 @@ def cmd_search_disjoint4(args: argparse.Namespace, stdout: TextIO) -> int:
     if not 0.0 < args.beta_scale <= sys.float_info.max / 2:
         raise CliError("--beta-scale must be positive and at most half the largest float")
     report = search_disjoint_four_point(n_starts=args.starts, seed=args.seed, beta_scale=args.beta_scale)
-    emit_json(
-        {
-            "n_starts": report.n_starts,
-            "interior_count": report.interior_count,
-            "certified_count": report.certified_count,
-            "best_slack": report.best_slack if math.isfinite(report.best_slack) else None,
-            "best_point": list(report.best_point) if report.best_point else None,
-        },
-        stdout,
-    )
+    out = asdict(report)
+    if not math.isfinite(report.best_slack):
+        out["best_slack"] = None
+    emit_json(out, stdout)
     return EXIT_OK if report.certified_count == 0 else EXIT_NOT_OPTIMAL
 
 
@@ -494,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="classify a parameter grid to CSV")
     p.add_argument("--spec", type=str, required=True, help="JSON scan specification")
     p.add_argument("--output", type=str, default=None, help="CSV output file (default stdout)")
-    p.add_argument("--workers", type=int, default=0, help="override worker count (default BTDESIGN_THREADS)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="cap on worker processes (default and maximum: the CPU count; 1 scans in-process)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("efficiency", help="efficiency of the uniform design along a parameter line")

@@ -202,28 +202,39 @@ class Design:
 
     w holds the weights in all_pairs(m) order, read-only.  The constructor
     copies an array of that length, or a mapping in which absent pairs weigh 0.
+    The input is checked before any pair table is built, so a bad design at a
+    huge m costs no more than its input; a valid mapping still costs the
+    P = m(m-1)/2 floats of w.
     """
 
     m: int
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(all_pairs(self.m))
-        if isinstance(self.w, Mapping):
-            w = np.zeros(n)
-            for p, x in self.w.items():
-                check_pair(p, self.m)
-                w[_pair_columns(self.m)[p.i - 1, p.j - 1]] = x
+        m = self.m
+        if m < 2:
+            raise ValueError(f"need at least two alternatives, got m={m}")
+        n = math.comb(m, 2)
+        pairs = list(self.w) if isinstance(self.w, Mapping) else None
+        if pairs is not None:
+            for p in pairs:
+                check_pair(p, m)
+            values = np.array(list(self.w.values()), dtype=float)
         else:
-            w = np.array(self.w, dtype=float)
-            if w.shape != (n,):
-                raise ValueError(f"expected {n} weights for m={self.m}, got shape {w.shape}")
-        bad = np.flatnonzero(~np.isfinite(w) | (w < 0.0)).tolist()
+            values = np.array(self.w, dtype=float)
+            if values.shape != (n,):
+                raise ValueError(f"expected {n} weights for m={m}, got shape {values.shape}")
+        bad = np.flatnonzero(~np.isfinite(values) | (values < 0.0)).tolist()
         if bad:
-            raise ValueError(f"weight for {all_pairs(self.m)[bad[0]]} must be finite and nonnegative, got {w[bad[0]]}")
-        total = math.fsum(w.tolist())
+            pair = (pairs or all_pairs(m))[bad[0]]
+            raise ValueError(f"weight for {pair} must be finite and nonnegative, got {values[bad[0]]}")
+        total = math.fsum(values.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+        w = values
+        if pairs is not None:  # scatter each weight to the all_pairs(m) index of its (i, j)
+            w = np.zeros(n)
+            w[[(p.i - 1) * (2 * m - p.i) // 2 + p.j - p.i - 1 for p in pairs]] = values
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 

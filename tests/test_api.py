@@ -1,6 +1,7 @@
 """The package's public names: an explicit list, so the API cannot grow unnoticed."""
 
 import ast
+import sys
 from pathlib import Path
 
 import btdesign
@@ -77,3 +78,19 @@ def test_every_public_name_has_a_user():
     modules += [p for p in tests.glob("test_*.py") if p.name != Path(__file__).name]
     used = set().union(*map(_referenced_names, modules))
     assert sorted(set(btdesign.__all__) - used) == []
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # src/ depends on numpy alone; scipy, sympy and the like stay in tests and tools.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "btdesign"}
+    found = {}
+    for path in Path(btdesign.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            found.update((root, path.name) for root in roots if root not in allowed)
+    assert found == {}

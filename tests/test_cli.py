@@ -16,7 +16,10 @@ from btdesign import (
     Pair,
     Parameters,
     PathDesign,
+    Permutation,
     all_pairs,
+    apply_to_design,
+    apply_to_params,
     cli,
     information_matrix,
     log_det,
@@ -280,6 +283,32 @@ class TestOneShape:
         assert report["margin"] == pytest.approx(4 * g_margin, rel=1e-9)
 
 
+@st.composite
+def relabeled_points(draw):
+    """A point at m = 4..6 with beta in [-12, 12], and a relabeling of its alternatives."""
+    m = draw(st.integers(4, 6))
+    beta = draw(st.lists(st.floats(-12.0, 12.0), min_size=m - 1, max_size=m - 1))
+    return Parameters(m, tuple(beta)), Permutation(tuple(draw(st.permutations(range(1, m + 1)))))
+
+
+class TestEquivariance:
+    """The whole classify pipeline commutes with relabeling the alternatives."""
+
+    @given(relabeled_points())
+    @settings(max_examples=300, deadline=None)
+    def test_answer_moves_with_the_point(self, point):
+        # Weights are not compared: at a point fixed by sigma the optimal
+        # support need not be unique to float precision; log det is.
+        params, sigma = point
+        moved = apply_to_params(sigma, params)
+        label, _ = cli._answer(params)
+        moved_label, _ = cli._answer(moved)
+        assert moved_label.kind is label.kind, (params.beta, sigma.images)
+        assert label.certificate.is_optimal and moved_label.certificate.is_optimal
+        relabeled = log_det(information_matrix(apply_to_design(sigma, label.design), moved))
+        assert relabeled == pytest.approx(log_det(information_matrix(moved_label.design, moved)), rel=1e-9)
+
+
 class TestUnderflow:
     """Intensities that underflow to zero end in exit 1 with an error line."""
 
@@ -411,16 +440,41 @@ class TestScan:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert all(r["kind"] == "full-support" for r in rows)
 
-    def test_thread_env_var(self, tmp_path, monkeypatch):
-        from btdesign.cli import worker_count
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # A recording stand-in for the pool: it starts no process.
+        import concurrent.futures
 
-        monkeypatch.setenv("BTDESIGN_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("BTDESIGN_THREADS", "zero")
-        from btdesign.cli import CliError
+        asked = []
 
-        with pytest.raises(CliError):
-            worker_count()
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, points, chunksize=1):
+                return map(fn, points)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        spec = ScanSpec(m=4, axes=(ScanAxis((1.0, 0.0, 0.0), -1.0, 1.0, 5),), fixed=(0.0, 0.0, 0.0))
+        serial = io.StringIO()
+        run_scan(spec, serial, workers=1)
+        assert asked == []
+        for workers, expected in [(10**6, 3), (None, 3), (2, 2)]:
+            sink = io.StringIO()
+            assert run_scan(spec, sink, workers=workers) == 5
+            assert asked.pop() == expected and sink.getvalue() == serial.getvalue()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # an unknown count scans in-process
+        run_scan(spec, io.StringIO())
+        assert asked == []
+        for workers in (0, -1):
+            with pytest.raises(CliError, match="at least 1"):
+                run_scan(spec, io.StringIO(), workers=workers)
 
     @pytest.mark.parametrize("m", [9, 12, 20])
     def test_classify_any_m_in_region(self, m):
@@ -537,8 +591,10 @@ class TestScans:
         assert report["best_slack"] is None
 
 
-# Scan specs that ask for too many points, or whose grid runs past the largest float.
-_BAD_SPECS = {
+# Scan specs: a small valid grid, one that asks for too many points, and one
+# whose grid runs past the largest float.
+_SPECS = {
+    "small": {"m": 4, "axes": [{"direction": [1, 0, 0], "range": [0, 1], "count": 3}]},
     "huge": {"m": 4, "axes": [{"direction": [1, 0, 0], "range": [0, 1], "count": 1e13}]},
     "overflow": {"m": 4, "axes": [{"direction": [10, 0, 0], "range": [0, 1e308], "count": 3}]},
 }
@@ -590,10 +646,12 @@ class TestUsage:
             ["search-disjoint4", "--starts", str(MAX_POINTS + 1)],
             ["scan", "--workers=1", "--spec={specs}/huge.json"],
             ["scan", "--workers=1", "--spec={specs}/overflow.json"],
+            ["scan", "--workers", "0", "--spec={specs}/small.json"],
+            ["scan", "--workers", "-1", "--spec={specs}/small.json"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, argv, capsys, tmp_path):
-        for name, spec in _BAD_SPECS.items():
+        for name, spec in _SPECS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(spec))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would print to stderr too

@@ -17,6 +17,7 @@ from btdesign import (
     Parameters,
     all_pairs,
     classify_m4,
+    core,
     information_matrix,
     kw_check,
     log_det,
@@ -228,6 +229,22 @@ class TestDesign:
             Design(4, np.full(5, 0.2))
         with pytest.raises(ValueError, match="expected 6 weights"):
             Design(4, np.full((2, 3), 1.0 / 6.0))
+
+    @pytest.mark.parametrize("w", [np.ones(3) / 3, {Pair(1, 2): 0.5}], ids=["array", "mapping"])
+    def test_bad_input_is_refused_before_any_pair_table(self, monkeypatch, w):
+        # At m = 10**6 a pair table would hold 5e11 entries.
+        def small_only(table):
+            def guarded(m):
+                if m > 1000:
+                    raise AssertionError(f"built a pair table for m={m}")
+                return table(m)
+
+            return guarded
+
+        monkeypatch.setattr(core, "all_pairs", small_only(core.all_pairs))
+        monkeypatch.setattr(core, "_pair_columns", small_only(core._pair_columns))
+        with pytest.raises(ValueError):
+            Design(10**6, w)
 
     def test_mapping_and_array_agree(self):
         rng = np.random.default_rng(61)
