@@ -19,7 +19,11 @@ same float intensities once more as Fractions, exactly, and certifies as usual.
 
 Classification needs one candidate per kind.  Let a-b-c-d be the path that
 visits the alternatives in descending order of beta (sorted_beta_path; its
-reversal names the same candidates).  classify_m4 tries, in this order:
+reversal names the same candidates).  Everything below but the region
+polynomials depends only on which of the 24 orders beta has, so each order's
+path, path design, missing pairs and relabelings are built once, at import,
+from the same rules (_SORTED_ORDERS); a call sorts beta and reads its row,
+and its labels are the ones the rule gives.  classify_m4 tries, in this order:
 
 1. full support;
 2. the five-point design missing the end pair (a, d);
@@ -82,12 +86,12 @@ from .core import (
     Design,
     Pair,
     Parameters,
-    cholesky_pivots,
-    information_matrix,
+    _derivatives,
     intensity_vector,
+    regression_matrix,
 )
-from .optimality import KW_TOLERANCE, KwCertificate, kw_check
-from .regions import PathDesign, sorted_beta_path
+from .optimality import KW_TOLERANCE, KwCertificate, _certificate, kw_check
+from .regions import PathDesign, _descending_order
 
 Scalar = Union[float, np.ndarray, Fraction]
 # Six intensities in _PAIRS4 order: floats, ndarray columns or Fractions.
@@ -355,8 +359,64 @@ def _four_point_tau(missing1: Pair, missing2: Pair) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _certify(design: Design, params: Parameters, what: str) -> KwCertificate:
-    cert = kw_check(design, params, tolerance=KW_TOLERANCE)
+class _SortedOrder:
+    """The candidates of one descending order of beta_full, the sorted path a-b-c-d.
+
+    Each closed-form candidate is (missing pairs, tau): five_point misses
+    (a, d), and four_ac or four_bd misses (a, d) and the wider two-step pair,
+    (a, c) or (b, d).  positions holds the 0-based a, b, c, d that decide
+    which of the two is wider.  design is the path's equal-weight design,
+    shared by every call and read-only.
+    """
+
+    __slots__ = ("path", "design", "positions", "five_point", "four_ac", "four_bd")
+
+    def __init__(self, order: tuple[int, ...]) -> None:
+        self.path = PathDesign(tuple(v + 1 for v in order))
+        self.design = self.path.design()
+        a, b, c, d = self.path.order
+        self.positions = (a - 1, b - 1, c - 1, d - 1)
+        end = Pair(a, d)
+        self.five_point = (end,), _five_point_tau(end)
+        four_point = []
+        for wider in (Pair(a, c), Pair(b, d)):
+            missing = tuple(sorted((end, wider)))
+            four_point.append((missing, _four_point_tau(*missing)))
+        self.four_ac, self.four_bd = four_point
+
+
+def _sorted_orders() -> dict[tuple[int, ...], _SortedOrder]:
+    """One row per order of four alternatives, keyed by regions._descending_order.
+
+    An order and its reversal name the same path, so they share a row.
+    """
+    rows = {}
+    for order in itertools.permutations(range(4)):
+        if order[0] < order[-1]:
+            rows[order] = rows[order[::-1]] = _SortedOrder(order)
+    return rows
+
+
+_SORTED_ORDERS = _sorted_orders()
+
+
+def _describe(kind: RegionKind, missing: tuple[Pair, ...], path: PathDesign | None) -> str:
+    """The name of a candidate in error messages."""
+    if kind is RegionKind.FULL_SUPPORT:
+        return "full-support formula"
+    if kind is RegionKind.SATURATED:
+        return f"saturated region of path {path.order}"
+    points = "five" if kind is RegionKind.FIVE_POINT else "four"
+    return f"{points}-point formula missing " + ", ".join(map(repr, missing))
+
+
+def _certify(design: Design, params: Parameters, what: Callable[[], str]) -> KwCertificate:
+    """kw_check of the candidate from one factorization of M, widened where M's conditioning demands.
+
+    what names the candidate; it is called only when the certificate fails.
+    """
+    found = _derivatives(design.w, params.intensities, regression_matrix(params.m))
+    cert = _certificate(found, params.m, KW_TOLERANCE)
     if cert.is_optimal:
         return cert
     if cert.singular:
@@ -364,7 +424,7 @@ def _certify(design: Design, params: Parameters, what: str) -> KwCertificate:
         # its own intensities sit below the pivot threshold: the point is
         # outside the range where any certificate can be evaluated.
         raise ClassificationError(
-            f"the information matrix of the {what} candidate at beta={params.beta} "
+            f"the information matrix of the {what()} candidate at beta={params.beta} "
             "is singular at the pivot threshold; the point is beyond the "
             "numerically certifiable range"
         )
@@ -372,50 +432,46 @@ def _certify(design: Design, params: Parameters, what: str) -> KwCertificate:
     # resolved sharper than the conditioning of M allows; at extreme
     # parameters (some intensities near zero) the strict tolerance is below
     # that floor.  A transcription bug shows O(1) violations, far above it.
-    floor = 16.0 * float(np.finfo(float).eps) * _condition_estimate(design, params)
-    if cert.max_violation <= max(KW_TOLERANCE, floor):
-        return kw_check(design, params, tolerance=max(KW_TOLERANCE, floor))
+    # cond(M) is estimated by the squared pivot ratio of the factor L the
+    # certificate already made.
+    pivots = found[2].diagonal()
+    floor = 16.0 * float(np.finfo(float).eps) * float((pivots.max() / pivots.min()) ** 2)
+    tolerance = max(KW_TOLERANCE, floor)
+    if cert.max_violation <= tolerance:
+        return _certificate(found, params.m, tolerance)
     raise ConsistencyError(
-        f"{what} claimed optimality at beta={params.beta} but the certificate "
+        f"{what()} claimed optimality at beta={params.beta} but the certificate "
         f"shows violation {cert.max_violation:.3e}"
     )
 
 
-def _condition_estimate(design: Design, params: Parameters) -> float:
-    """Squared pivot ratio of M; callers have ruled out a singular M."""
-    d = np.diag(cholesky_pivots(information_matrix(design, params)))
-    return float((d.max() / d.min()) ** 2)
-
-
 def _candidates(
     params: Parameters, lam: Intensities
-) -> Iterator[tuple[RegionKind, Design | None, tuple[Pair, ...], PathDesign | None, str]]:
+) -> Iterator[tuple[RegionKind, Design | None, tuple[Pair, ...], PathDesign | None]]:
     """The one candidate of each kind, largest support first, each built when reached.
 
-    Yields (kind, design or None outside its region, missing pairs, path,
-    description); the module docstring says why no other candidate is needed.
+    Yields (kind, design or None outside its region, missing pairs, path);
+    the module docstring says why no other candidate is needed.  Everything
+    but the region polynomials is read from the row of beta's descending
+    order in _SORTED_ORDERS.
     """
-    design = _closed_form_design(full_support_raw, (1, 2, 3, 4), lam)
-    yield RegionKind.FULL_SUPPORT, design, (), None, "full-support formula"
-    path = sorted_beta_path(params)
-    a, b, c, d = path.order
-    end = Pair(a, d)
-    design = _closed_form_design(five_point_raw, _five_point_tau(end), lam)
-    yield RegionKind.FIVE_POINT, design, (end,), None, f"five-point formula missing {end}"
+    yield RegionKind.FULL_SUPPORT, _closed_form_design(full_support_raw, (1, 2, 3, 4), lam), (), None
     beta = (*params.beta, 0.0)
-    wider = Pair(a, c) if abs(beta[a - 1] - beta[c - 1]) >= abs(beta[b - 1] - beta[d - 1]) else Pair(b, d)
-    missing = tuple(sorted((end, wider)))
-    what = "four-point formula missing {}, {}".format(*missing)
-    design = _closed_form_design(four_point_shared_raw, _four_point_tau(*missing), lam)
-    yield RegionKind.FOUR_POINT_SHARED_VERTEX, design, missing, None, what
-    design = path.design() if all(v <= 0.0 for v in saturated_inequality_values(path, lam)) else None
-    yield RegionKind.SATURATED, design, (), path, f"saturated region of path {path.order}"
+    row = _SORTED_ORDERS[tuple(_descending_order(beta))]
+    missing, tau = row.five_point
+    yield RegionKind.FIVE_POINT, _closed_form_design(five_point_raw, tau, lam), missing, None
+    a, b, c, d = row.positions
+    missing, tau = row.four_ac if abs(beta[a] - beta[c]) >= abs(beta[b] - beta[d]) else row.four_bd
+    yield RegionKind.FOUR_POINT_SHARED_VERTEX, _closed_form_design(four_point_shared_raw, tau, lam), missing, None
+    inside = all(v <= 0.0 for v in saturated_inequality_values(row.path, lam))
+    yield RegionKind.SATURATED, row.design if inside else None, (), row.path
 
 
 def _first_certified(params: Parameters, lam: Intensities) -> RegionLabel | None:
-    for kind, design, missing, path, what in _candidates(params, lam):
+    for kind, design, missing, path in _candidates(params, lam):
         if design is not None:
-            return RegionLabel(kind, design, _certify(design, params, what), missing, path)
+            cert = _certify(design, params, lambda: _describe(kind, missing, path))
+            return RegionLabel(kind, design, cert, missing, path)
     return None
 
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -94,10 +95,19 @@ class PathDesign:
         return cls(tuple(range(1, m + 1)))
 
 
+def _descending_order(beta_full: Sequence[float]) -> list[int]:
+    """0-based indices of beta_full from largest to smallest value, ties by index.
+
+    The one definition of "descending order of beta": the order of
+    np.argsort(-beta_full, kind="stable"), so -0.0 ties with 0.0 and equal
+    values keep their index order.
+    """
+    return sorted(range(len(beta_full)), key=beta_full.__getitem__, reverse=True)
+
+
 def sorted_beta_path(params: Parameters) -> PathDesign:
     """The only path whose region can contain beta (see the module docstring)."""
-    order = np.argsort(-params.beta_full(), kind="stable") + 1
-    return PathDesign(tuple(order))
+    return PathDesign(tuple(v + 1 for v in _descending_order((*params.beta, 0.0))))
 
 
 @dataclass(frozen=True)

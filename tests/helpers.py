@@ -67,6 +67,20 @@ def count_intensity_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def count_constructions(monkeypatch) -> dict[str, int]:
+    """Count PathDesign and Design objects built from here on, by class name."""
+    built = {"PathDesign": 0, "Design": 0}
+    for cls in (PathDesign, Design):
+        original = cls.__post_init__
+
+        def counted(self, original=original, name=cls.__name__):
+            built[name] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
 def count_derivative_calls(monkeypatch) -> list[int]:
     """Count calls of core._derivatives from solver and optimality from here on, in a one-item list."""
     calls = [0]

@@ -1,6 +1,7 @@
 """Closed-form m=4 designs: weight formulas, regions, classifier, scans."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btdesign import (
+    ClassificationError,
+    ConsistencyError,
     Design,
     Pair,
     Parameters,
@@ -38,11 +41,13 @@ from btdesign.four_alt import (
     saturated_inequality_values,
 )
 from btdesign.graphs import Permutation, apply_to_params
-from btdesign.optimality import KW_TOLERANCE
-from btdesign.regions import PathDesign
+from btdesign.optimality import KW_TOLERANCE, KwCertificate
+from btdesign.regions import PathDesign, sorted_beta_path
 
 from helpers import (
     classify_by_pattern_search,
+    count_constructions,
+    count_factorizations,
     count_intensity_calls,
     geometric_params,
     line_params,
@@ -481,10 +486,50 @@ class TestClassify:
                 assert certificate.is_optimal and certificate.tolerance == KW_TOLERANCE, beta
 
     def test_beyond_certifiable_range_raises(self):
-        from btdesign import ClassificationError
-
-        with pytest.raises(ClassificationError):
+        message = (
+            "the information matrix of the four-point formula missing (1,4), (2,4) candidate at "
+            "beta=(40.0, 40.0, 40.0) is singular at the pivot threshold; the point is beyond the "
+            "numerically certifiable range"
+        )
+        with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
             classify_m4(Parameters(4, (40.0, 40.0, 40.0)))
+
+    @pytest.mark.parametrize(
+        "t,what",
+        [
+            (1.0, "full-support formula"),
+            (1.7, "five-point formula missing (3,4)"),
+            (2.5, "four-point formula missing (1,4), (3,4)"),
+            (3.5, "saturated region of path (3, 1, 2, 4)"),
+        ],
+    )
+    def test_failed_certificate_names_the_candidate(self, t, what, monkeypatch):
+        # A certificate that reports a violation far above every tolerance.
+        def violated(found, m, tolerance):
+            return KwCertificate(found[0] - (m - 1), 0.5, False, tolerance)
+
+        monkeypatch.setattr(four_alt, "_certificate", violated)
+        params = line_params(t)
+        message = f"{what} claimed optimality at beta={params.beta} but the certificate shows violation 5.000e-01"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            classify_m4(params)
+
+    def test_one_factorization_at_a_widened_point(self, monkeypatch):
+        factorizations = count_factorizations(monkeypatch)
+        certificate = classify_m4(Parameters(4, (25.0, 25.0, 25.0))).certificate
+        assert certificate.is_optimal and certificate.tolerance > KW_TOLERANCE
+        assert factorizations == [1]
+
+    @pytest.mark.parametrize(
+        "t,designs", [(1.0, 1), (1.7, 1), (2.5, 1), (3.5, 0)], ids=["full", "five", "four", "saturated"]
+    )
+    def test_objects_built_per_call(self, t, designs, monkeypatch):
+        # Paths and path designs come from the table of sorted orders; only
+        # a closed-form candidate inside its region builds a Design.
+        params = line_params(t)
+        built = count_constructions(monkeypatch)
+        classify_m4(params)
+        assert built == {"PathDesign": 0, "Design": designs}
 
     def test_no_failures_near_region_boundaries(self):
         # Straddle each kind transition on the line at 1e-9 resolution: a
@@ -537,6 +582,18 @@ def _tied_two_step_gaps(draw) -> Parameters:
 
 class TestSortedPathCandidates:
     """classify_m4's one candidate per kind against the search over all patterns."""
+
+    def test_table_rows_match_the_sorted_path(self):
+        # One point per order of beta_full, no ties: its row holds the
+        # sorted-beta path and that path's own design.
+        assert len(four_alt._SORTED_ORDERS) == 24
+        for order, row in four_alt._SORTED_ORDERS.items():
+            beta_full = np.empty(4)
+            beta_full[list(order)] = [3.0, 2.0, 1.0, 0.0]
+            params = Parameters(4, tuple(beta_full[:3] - beta_full[3]))
+            assert row.path == sorted_beta_path(params)
+            assert row.design.w.tobytes() == row.path.design().w.tobytes()
+            assert not row.design.w.flags.writeable
 
     @given(st.one_of(uniform_m4_points(), tied_m4_points(), _tied_two_step_gaps()))
     @settings(max_examples=600, deadline=None)

@@ -1,5 +1,7 @@
 """Saturated path regions: the g inequalities and membership scans."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from btdesign import (
 from btdesign.four_alt import saturated_inequality_values
 from btdesign.core import all_pairs, intensity_vector
 from btdesign.graphs import enumerate_spanning_trees, is_path, support_graph
-from btdesign.regions import PathDesign, path_g_values, sorted_beta_path
+from btdesign.regions import PathDesign, _descending_order, path_g_values, sorted_beta_path
 
 from helpers import (
     geometric_params,
@@ -242,6 +244,21 @@ class TestSortedPathMatchesEnumeration:
         assert enumerated_paths_containing(params) == ([] if found is None else [found[0].order])
         if len(set(params.beta_full())) < params.m:  # a tie lies in no path region
             assert found is None
+
+
+class TestDescendingOrder:
+    """_descending_order, the one definition of "descending order of beta", is a stable argsort."""
+
+    # Equal coordinates, coordinates equal to the control's 0, and -0.0.
+    TIES = (-1.0, -0.0, 0.0, 2.5)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_stable_argsort_on_ties(self, m):
+        for beta in itertools.product(self.TIES, repeat=m - 1):
+            beta_full = (*beta, 0.0)
+            want = np.argsort(-np.array(beta_full), kind="stable").tolist()
+            assert _descending_order(beta_full) == want, beta_full
+            assert sorted_beta_path(Parameters(m, beta)) == PathDesign(tuple(v + 1 for v in want))
 
 
 class TestRegionPrecision:
