@@ -325,16 +325,15 @@ def _answer(params: Parameters) -> tuple[RegionLabel, SolverResult | None]:
     """The design at beta with its certificate, from the first route that applies.
 
     The m = 4 closed forms; else the sorted-beta path when beta is in its
-    region, checked by kw_check; else the solver, whose answer is the
-    unsaturated kind and comes with its SolverResult.
+    region, certified from the region's own g values; else the solver, whose
+    answer is the unsaturated kind and comes with its SolverResult.
     """
     if params.m == 4:
         return classify_m4(params), None
     found = find_optimal_saturated(params)
     if found is not None:
-        path = found[0]
-        design = path.design()
-        return RegionLabel(RegionKind.SATURATED, design, kw_check(design, params), path=path), None
+        path, membership = found
+        return RegionLabel(RegionKind.SATURATED, path.design(), membership.certificate, path=path), None
     result = solve(params)
     return RegionLabel(RegionKind.UNSATURATED, result.design, result.certificate), result
 
@@ -513,3 +512,7 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

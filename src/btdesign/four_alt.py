@@ -10,12 +10,19 @@ numerators over a common denominator that equals their sum, plus one slack
 polynomial per missing pair.  A point is in the region exactly when every
 numerator is nonzero with one common sign and every slack is >= 0.
 
-Every closed-form design returned here is re-verified with the equivalence
-theorem before being handed out; a formula that fails its own certificate
-raises ConsistencyError instead of returning a wrong design.  Near symmetric
-points, such as beta = (-12, -12, 0), the float polynomials cancel; when the
-float pass finds no region or fails a certificate, classify_m4 evaluates the
-same float intensities once more as Fractions, exactly, and certifies as usual.
+Every design returned here is re-verified with the equivalence theorem
+before being handed out; a formula that fails its own certificate raises
+ConsistencyError instead of returning a wrong design.  A closed-form design
+is certified through its information matrix M, as kw_check does.  The
+saturated path is certified by the tree identity of the regions module,
+derivative 3 (g - 1), summed from the intensities without M: it is never
+singular and never widened, and since the region test evaluates the
+polynomials below, not g, the certificate still cross-checks that test.
+kw_check, solve and the CLI's verify and optimize still factor M.  Near
+symmetric points, such as beta = (-12, -12, 0), the float polynomials
+cancel; when the float pass finds no region or fails a certificate,
+classify_m4 evaluates the same float intensities once more as Fractions,
+exactly, and certifies as usual.
 
 Classification needs one candidate per kind.  Let a-b-c-d be the path that
 visits the alternatives in descending order of beta (sorted_beta_path; its
@@ -62,7 +69,7 @@ strictly concave in M, and w -> M is injective), so the start changes
 only how soon solve gets there, never which support it certifies.  The
 search stays as the test oracle (tests/helpers.classify_by_pattern_search).
 A point where the rule failed would raise ClassificationError; it could
-never return an uncertified design, because every label passes kw_check.
+never return an uncertified design, because every label passes its certificate.
 
 Four-point designs whose two missing pairs are disjoint carry no known
 optimality region; search_disjoint_four_point probes that system
@@ -366,10 +373,11 @@ class _SortedOrder:
     (a, d), and four_ac or four_bd misses (a, d) and the wider two-step pair,
     (a, c) or (b, d).  positions holds the 0-based a, b, c, d that decide
     which of the two is wider.  design is the path's equal-weight design,
-    shared by every call and read-only.
+    shared by every call and read-only.  between pairs each of the three
+    non-edge columns with the columns of the path edges between its ends.
     """
 
-    __slots__ = ("path", "design", "positions", "five_point", "four_ac", "four_bd")
+    __slots__ = ("path", "design", "positions", "five_point", "four_ac", "four_bd", "between")
 
     def __init__(self, order: tuple[int, ...]) -> None:
         self.path = PathDesign(tuple(v + 1 for v in order))
@@ -383,6 +391,26 @@ class _SortedOrder:
             missing = tuple(sorted((end, wider)))
             four_point.append((missing, _four_point_tau(*missing)))
         self.four_ac, self.four_bd = four_point
+        order = self.path.order
+
+        def column(x: int, y: int) -> int:  # of the pair at path positions x and y
+            return _PAIRS4.index(Pair(order[x], order[y]))
+
+        self.between = tuple(
+            (column(x, y), tuple(column(k, k + 1) for k in range(x, y))) for x, y in ((0, 2), (1, 3), (0, 3))
+        )
+
+    def path_values(self, lam: Intensities) -> tuple[np.ndarray]:
+        """lambda f^T M^{-1} f of the path's design for every pair, from the tree identity.
+
+        That is 3 g: exactly 3 on an edge, 3 lambda_c sum(1 / lambda_e)
+        over the edges e between the ends of any other pair c, in floats or
+        exactly in Fractions.  Shaped as optimality._certificate takes it.
+        """
+        values = [3.0] * 6
+        for c, edges in self.between:
+            values[c] = float(3 * lam[c] * sum(1 / lam[e] for e in edges))
+        return (np.array(values),)
 
 
 def _sorted_orders() -> dict[tuple[int, ...], _SortedOrder]:
@@ -410,12 +438,13 @@ def _describe(kind: RegionKind, missing: tuple[Pair, ...], path: PathDesign | No
     return f"{points}-point formula missing " + ", ".join(map(repr, missing))
 
 
-def _certify(design: Design, params: Parameters, what: Callable[[], str]) -> KwCertificate:
-    """kw_check of the candidate from one factorization of M, widened where M's conditioning demands.
+def _certify(found: Sequence[np.ndarray] | None, params: Parameters, what: Callable[[], str]) -> KwCertificate:
+    """The candidate's certificate from its directional values, widened where M's conditioning demands.
 
-    what names the candidate; it is called only when the certificate fails.
+    found is a core._derivatives result, or the saturated path's values from
+    _SortedOrder.path_values.  what names the candidate; it is called only
+    when the certificate fails.
     """
-    found = _derivatives(design.w, params.intensities, regression_matrix(params.m))
     cert = _certificate(found, params.m, KW_TOLERANCE)
     if cert.is_optimal:
         return cert
@@ -428,17 +457,18 @@ def _certify(design: Design, params: Parameters, what: Callable[[], str]) -> KwC
             "is singular at the pivot threshold; the point is beyond the "
             "numerically certifiable range"
         )
-    # The directional values are computed through M^{-1}, so they cannot be
-    # resolved sharper than the conditioning of M allows; at extreme
-    # parameters (some intensities near zero) the strict tolerance is below
-    # that floor.  A transcription bug shows O(1) violations, far above it.
-    # cond(M) is estimated by the squared pivot ratio of the factor L the
-    # certificate already made.
-    pivots = found[2].diagonal()
-    floor = 16.0 * float(np.finfo(float).eps) * float((pivots.max() / pivots.min()) ** 2)
-    tolerance = max(KW_TOLERANCE, floor)
-    if cert.max_violation <= tolerance:
-        return _certificate(found, params.m, tolerance)
+    # Directional values computed through M^{-1} cannot be resolved sharper
+    # than the conditioning of M allows; at extreme parameters (some
+    # intensities near zero) the strict tolerance is below that floor.  A
+    # transcription bug shows O(1) violations, far above it.  cond(M) is
+    # estimated by the squared pivot ratio of the factor L the evaluation
+    # already made.  The path's values come without M, hence without L, and
+    # are never widened.
+    if len(found) == 3:
+        pivots = found[2].diagonal()
+        floor = 16.0 * float(np.finfo(float).eps) * float((pivots.max() / pivots.min()) ** 2)
+        if cert.max_violation <= floor:
+            return _certificate(found, params.m, floor)
     raise ConsistencyError(
         f"{what()} claimed optimality at beta={params.beta} but the certificate "
         f"shows violation {cert.max_violation:.3e}"
@@ -447,30 +477,34 @@ def _certify(design: Design, params: Parameters, what: Callable[[], str]) -> KwC
 
 def _candidates(
     params: Parameters, lam: Intensities
-) -> Iterator[tuple[RegionKind, Design | None, tuple[Pair, ...], PathDesign | None]]:
+) -> Iterator[tuple[RegionKind, Design | None, tuple[Pair, ...], PathDesign | None, tuple[np.ndarray] | None]]:
     """The one candidate of each kind, largest support first, each built when reached.
 
-    Yields (kind, design or None outside its region, missing pairs, path);
-    the module docstring says why no other candidate is needed.  Everything
-    but the region polynomials is read from the row of beta's descending
-    order in _SORTED_ORDERS.
+    Yields (kind, design or None outside its region, missing pairs, path,
+    directional values); the values come with the saturated path only, and
+    every closed form is evaluated through M.  The module docstring says why
+    no other candidate is needed.  Everything but the region polynomials is
+    read from the row of beta's descending order in _SORTED_ORDERS.
     """
-    yield RegionKind.FULL_SUPPORT, _closed_form_design(full_support_raw, (1, 2, 3, 4), lam), (), None
+    yield RegionKind.FULL_SUPPORT, _closed_form_design(full_support_raw, (1, 2, 3, 4), lam), (), None, None
     beta = (*params.beta, 0.0)
     row = _SORTED_ORDERS[tuple(_descending_order(beta))]
     missing, tau = row.five_point
-    yield RegionKind.FIVE_POINT, _closed_form_design(five_point_raw, tau, lam), missing, None
+    yield RegionKind.FIVE_POINT, _closed_form_design(five_point_raw, tau, lam), missing, None, None
     a, b, c, d = row.positions
     missing, tau = row.four_ac if abs(beta[a] - beta[c]) >= abs(beta[b] - beta[d]) else row.four_bd
-    yield RegionKind.FOUR_POINT_SHARED_VERTEX, _closed_form_design(four_point_shared_raw, tau, lam), missing, None
-    inside = all(v <= 0.0 for v in saturated_inequality_values(row.path, lam))
-    yield RegionKind.SATURATED, row.design if inside else None, (), row.path
+    design = _closed_form_design(four_point_shared_raw, tau, lam)
+    yield RegionKind.FOUR_POINT_SHARED_VERTEX, design, missing, None, None
+    if all(v <= 0.0 for v in saturated_inequality_values(row.path, lam)):
+        yield RegionKind.SATURATED, row.design, (), row.path, row.path_values(lam)
 
 
 def _first_certified(params: Parameters, lam: Intensities) -> RegionLabel | None:
-    for kind, design, missing, path in _candidates(params, lam):
+    for kind, design, missing, path, found in _candidates(params, lam):
         if design is not None:
-            cert = _certify(design, params, lambda: _describe(kind, missing, path))
+            if found is None:
+                found = _derivatives(design.w, params.intensities, regression_matrix(params.m))
+            cert = _certify(found, params, lambda: _describe(kind, missing, path))
             return RegionLabel(kind, design, cert, missing, path)
     return None
 

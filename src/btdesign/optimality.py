@@ -12,6 +12,7 @@ every direction and returns the result as a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -63,11 +64,13 @@ def kw_check(design: Design, params: Parameters, tolerance: float = KW_TOLERANCE
     return _certificate(found, params.m, tolerance)
 
 
-def _certificate(found: tuple[np.ndarray, np.ndarray, np.ndarray] | None, m: int, tolerance: float) -> KwCertificate:
-    """The certificate for a core._derivatives result at a design; None means M is singular.
+def _certificate(found: Sequence[np.ndarray] | None, m: int, tolerance: float) -> KwCertificate:
+    """The certificate from a design's directional values; None means M is singular.
 
-    kw_check and solve both certify through here, so solve's certificate is
-    kw_check of its design without a second evaluation.
+    found[0] holds lambda f^T M^{-1} f for every pair: a core._derivatives
+    result, or a saturated path's (m - 1) g from the tree identity (see the
+    regions module docstring).  Every certificate is made here, so solve's
+    is kw_check of its design without a second evaluation.
     """
     if found is None:
         return KwCertificate(np.empty(0), float("inf"), False, tolerance, singular=True)

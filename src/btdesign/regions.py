@@ -45,6 +45,18 @@ catastrophically: an early edge with a tiny intensity makes every later c
 huge, and the difference of two huge numbers loses the small terms between
 them.  At m = 4, beta = (100, 2, 1), that form gives margin -0.63 ("inside")
 where the true margin is +0.068.
+
+Certificate.  On the path's design, weight 1/(m-1) on each edge, M is the
+Laplacian of the path grounded at the control, with edge conductances
+lambda_k / (m-1).  So lambda_ij f^T M^{-1} f is lambda_ij times the
+effective resistance between i and j (Ghosh, Boyd & Saberi 2008), and on a
+tree that resistance is the sum of (m-1) / lambda_k along the path between
+them: the equivalence-theorem derivative toward (i, j) is exactly
+(m-1)(g(i, j) - 1).  region_membership builds the design's certificate from
+the same g it tests, with no factorization of M: edges read exactly 0, and
+the certificate is never singular and never needs a widened tolerance.
+kw_check, solve and the CLI's verify and optimize still factor M, so they
+remain an independent check of this identity.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Design, Pair, Parameters, _pair_columns
+from .optimality import KW_TOLERANCE, KwCertificate, _certificate
 
 
 @dataclass(frozen=True)
@@ -116,11 +129,14 @@ class RegionMembership:
 
     margin is the largest g - 1 over the non-edge pairs, 0 when there are
     none (edges give exactly 1); the point is inside exactly when margin <= 0.
+    certificate is the equivalence-theorem certificate of the path's design
+    at the point, built from the same g (see the module docstring).
     """
 
     path: PathDesign
     inside: bool
     margin: float
+    certificate: KwCertificate
 
 
 @lru_cache(maxsize=None)
@@ -156,10 +172,13 @@ def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
 
 
 def region_membership(path: PathDesign, params: Parameters) -> RegionMembership:
-    """Evaluate all non-edge inequalities of the path's region at beta."""
-    g = np.delete(path_g_values(path, params.intensities), path._edge_columns())  # edges give exactly 1
-    margin = (float(g.max()) if g.size else 1.0) - 1.0
-    return RegionMembership(path=path, inside=margin <= 0.0, margin=margin)
+    """Evaluate all non-edge inequalities of the path's region at beta, and certify the path's design from them."""
+    g = path_g_values(path, params.intensities)
+    off = np.delete(g, path._edge_columns())  # edges give exactly 1
+    margin = (float(off.max()) if off.size else 1.0) - 1.0
+    # lambda f^T M^{-1} f = (m - 1) g on the path's design, so edges certify at exactly 0.
+    certificate = _certificate(((path.m - 1) * g,), path.m, KW_TOLERANCE)
+    return RegionMembership(path=path, inside=margin <= 0.0, margin=margin, certificate=certificate)
 
 
 def find_optimal_saturated(params: Parameters) -> tuple[PathDesign, RegionMembership] | None:

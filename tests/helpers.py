@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -228,6 +229,24 @@ def region_margin_by_direct_sums(path: PathDesign, params: Parameters) -> float:
         for b in range(a + 2, params.m)
     ]
     return max(g, default=1.0) - 1.0
+
+
+def exact_path_derivatives(path: PathDesign, params: Parameters) -> list[Fraction]:
+    """(m - 1)(g(i, j) - 1) for every pair in all_pairs order, exact over the float intensities.
+
+    The reference for path certificates: by the tree identity these are the
+    KW derivatives of the path's design at those intensities.  Each g is
+    summed on its own, in Fractions.
+    """
+    m = params.m
+    lam = dict(zip(all_pairs(m), map(Fraction, params.intensities.tolist())))
+    order, position = path.order, {v: k for k, v in enumerate(path.order)}
+
+    def g(pair: Pair) -> Fraction:
+        a, b = sorted((position[pair.i], position[pair.j]))
+        return lam[pair] * sum(1 / lam[Pair(order[k], order[k + 1])] for k in range(a, b))
+
+    return [(m - 1) * (g(pair) - 1) for pair in all_pairs(m)]
 
 
 def ordered_regression_vector(a: int, b: int, m: int) -> np.ndarray:

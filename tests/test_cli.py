@@ -4,13 +4,18 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import btdesign
 from btdesign import (
     Design,
     Pair,
@@ -29,7 +34,7 @@ from btdesign import (
 from btdesign.cli import MAX_POINTS, CliError, ScanAxis, ScanSpec, build_parser, main, run_scan
 from btdesign.core import SUPPORT_THRESHOLD
 
-from helpers import sample_in_path_region
+from helpers import exact_path_derivatives, sample_in_path_region
 
 
 def run(argv):
@@ -210,12 +215,18 @@ class TestClassify:
         assert report["margin"] < 0.0
 
     @pytest.mark.parametrize("m,beta", [(3, "40,40"), (5, "120,80,40,40")])
-    def test_uncertified_path_is_not_optimal(self, m, beta, capsys):
+    def test_tied_path_certifies_by_the_tree_identity(self, m, beta, capsys):
+        # Ties about 40 apart leave M too ill-conditioned for the pivot test,
+        # but the path's certificate comes from g, not from M: its exact
+        # violation, about 1e-16, is far below the tolerance.
         rc, report = run_json(["classify", "--m", str(m), f"--beta={beta}"])
-        assert rc == 1
+        assert rc == 0 and capsys.readouterr().err == ""
         assert report["kind"] == "saturated"
-        assert not report["certificate"]["is_optimal"]
-        assert "error:" in capsys.readouterr().err
+        assert report["certificate"]["is_optimal"]
+        params = Parameters(m, tuple(float(b) for b in beta.split(",")))
+        exact = max(exact_path_derivatives(PathDesign(tuple(report["path"])), params))
+        assert 0 < exact < 1e-15
+        assert abs(report["certificate"]["max_violation"] - exact) <= 1e-14
 
     def test_solver_fallback_tail_point_converges(self):
         # An m=7 point outside every path region whose solve once ran into
@@ -227,11 +238,23 @@ class TestClassify:
         assert report["converged"] and report["certificate"]["is_optimal"]
 
 
+class TestRunAsModule:
+    def test_python_m_prints_one_report(self):
+        # python -m btdesign.cli runs the same main as the btdesign script.
+        src = str(Path(btdesign.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = [sys.executable, "-m", "btdesign.cli", "classify", "--m", "4", "--beta=0.5,0.25,-0.5"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stdout.splitlines()
+        assert json.loads(line)["certificate"]["is_optimal"]
+
+
 # Every classify route: the closed forms at m = 4, the sorted-beta path, and
 # the solver, whose supports below are all pairs, a strict subset, or both.
 _ROUTES = [
     (2, "0", "saturated"),
-    (3, "40,40", "saturated"),  # singular certificate: no margin
+    (3, "40,40", "saturated"),  # M is singular at the pivot test; the path's certificate needs no M
     (4, "0,0,0", "full-support"),
     (4, "1.7,0.85,2.125", "five-point"),
     (4, "2.5,1.25,3.125", "four-point-shared-vertex"),

@@ -41,7 +41,7 @@ from btdesign.four_alt import (
     saturated_inequality_values,
 )
 from btdesign.graphs import Permutation, apply_to_params
-from btdesign.optimality import KW_TOLERANCE, KwCertificate
+from btdesign.optimality import KW_TOLERANCE, KwCertificate, _certificate
 from btdesign.regions import PathDesign, sorted_beta_path
 
 from helpers import (
@@ -49,6 +49,7 @@ from helpers import (
     count_constructions,
     count_factorizations,
     count_intensity_calls,
+    exact_path_derivatives,
     geometric_params,
     line_params,
     path_orders,
@@ -514,6 +515,40 @@ class TestClassify:
         with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
             classify_m4(params)
 
+    def test_failed_saturated_certificate_is_retried_exactly(self, monkeypatch):
+        # The float pass's path certificate fails; the Fraction pass certifies.
+        calls = []
+
+        def violated_once(found, m, tolerance):
+            calls.append(tolerance)
+            if len(calls) == 1:
+                return KwCertificate(found[0] - (m - 1), 0.5, False, tolerance)
+            return _certificate(found, m, tolerance)
+
+        monkeypatch.setattr(four_alt, "_certificate", violated_once)
+        label = classify_m4(line_params(3.5))
+        assert label.kind is RegionKind.SATURATED and label.certificate.is_optimal
+        assert calls == [KW_TOLERANCE, KW_TOLERANCE]
+
+    def test_saturated_certificate_factors_nothing(self, monkeypatch):
+        factorizations = count_factorizations(monkeypatch)
+        label = classify_m4(line_params(3.5))
+        assert label.kind is RegionKind.SATURATED and label.certificate.is_optimal
+        assert factorizations == [0]
+
+    def test_saturated_certificates_are_never_widened(self):
+        rng = np.random.default_rng(167)
+        saturated = 0
+        for _ in range(300):
+            try:
+                label = classify_m4(random_params(rng, 4, scale=40.0))
+            except ClassificationError:
+                continue
+            if label.kind is RegionKind.SATURATED:
+                saturated += 1
+                assert label.certificate.tolerance == KW_TOLERANCE and not label.certificate.singular
+        assert saturated > 100
+
     def test_one_factorization_at_a_widened_point(self, monkeypatch):
         factorizations = count_factorizations(monkeypatch)
         certificate = classify_m4(Parameters(4, (25.0, 25.0, 25.0))).certificate
@@ -594,6 +629,21 @@ class TestSortedPathCandidates:
             assert row.path == sorted_beta_path(params)
             assert row.design.w.tobytes() == row.path.design().w.tobytes()
             assert not row.design.w.flags.writeable
+
+    def test_path_values_are_the_exact_tree_identity(self):
+        # Each row's path at points in its own order, |beta| <= 40: the
+        # certificate's derivatives 3 (g - 1), in floats and in Fractions.
+        rng = np.random.default_rng(173)
+        for order, row in four_alt._SORTED_ORDERS.items():
+            for _ in range(25):
+                beta_full = np.empty(4)
+                beta_full[list(order)] = np.sort(rng.uniform(-20.0, 20.0, 4))[::-1]
+                params = Parameters(4, tuple(beta_full[:3] - beta_full[3]))
+                lam = params.intensities.tolist()
+                exact = exact_path_derivatives(row.path, params)
+                for values in (lam, [Fraction(x) for x in lam]):
+                    (found,) = row.path_values(values)
+                    assert max(abs(x - 3 - y) for x, y in zip(found.tolist(), exact)) <= 1e-14, params.beta
 
     @given(st.one_of(uniform_m4_points(), tied_m4_points(), _tied_two_step_gaps()))
     @settings(max_examples=600, deadline=None)

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btdesign import (
+    KW_TOLERANCE,
     Design,
     Pair,
     Parameters,
     apply_to_params,
+    cli,
     find_optimal_saturated,
     kw_check,
     region_membership,
@@ -23,6 +25,8 @@ from btdesign.graphs import enumerate_spanning_trees, is_path, support_graph
 from btdesign.regions import PathDesign, _descending_order, path_g_values, sorted_beta_path
 
 from helpers import (
+    count_factorizations,
+    exact_path_derivatives,
     geometric_params,
     line_params,
     path_orders,
@@ -88,7 +92,8 @@ class TestGValue:
         # (Ghosh, Boyd & Saberi 2008).  On a path each edge conducts
         # lambda / (m - 1), so R_ij = (m - 1) sum 1/lambda over the edges
         # between i and j, and the KW derivative lambda_ij R_ij - (m - 1)
-        # is (m - 1)(g(i, j) - 1).
+        # is (m - 1)(g(i, j) - 1).  region_membership's certificate is built
+        # on this identity, so it must read as kw_check does.
         rng = np.random.default_rng(311)
         for _ in range(300):
             m = int(rng.integers(3, 13))
@@ -97,6 +102,8 @@ class TestGValue:
             derivatives = kw_check(path.design(), params).derivatives
             want = (m - 1) * (path_g_values(path, params.intensities) - 1.0)
             assert (np.abs(derivatives - want) <= 1e-9 * np.maximum(1.0, np.abs(want))).all(), (m, path, params)
+            certified = region_membership(path, params).certificate.derivatives
+            assert (np.abs(certified - derivatives) <= 1e-9 * np.maximum(1.0, np.abs(derivatives))).all()
 
 
 class TestRegionMembership:
@@ -145,6 +152,47 @@ class TestRegionMembership:
                 1 for order in path_orders(4) if region_membership(PathDesign(order), p).margin < -1e-9
             )
             assert strict <= 1
+
+
+class TestPathCertificate:
+    """region_membership's certificate of the path's design, built from g by the tree identity."""
+
+    @staticmethod
+    def assert_exact(path: PathDesign, params: Parameters) -> None:
+        certificate = region_membership(path, params).certificate
+        exact = exact_path_derivatives(path, params)
+        gaps = [abs(x - y) for x, y in zip(certificate.derivatives.tolist(), exact)]
+        assert max(gaps) <= 1e-14, (path.order, params.beta)
+        assert certificate.derivatives[path._edge_columns()].tolist() == [0.0] * (params.m - 1)
+        assert not certificate.singular and certificate.tolerance == KW_TOLERANCE
+        assert certificate.is_optimal == (certificate.max_violation <= KW_TOLERANCE)
+
+    def test_exact_at_every_m4_path(self):
+        # Points whose sorted path is each of the 12 paths in turn, |beta| <= 40.
+        rng = np.random.default_rng(317)
+        for order in path_orders(4):
+            for _ in range(50):
+                values = np.empty(4)
+                values[np.array(order) - 1] = np.sort(rng.uniform(-20.0, 20.0, 4))[::-1]
+                params = Parameters(4, tuple(values[:3] - values[3]))
+                assert sorted_beta_path(params) == PathDesign(order)
+                self.assert_exact(PathDesign(order), params)
+
+    @pytest.mark.parametrize("m", range(5, 9))
+    def test_exact_on_the_sorted_path(self, m):
+        rng = np.random.default_rng(331 + m)
+        for _ in range(200):
+            params = Parameters(m, tuple(rng.uniform(-40.0, 40.0, m - 1)))
+            self.assert_exact(sorted_beta_path(params), params)
+
+    @pytest.mark.parametrize("m", [5, 7, 30])
+    def test_in_region_classify_factors_nothing(self, m, monkeypatch):
+        params = geometric_params(m, 25.0)
+        assert find_optimal_saturated(params) is not None
+        factorizations = count_factorizations(monkeypatch)
+        label, result = cli._answer(params)
+        assert result is None and label.certificate.is_optimal
+        assert factorizations == [0]
 
 
 class TestFindOptimalSaturated:
