@@ -57,17 +57,58 @@ the same g it tests, with no factorization of M: edges read exactly 0, and
 the certificate is never singular and never needs a widened tolerance.
 kw_check, solve and the CLI's verify and optimize still factor M, so they
 remain an independent check of this identity.
+
+Path plus chords.  Let a support be the path plus chords, pairs at path
+positions a < b with b - a >= 2, whose spans [a, b] share no path edge.
+Each chord then closes its own cycle with the path edges between its ends,
+and the cycles share no edge: the support is a cactus.  _cactus_weights
+gives its one stationary design, d = k on every support pair (solve's round
+1 trial, with the chords the start's violators):
+
+* d_e = lambda_e R_e, where R_e is the effective resistance between the
+  ends of e under conductances lambda w (Ghosh, Boyd & Saberi 2008).  The
+  resistance between the ends of a cycle edge depends only on that cycle,
+  so the cycles decouple.
+* A path edge that lies on no cycle (a bridge) has R_e = 1/(lambda_e w_e),
+  so it gets weight 1/k.
+* On a cycle C, with edge resistances rho_c = 1/(lambda_c w_c) summing to
+  S, R_c = rho_c (S - rho_c) / S.  So w_c = (1 - r_c)/k with r_c = rho_c/S,
+  where sum_{c in C} r_c = 1 and r_c (1 - r_c) lambda_c = k/S = tau_C for
+  every c in C.  The cycle's weights sum to (|C| - 1)/k, so the design's
+  sum to one.
+* Solve in u, the r of the cycle's smallest-lambda edge 0.  Then
+  tau = u (1 - u) lambda_0, and every other r_c is the small root of
+  r (1 - r) lambda_c = tau: were r_c > 1/2, then r_0 < 1 - r_c < 1/2, so
+  r_0 (1 - r_0) lambda_0 < r_c (1 - r_c) lambda_c.  Let
+  G(u) = u + sum_{c != 0} r_c - 1.  Then G(0) = -1, and u = 1 is a spurious
+  root that zeroes edge 0.
+* On (0, 1/2], tau and with it G increases in u, so G(1/2) >= 0 puts one
+  root there and G(1/2) < 0 none.  On (1/2, 1), write s = 1 - u,
+  t = s (1 - s), q_c = lambda_0 / lambda_c <= 1 and
+  phi(y) = 2 / (1 + sqrt(1 - 4 y)), so that r_c = q_c t phi(q_c t) and
+  s = t phi(t).  Then G = s (sum_{c != 0} q_c phi(q_c t) / phi(t) - 1).
+  log phi is convex, so each ratio falls as s rises to 1/2, and the
+  bracket falls from sum q_c - 1 to 2 G(1/2).  So if G(1/2) >= 0 the
+  root lies in (0, 1/2]; else, if sum_{c != 0} lambda_0 / lambda_c > 1,
+  it lies in (1/2, 1); else no positive design exists on that support.
+* So (0, 1) holds at most one root, as it must: log det is strictly
+  concave in w, because w -> M is injective, so each support has at most
+  one stationary point.  _cycle_shares finds it by bracketed Newton in
+  s = min(u, 1 - u), on G itself below 1/2 and on the bracket above.
+* At m = 4 a one-chord cactus is the paper's four-point shared-vertex
+  design, with w = 1/3 on the edge off the triangle (four_alt's w14).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .core import Design, Pair, Parameters, _pair_columns
+from .core import Design, Pair, Parameters, _pair_columns, all_pairs
 from .optimality import KW_TOLERANCE, KwCertificate, _certificate
 
 
@@ -169,6 +210,101 @@ def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
     g = np.ones(np.shape(lam))
     g[..., pairs] = lam[..., pairs] * S[..., a, b - 1]
     return g
+
+
+# Bracketed Newton steps per cycle; 4-11 reach the float floor.
+_ROOT_STEPS = 50
+
+
+def _cycle_shares(lam: list[float]) -> list[float] | None:
+    """The shares r_c of one cycle's edges, or None when no positive design exists on it.
+
+    Solves r_c (1 - r_c) lam_c = tau, one tau for the cycle, with sum r_c = 1,
+    by bracketed Newton in s, the smaller of u and 1 - u, where u is the
+    share of the smallest-lam edge; the module docstring derives the
+    branches and why each holds at most one root.
+    """
+    i0 = min(range(len(lam)), key=lam.__getitem__)
+    p = [lam[i0] / x for i, x in enumerate(lam) if i != i0]  # lam_min / lam_c <= 1
+
+    def rest(s: float) -> tuple[float, float]:
+        """R(s), the sum of the other edges' small roots at tau = s (1 - s) lam_min, and R'(s)."""
+        t, gap = s * (1.0 - s), 1.0 - 2.0 * s
+        total = slope = 0.0
+        for q in p:
+            z = math.sqrt(gap * gap + 4.0 * t * (1.0 - q))  # sqrt(1 - 4 t q), without cancellation
+            total += 2.0 * t * q / (1.0 + z)
+            slope += q * gap / z if z else q  # the limit at s = 1/2 when q = 1
+        return total, slope
+
+    def small(s: float) -> tuple[float, float]:  # u = s: s + R(s) - 1
+        total, slope = rest(s)
+        return s + total - 1.0, 1.0 + slope
+
+    def large(s: float) -> tuple[float, float]:  # u = 1 - s: 1 - R(s)/s
+        total, slope = rest(s)
+        return 1.0 - total / s, (total / s - slope) / s
+
+    at_half = rest(0.5)[0]
+    if at_half >= 0.5:
+        f, s = small, 1.0 / len(lam)
+    elif sum(p) > 1.0:
+        # The secant of R(s)/s - 1 from (0, sum p - 1) to (1/2, 2 R(1/2) - 1).
+        f, s = large, 0.5 * (sum(p) - 1.0) / (sum(p) - 2.0 * at_half)
+    else:
+        return None
+    lo, hi = 0.0, 0.5  # f increases on (0, 1/2], below 0 at lo and above it at hi
+    for _ in range(_ROOT_STEPS):
+        g, slope = f(s)
+        if g == 0.0:
+            break
+        if g < 0.0:
+            lo = s
+        else:
+            hi = s
+        step = g / slope
+        s -= step
+        if abs(step) <= 1e-15 * s:
+            break
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+    t = s * (1.0 - s)
+    shares = [2.0 * t * q / (1.0 + math.sqrt((1.0 - 2.0 * s) ** 2 + 4.0 * t * (1.0 - q))) for q in p]
+    shares.insert(i0, s if f is small else 1.0 - s)
+    return shares
+
+
+def _cactus_weights(path: PathDesign, lam: np.ndarray, chords: Sequence[int]) -> np.ndarray | None:
+    """The stationary design on the path plus chords, or None when it is not a cactus or has no positive design.
+
+    chords holds all_pairs columns.  The support is a cactus when every
+    chord joins path positions a, b with b - a >= 2 and no two chords'
+    spans [a, b] share a path edge (see the module docstring); weights are
+    1/k on a bridge and (1 - r_c)/k on a cycle's edges.
+    """
+    k = path.m - 1
+    if len(chords) > k // 2:  # each chord spans at least two of the k path edges, and none share one
+        return None
+    pairs = all_pairs(path.m)
+    position = [0] * (path.m + 1)
+    for at, v in enumerate(path.order):
+        position[v] = at
+    spans = sorted((*sorted((position[pairs[c].i], position[pairs[c].j])), c) for c in chords)
+    reached = 0
+    for a, b, _ in spans:
+        if b - a < 2 or a < reached:
+            return None
+        reached = b
+    edges = path._edge_columns()
+    w = np.zeros(np.shape(lam))
+    w[edges] = 1.0 / k
+    for a, b, chord in spans:
+        cycle = [chord, *edges[a:b].tolist()]
+        shares = _cycle_shares(lam[cycle].tolist())
+        if shares is None:
+            return None
+        w[cycle] = (1.0 - np.array(shares)) / k
+    return w
 
 
 def region_membership(path: PathDesign, params: Parameters) -> RegionMembership:

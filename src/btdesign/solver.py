@@ -5,25 +5,43 @@ equivalence theorem certifies a design once max d_ij <= k + kw_tolerance.
 Every saturated D-optimal design is a path, and only the path that visits
 the alternatives in descending order of beta can hold beta in its region
 (regions.sorted_beta_path), so the loop starts there, at weight 1/k on each
-of its k edges.  Each round
+of its k edges.  Designs rank certified first, then by log det.  Each round
+stops once max d <= k + kw_tolerance; otherwise it tries these designs in
+turn and adopts the first that ranks higher than w:
 
-* stops once max d <= k + kw_tolerance;
-* otherwise takes a Fedorov-Wynn step toward the (at most k) largest
-  violators: pair p gets a_p = (d_p - k) / (k (d_p - 1)), the exact
-  maximizer of log det along w -> (1 - a) w + a e_p (Fedorov 1972), the
-  steps are scaled so that they sum to at most 1/2, and the trial is
-  (1 - sum a) w + a;
-* runs one Newton finish on the trial's support (_newton_on_support);
-* ranks designs certified first, then by log det: the finish replaces the
-  trial unless it ranks lower (a finish that meets a singular M or KKT
-  system keeps the trial), and the round ends the loop, keeping w, unless
-  its design ranks higher than w.
+* in round 1 only, the exact design on the path plus its violators V
+  (the pairs with d - k > kw_tolerance, read from the start's own
+  evaluation), when that support is a cactus: every violator joins path
+  positions at least two apart, and no two violators' spans along the path
+  share an edge.  regions._cactus_weights solves the KW equalities there,
+  1/k on each bridge and one scalar root per cycle; at m = 4 a one-chord
+  trial is the paper's four-point shared-vertex design.  A start that does
+  not qualify pays only the interval test;
+* a Fedorov-Wynn step toward the (at most k) largest violators: pair p
+  gets a_p = (d_p - k) / (k (d_p - 1)), the exact maximizer of log det
+  along w -> (1 - a) w + a e_p (Fedorov 1972), the steps are scaled so that
+  they sum to at most 1/2, and the trial is (1 - sum a) w + a;
+* the same step toward the largest violator alone, unscaled.  Each a_p is
+  exact for its own pair, but nothing guards their sum: at m >= 20 the
+  combined step can lower log det while its finish meets a singular
+  system, which without this retry stops the loop uncertified far from the
+  optimum.  One pair's step strictly raises log det whenever d_p > k.
+
+Each step runs one Newton finish on its trial's support
+(_newton_on_support), which replaces the trial unless it ranks lower (a
+finish that meets a singular M or KKT system keeps the trial).  A round
+that adopts none of its designs ends the loop, keeping w.
 
 The guard and the stop keep the loop from cycling: a finish's cut-back can
 drop the pair the step just added, and the same point would return.  A pair
 that a finish dropped wrongly returns as a violator in the next round.
 Where float rounding alone leaves d - k near 1e-8 (|beta| near 20), a round
 cannot raise log det, and the loop stops there uncertified.
+
+The cactus trial only proposes weights: every answer, that one included,
+is certified from core._derivatives on all pairs, and the violators come
+from that evaluation, never from the region test (regions.path_g_values),
+so solve and the CLI's optimize stay an independent check of classify.
 
 log det is strictly concave in M and w -> M is injective (M_ij = -w_ij
 lambda_ij off the diagonal), so the optimum is unique and the start changes
@@ -50,7 +68,7 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
     regression_matrix,
 )
 from .optimality import KwCertificate, _certificate
-from .regions import sorted_beta_path
+from .regions import _cactus_weights, sorted_beta_path
 
 # Newton steps (re-linearizations) per finish; convergence is quadratic
 # once the support is right.
@@ -172,6 +190,15 @@ def _newton_on_support(
     return None if found is None else (trial, found)
 
 
+def _single_step(w: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
+    """The Fedorov-Wynn step toward the largest violator alone, unscaled."""
+    p = int(np.argmax(d))
+    a = (d[p] - k) / (k * (d[p] - 1.0))
+    trial = (1.0 - a) * w
+    trial[p] += a
+    return trial
+
+
 def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverResult:
     """Find a locally D-optimal design for the given parameter point.
 
@@ -181,8 +208,9 @@ def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverRe
     k = params.m - 1
     F = regression_matrix(params.m)
     lam = params.intensities
+    path = sorted_beta_path(params)
     w = np.zeros(len(F))
-    w[sorted_beta_path(params)._edge_columns()] = 1.0 / k
+    w[path._edge_columns()] = 1.0 / k
     found = _derivatives(w, lam, F)
     if found is None:
         raise SingularMatrixError("information matrix is singular after 0 iterations")
@@ -190,20 +218,33 @@ def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverRe
     def rank(found):  # certified first, then by log det, read from the factor L
         return found[0].max() - k <= config.kw_tolerance, 2.0 * float(np.log(found[2].diagonal()).sum())
 
+    def finished(trial):  # the trial and its evaluation, or their Newton finish unless it ranks lower
+        stepped = _derivatives(trial, lam, F)
+        if stepped is None:
+            return trial, None
+        finish = _newton_on_support(trial, lam, F, k, trial > 0.0, stepped)
+        if finish is not None and rank(finish[1]) >= rank(stepped):
+            return finish
+        return trial, stepped
+
+    def trials(first, w, d):  # the round's designs, in the order they are tried
+        if first:
+            cactus = _cactus_weights(path, lam, np.flatnonzero(d - k > config.kw_tolerance).tolist())
+            if cactus is not None:
+                yield cactus, _derivatives(cactus, lam, F)
+        yield finished(_fedorov_wynn_step(w, d, k, config.kw_tolerance))
+        yield finished(_single_step(w, d, k))
+
     for iterations in range(1, config.max_iterations + 1):
         held = rank(found)
         if held[0] or iterations == config.max_iterations:
             break
-        trial = _fedorov_wynn_step(w, found[0], k, config.kw_tolerance)
-        stepped = _derivatives(trial, lam, F)
-        if stepped is None:
+        for trial, stepped in trials(iterations == 1, w, found[0]):
+            if stepped is not None and rank(stepped) > held:
+                w, found = trial, stepped
+                break
+        else:
             break
-        finish = _newton_on_support(trial, lam, F, k, trial > 0.0, stepped)
-        if finish is not None and rank(finish[1]) >= rank(stepped):
-            trial, stepped = finish
-        if rank(stepped) <= held:
-            break
-        w, found = trial, stepped
 
     # found was evaluated at exactly the weights of design, so this is kw_check(design, params).
     design = Design(params.m, w)

@@ -20,9 +20,16 @@ from btdesign import (
     solve,
 )
 from btdesign.four_alt import saturated_inequality_values
-from btdesign.core import all_pairs, intensity_vector
+from btdesign.core import _derivatives, all_pairs, intensity_vector, regression_matrix
 from btdesign.graphs import enumerate_spanning_trees, is_path, support_graph
-from btdesign.regions import PathDesign, _descending_order, path_g_values, sorted_beta_path
+from btdesign.regions import (
+    PathDesign,
+    _cactus_weights,
+    _cycle_shares,
+    _descending_order,
+    path_g_values,
+    sorted_beta_path,
+)
 
 from helpers import (
     count_factorizations,
@@ -338,6 +345,64 @@ class TestRegionPrecision:
         order = list(range(1, params.m + 1))
         rnd.shuffle(order)
         self.assert_agrees(PathDesign(tuple(order)), params)
+
+
+class TestCactusWeights:
+    """The stationary design on the sorted path plus chords whose spans share no path edge."""
+
+    @pytest.mark.parametrize(
+        "lam, small_root",
+        [
+            ([1.0, 1.0, 1.0], True),  # G(1/2) = 1/2 >= 0: the smallest-lam edge takes a small root, 1/3
+            ([1.0, 1.5, 1.5], False),  # G(1/2) < 0 and 2/3 + 2/3 > 1: it takes the large root, 0.6
+            ([0.1, 0.3, 0.3, 0.3, 0.3], False),
+            ([0.2, 0.21, 0.22, 0.2, 0.25], True),
+        ],
+    )
+    def test_cycle_shares_solve_the_tau_equations(self, lam, small_root):
+        shares = _cycle_shares(lam)
+        assert sum(shares) == pytest.approx(1.0, abs=1e-15)
+        tau = [r * (1.0 - r) * x for r, x in zip(shares, lam)]
+        assert max(tau) - min(tau) <= 1e-15 * max(tau)
+        assert all(0.0 < r < 1.0 for r in shares)
+        assert (shares[int(np.argmin(lam))] <= 0.5) == small_root
+        assert sum(r > 0.5 for r in shares) <= int(not small_root)
+
+    @pytest.mark.parametrize("lam", [[1.0, 3.0, 3.0], [0.01, 0.2, 0.2, 0.2]])
+    def test_cycle_without_a_positive_design(self, lam):
+        # G(1/2) < 0 and sum lam_min / lam_c <= 1: G has no root in (0, 1).
+        assert _cycle_shares(lam) is None
+
+    def test_only_a_cactus_gets_weights(self):
+        path = PathDesign.canonical(6)
+        lam = intensity_vector((2.0, 1.0, 0.0, -1.0, -2.0))
+        column = {p: c for c, p in enumerate(all_pairs(6))}
+        assert _cactus_weights(path, lam, [column[Pair(1, 3)], column[Pair(3, 6)]]) is not None
+        assert _cactus_weights(path, lam, [column[Pair(1, 3)], column[Pair(2, 4)]]) is None  # share edge 2-3
+        assert _cactus_weights(path, lam, [column[Pair(1, 4)], column[Pair(2, 4)]]) is None
+        assert _cactus_weights(path, lam, [column[Pair(2, 3)]]) is None  # a path edge
+        assert _cactus_weights(path, lam, [column[Pair(1, 3)], column[Pair(3, 5)], column[Pair(4, 6)]]) is None
+
+    def test_stationary_on_the_support(self):
+        # d = k on every support pair, at the sorted path plus its violators,
+        # wherever they form a cactus: the KW equalities, by construction.
+        rng = np.random.default_rng(307)
+        taken = {m: 0 for m in range(3, 9)}
+        for m in taken:
+            F, k = regression_matrix(m), m - 1
+            for _ in range(150):
+                params = random_params(rng, m, scale=6.0)
+                path = sorted_beta_path(params)
+                lam = params.intensities
+                d = _derivatives(path.design().w, lam, F)[0]
+                w = _cactus_weights(path, lam, np.flatnonzero(d - k > 1e-8).tolist())
+                if w is None or d.max() - k <= 1e-8:
+                    continue
+                taken[m] += 1
+                assert w.sum() == pytest.approx(1.0, abs=1e-14)
+                d = _derivatives(w, lam, F)[0]
+                assert np.abs(d[w > 0.0] - k).max() <= 1e-10, params.beta
+        assert min(taken.values()) >= 10, taken
 
 
 def _order_from_path_edges(edges) -> tuple[int, ...]:
