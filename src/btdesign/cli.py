@@ -44,10 +44,10 @@ DEFAULT_EFFICIENCY_LINE = (1.0, 0.5, 1.25)
 # The most points, samples or starts one command evaluates: scan grid size,
 # efficiency steps, claw grid points cubed, claw samples, disjoint starts.
 # It admits every default (the claw grid's 100^3 is the largest) and the
-# 51^3 figure grid.  At the bound search-disjoint4 peaks near 70 MB (its
-# draws, 56 bytes per start, are made up front; the Newton work runs in
-# blocks); a parallel scan holds 0.35 kB per point, a serial one a point at
-# a time, and both hold the CSV text, about 65 bytes per point.
+# 51^3 figure grid.  At the bound search-disjoint4 peaks about 7 MB above
+# the 37 MB of the imports (it draws and solves the points in blocks); a
+# parallel scan holds 0.35 kB per point, a serial one a point at a time,
+# and both hold the CSV text, about 65 bytes per point.
 MAX_POINTS = 1_000_000
 
 
@@ -484,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", type=float, default=1e3)
     p.set_defaults(func=cmd_claw_scan)
 
-    p = sub.add_parser("search-disjoint4", help="randomized search of the disjoint-orbit system")
-    p.add_argument("--starts", type=int, default=100_000)
+    p = sub.add_parser("search-disjoint4", help="solve the disjoint-orbit four-point support exactly at random points")
+    p.add_argument("--starts", type=int, default=100_000, help="parameter points drawn")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--beta-scale", type=float, default=5.0)
     p.set_defaults(func=cmd_search_disjoint4)

@@ -72,8 +72,11 @@ A point where the rule failed would raise ClassificationError; it could
 never return an uncertified design, because every label passes its certificate.
 
 Four-point designs whose two missing pairs are disjoint carry no known
-optimality region; search_disjoint_four_point probes that system
-numerically from random starts.
+optimality region.  Their support, (1,3), (1,4), (2,3), (2,4) up to
+relabeling, is the 4-cycle 1-3-2-4-1, so it has at most one positive
+stationary design, one scalar root away (regions._cycle_shares).
+search_disjoint_four_point solves it exactly at random points and reports
+the largest missing-pair slack it met; it asserts nothing.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ from .core import (
     regression_matrix,
 )
 from .optimality import KW_TOLERANCE, KwCertificate, _certificate, kw_check
-from .regions import PathDesign, _descending_order
+from .regions import PathDesign, _cycle_shares, _descending_order
 
 Scalar = Union[float, np.ndarray, Fraction]
 # Six intensities in _PAIRS4 order: floats, ndarray columns or Fractions.
@@ -610,80 +613,47 @@ def claw_infeasibility_sample(
 
 
 # ---------------------------------------------------------------------------
-# Disjoint-orbit four-point designs: stationarity residuals and search
+# Disjoint-orbit four-point designs: the exact stationary design, and a search
 # ---------------------------------------------------------------------------
 
 
-# The representative support (1,3), (1,4), (2,3), (2,4) misses (1,2) and (3,4).
-_DISJOINT_COLUMNS = [1, 2, 3, 4]
-# Starts per block of the search: the block's intensities, its (n, 4, 4)
-# Jacobian and the copies det and solve make stay near 1 MB each, however
-# many starts are drawn.
+# Draws per block of the search: the block's intensities and shares stay
+# near 1 MB, however many draws are made.
 _DISJOINT_BLOCK = 8192
 
 
-def _disjoint_system(w: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and boundary slacks of the disjoint-orbit system, one row per start.
+def _disjoint_design(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary design on the disjoint-orbit support and its two slacks, one row per draw.
 
-    w holds weights on the representative support, shape (n, 4), and lam
-    the six intensities in _PAIRS4 order, shape (n, 6).  The supported
-    pairs must equalize t_e = lambda_e (w_e^2 - w_e/3): the residuals are
-    the three consecutive differences of t and sum(w) - 1.  The two slacks
-    are 3 minus the missing-direction expressions of (1,2) and (3,4),
-    nonnegative where the derivative conditions hold.
+    lam holds the six intensities in _PAIRS4 order, shape (n, 6).  The
+    support, columns 1-4, is the cycle 1-3-2-4-1, whose one positive
+    stationary design is w_c = (1 - r_c)/3 (NaN where there is none).  The
+    slacks are 3 - d on (1,2) and (3,4), opposite vertices of the cycle:
+    d = 3 lambda_p r_A r_B / tau (the regions docstring), with tau read on
+    the smallest-lambda edge e as r_e (sum of the other shares) lambda_e, so
+    that it keeps its digits when r_e is near 1, and lambda_p / lambda_e
+    taken first, so that tiny intensities do not underflow it.
     """
-    lam_sup = lam[:, _DISJOINT_COLUMNS]
-    t = lam_sup * (w**2 - w / 3.0)
-    residuals = np.stack([t[:, 0] - t[:, 1], t[:, 1] - t[:, 2], t[:, 2] - t[:, 3], w.sum(axis=1) - 1.0], axis=1)
-    w_il, w_jk, w_jl = w[:, 1], w[:, 2], w[:, 3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = lam_sup[:, 3] * w_jl * (3.0 * w_jl - 1.0)
-        lhs1 = lam[:, 0] * (3.0 * (w_il + w_jl) - 2.0) * (3.0 * (w_il + w_jl) - 1.0) / denom
-        lhs2 = lam[:, 5] * (3.0 * (w_jk + w_jl) - 2.0) * (3.0 * (w_jk + w_jl) - 1.0) / denom
-    return residuals, np.stack([3.0 - lhs1, 3.0 - lhs2], axis=1)
-
-
-def _disjoint_newton(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Up to 60 Newton steps on the disjoint-orbit system from the starts w.
-
-    All starts step together until every residual is below 1e-14; a start
-    whose Jacobian is singular stays where it is.
-    """
-    lam_sup = lam[:, _DISJOINT_COLUMNS]
-    for _ in range(60):
-        F, _ = _disjoint_system(w, lam)
-        dt = lam_sup * (2.0 * w - 1.0 / 3.0)
-        J = np.zeros((len(w), 4, 4))
-        J[:, 0, 0] = dt[:, 0]
-        J[:, 0, 1] = -dt[:, 1]
-        J[:, 1, 1] = dt[:, 1]
-        J[:, 1, 2] = -dt[:, 2]
-        J[:, 2, 2] = dt[:, 2]
-        J[:, 2, 3] = -dt[:, 3]
-        J[:, 3, :] = 1.0
-        # numpy warns when J is exactly singular; the test below already
-        # treats such starts as singular.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dets = np.linalg.det(J)
-        bad = ~np.isfinite(dets) | (np.abs(dets) < 1e-30)
-        J[bad] = np.eye(4)
-        step = np.linalg.solve(J, F[..., None])[..., 0]
-        step[bad] = 0.0
-        w = w - step
-        if np.abs(F).max() < 1e-14:
-            break
-    return w
+    lam_sup = lam[:, 1:5]
+    r = np.array([_cycle_shares(row) or [math.nan] * 4 for row in lam_sup.tolist()])
+    e = lam_sup.argmin(axis=1)[:, None]
+    tau = np.take_along_axis(r, e, axis=1) * np.where(np.arange(4) == e, 0.0, r).sum(axis=1, keepdims=True)
+    # r_A r_B: (1,2) by 1-3-2 and 1-4-2, (3,4) by 3-1-4 and 3-2-4.
+    arcs = np.stack([(r[:, 0] + r[:, 2]) * (r[:, 1] + r[:, 3]), (r[:, 0] + r[:, 1]) * (r[:, 2] + r[:, 3])], axis=1)
+    with np.errstate(over="ignore"):  # past the float range d is inf, and the slack -inf
+        d = 3.0 * (lam[:, [0, 5]] / np.take_along_axis(lam_sup, e, axis=1)) * arcs / tau
+    return (1.0 - r) / 3.0, 3.0 - d
 
 
 @dataclass(frozen=True)
 class DisjointSearchReport:
-    """Outcome of the randomized search for a non-saturated disjoint-orbit optimum.
+    """Outcome of the search for a non-saturated disjoint-orbit optimum.
 
-    A start counts as interior when Newton converges to weights strictly
-    inside (0, 1/3); certified_count is how many interior solutions also
-    satisfied both boundary inequalities and passed the full optimality
-    check (expected: zero).  best_slack is the largest min(slack1, slack2)
-    seen over interior solutions.
+    n_starts counts the parameter points drawn, and interior_count those
+    with a positive stationary design on the support; certified_count is how
+    many of those designs had both slacks >= 0 and passed kw_check
+    (expected: zero).  best_slack is the largest min(slack1, slack2) over
+    them, and best_point its beta and weights on (1,3), (1,4), (2,3), (2,4).
     """
 
     n_starts: int
@@ -696,47 +666,30 @@ class DisjointSearchReport:
 def search_disjoint_four_point(
     n_starts: int = 100_000, seed: int = 0, beta_scale: float = 5.0
 ) -> DisjointSearchReport:
-    """Newton-search the stationarity system from random starts.
+    """Solve the disjoint-orbit support exactly at points uniform in [-beta_scale, beta_scale]^3.
 
-    Each start draws a parameter point uniformly from [-beta_scale,
-    beta_scale]^3 and a random interior design on the representative support
-    (1,3), (1,4), (2,3), (2,4), then solves the three equalization equations
-    plus the simplex constraint.  Interior solutions are checked against the
-    two boundary inequalities and, when those hold, the full certificate.
+    _disjoint_design gives each point's stationary design and slacks without
+    M; a design whose slacks are both >= 0 is then certified through M.
     """
     rng = np.random.default_rng(seed)
-    margin = 1e-6
-
-    beta = rng.uniform(-beta_scale, beta_scale, size=(n_starts, 3))
-    w = rng.dirichlet(np.ones(4), size=n_starts)
-    interior = np.zeros(n_starts, dtype=bool)
-    slack = np.empty(n_starts)
-    for lo in range(0, n_starts, _DISJOINT_BLOCK):
-        block = slice(lo, lo + _DISJOINT_BLOCK)
-        lam = intensity_vector(beta[block])
-        w[block] = wb = _disjoint_newton(w[block], lam)
-        residuals, slacks = _disjoint_system(wb, lam)
-        converged = np.abs(residuals).max(axis=1) < 1e-10
-        interior[block] = converged & (wb.min(axis=1) > margin) & (wb.max(axis=1) < 1.0 / 3.0 - margin)
-        slack[block] = slacks.min(axis=1)
-
-    interior_idx = np.flatnonzero(interior)
+    interior = certified = 0
     best_slack = float("-inf")
     best_point: tuple[float, ...] | None = None
-    certified = 0
-    for idx in interior_idx:
-        s = float(slack[idx])
-        if s > best_slack:
-            best_slack = s
-            best_point = tuple(float(b) for b in beta[idx]) + tuple(float(x) for x in w[idx])
-        if s >= 0.0:
-            candidate = Design(4, np.pad(w[idx] / w[idx].sum(), 1))  # zero on (1,2) and (3,4)
-            point = Parameters(4, tuple(beta[idx]))
-            if kw_check(candidate, point).is_optimal:
-                certified += 1
+    for lo in range(0, n_starts, _DISJOINT_BLOCK):
+        # Drawn block by block, the points are those of one (n_starts, 3) draw.
+        beta = rng.uniform(-beta_scale, beta_scale, size=(min(_DISJOINT_BLOCK, n_starts - lo), 3))
+        w, slacks = _disjoint_design(intensity_vector(beta))
+        interior += int(np.count_nonzero(~np.isnan(w[:, 0])))
+        slack = slacks.min(axis=1)
+        slack[np.isnan(slack)] = -np.inf  # no positive design
+        top = int(slack.argmax())
+        if slack[top] > best_slack:
+            best_slack, best_point = float(slack[top]), (*beta[top].tolist(), *w[top].tolist())
+        for i in np.flatnonzero(slack >= 0.0):  # zero weight on (1,2) and (3,4)
+            certified += kw_check(Design(4, np.pad(w[i], 1)), Parameters(4, tuple(beta[i]))).is_optimal
     return DisjointSearchReport(
         n_starts=n_starts,
-        interior_count=int(interior.sum()),
+        interior_count=interior,
         certified_count=certified,
         best_slack=best_slack,
         best_point=best_point,

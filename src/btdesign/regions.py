@@ -96,7 +96,12 @@ gives its one stationary design, d = k on every support pair (solve's round
   one stationary point.  _cycle_shares finds it by bracketed Newton in
   s = min(u, 1 - u), on G itself below 1/2 and on the bracket above.
 * At m = 4 a one-chord cactus is the paper's four-point shared-vertex
-  design, with w = 1/3 on the edge off the triangle (four_alt's w14).
+  design, with w = 1/3 on the edge off the triangle (four_alt's w14).  A
+  chord that joins the path's ends gives the 4-cycle whose missing pairs
+  are disjoint (four_alt._disjoint_design).
+* Between any two vertices x, y of a cycle the two arcs are resistors in
+  parallel, so R_xy = S r_A r_B, with r_A + r_B = 1 the arcs' share sums,
+  and a pair (x, y) off the support has d = k lambda_xy r_A r_B / tau_C.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from btdesign.four_alt import (
     _COLUMNS,
     _PAIRS4,
     _closed_form_design,
-    _disjoint_system,
+    _disjoint_design,
     _five_point_tau,
     _four_point_tau,
     five_point_raw,
@@ -360,13 +360,25 @@ class TestClaw:
 
 class TestDisjointFourPoint:
     def test_equal_case_satisfies_equations_but_not_inequalities(self):
-        # Weight 1/4 on (1,3), (1,4), (2,3), (2,4) at the origin.
-        lam = intensity_vector(np.zeros((1, 3)))
-        residuals, ((slack1, slack2),) = _disjoint_system(np.full((1, 4), 0.25), lam)
-        assert np.abs(residuals).max() < 1e-15
-        # Both scaled derivative expressions evaluate to 4, exceeding 3.
+        # At the origin every share of the cycle 1-3-2-4-1 is 1/4, so weight
+        # 1/4 on (1,3), (1,4), (2,3), (2,4).
+        w, ((slack1, slack2),) = _disjoint_design(intensity_vector(np.zeros((1, 3))))
+        assert w == pytest.approx(np.full((1, 4), 0.25), abs=1e-15)
+        # Both missing-pair derivatives are 4, exceeding 3.
         assert slack1 == pytest.approx(-1.0, abs=1e-12)
         assert slack2 == pytest.approx(-1.0, abs=1e-12)
+
+    def test_exact_design_is_stationary_and_its_slacks_match_m(self):
+        beta = np.random.default_rng(23).uniform(-8.0, 8.0, size=(2000, 3))
+        lam = intensity_vector(beta)
+        w, slacks = _disjoint_design(lam)
+        roots = np.flatnonzero(~np.isnan(w[:, 0]))
+        assert 100 < len(roots) < 2000
+        for i in roots:
+            # kw_check evaluates d - 3 through M, independently of the shares.
+            d = kw_check(Design(4, np.pad(w[i], 1)), Parameters(4, tuple(beta[i]))).derivatives + 3.0
+            assert np.abs(d[1:5] - 3.0).max() < 1e-10  # stationary on the support
+            assert 3.0 - slacks[i] == pytest.approx(d[[0, 5]], rel=1e-12)  # (1,2) and (3,4)
 
     def test_third_weight_saturation_forces_zero(self):
         # t(w) = lambda w (w - 1/3) vanishes only at w = 0 and w = 1/3, and
