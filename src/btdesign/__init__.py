@@ -45,7 +45,7 @@ from .regions import (
     find_optimal_saturated,
     region_membership,
 )
-from .solver import SolverConfig, SolverResult, solve
+from .solver import SolverResult, solve
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "RegionLabel",
     "RegionMembership",
     "SingularMatrixError",
-    "SolverConfig",
     "SolverResult",
     "SupportGraph",
     "all_pairs",

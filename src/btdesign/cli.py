@@ -31,9 +31,9 @@ from .four_alt import (
     region_margin,
     search_disjoint_four_point,
 )
-from .optimality import KwCertificate, d_efficiency, kw_check
+from .optimality import KW_TOLERANCE, KwCertificate, d_efficiency, kw_check
 from .regions import find_optimal_saturated
-from .solver import SolverConfig, SolverResult, solve
+from .solver import MAX_ITERATIONS, SolverResult, solve
 
 EXIT_OK = 0
 EXIT_NOT_OPTIMAL = 1
@@ -286,11 +286,9 @@ def run_scan(spec: ScanSpec, stream: TextIO, workers: int | None = None) -> int:
 
 def cmd_optimize(args: argparse.Namespace, stdout: TextIO) -> int:
     params = parse_beta(args.beta, args.m)
-    try:
-        config = SolverConfig(max_iterations=args.max_iterations, kw_tolerance=args.kw_tolerance)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    result = solve(params, config)
+    if args.max_iterations < 1:
+        raise CliError("--max-iterations must be at least 1")
+    result = solve(params, max_iterations=args.max_iterations)
     report = {
         "m": params.m,
         "beta": list(params.beta),
@@ -446,10 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True, help="number of alternatives")
         p.add_argument("--beta", type=str, required=True, help="comma-separated m-1 log-preferences (the control is 0)")
 
-    p = sub.add_parser("optimize", help="solve for the locally D-optimal design")
+    p = sub.add_parser("optimize", help=f"solve for the locally D-optimal design, certified at {KW_TOLERANCE:g}")
     add_point_args(p)
-    p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
-    p.add_argument("--kw-tolerance", type=float, default=SolverConfig.kw_tolerance)
+    p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS, help="cap on the solver's rounds")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify", help="check a design file against the optimality criterion")

@@ -94,6 +94,7 @@ from .core import (
     SUPPORT_THRESHOLD,
     BtDesignError,
     Design,
+    IntensityUnderflowError,
     Pair,
     Parameters,
     _derivatives,
@@ -645,12 +646,27 @@ def _disjoint_design(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 - r) / 3.0, 3.0 - d
 
 
+def _evaluable(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The draws, in order, whose intensities do not underflow, and those intensities.
+
+    intensity_vector decides: a block that raises is retried in halves, and single draws that raise are dropped.
+    """
+    try:
+        return beta, intensity_vector(beta)
+    except IntensityUnderflowError:
+        if len(beta) == 1:
+            return beta[:0], np.empty((0, 6))
+    halves = _evaluable(beta[: len(beta) // 2]), _evaluable(beta[len(beta) // 2 :])
+    return np.concatenate([h[0] for h in halves]), np.concatenate([h[1] for h in halves])
+
+
 @dataclass(frozen=True)
 class DisjointSearchReport:
     """Outcome of the search for a non-saturated disjoint-orbit optimum.
 
     n_starts counts the parameter points drawn, and interior_count those
-    with a positive stationary design on the support; certified_count is how
+    with a positive stationary design on the support (a draw whose intensity
+    underflows has none it can evaluate: it counts in n_starts alone); certified_count is how
     many of those designs had both slacks >= 0 and passed kw_check
     (expected: zero).  best_slack is the largest min(slack1, slack2) over
     them, and best_point its beta and weights on (1,3), (1,4), (2,3), (2,4).
@@ -677,8 +693,10 @@ def search_disjoint_four_point(
     best_point: tuple[float, ...] | None = None
     for lo in range(0, n_starts, _DISJOINT_BLOCK):
         # Drawn block by block, the points are those of one (n_starts, 3) draw.
-        beta = rng.uniform(-beta_scale, beta_scale, size=(min(_DISJOINT_BLOCK, n_starts - lo), 3))
-        w, slacks = _disjoint_design(intensity_vector(beta))
+        beta, lam = _evaluable(rng.uniform(-beta_scale, beta_scale, size=(min(_DISJOINT_BLOCK, n_starts - lo), 3)))
+        if not len(beta):
+            continue
+        w, slacks = _disjoint_design(lam)
         interior += int(np.count_nonzero(~np.isnan(w[:, 0])))
         slack = slacks.min(axis=1)
         slack[np.isnan(slack)] = -np.inf  # no positive design

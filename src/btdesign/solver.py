@@ -1,16 +1,17 @@
 """Locally D-optimal design solver: an active-set loop on the weight simplex.
 
 With directional values d_ij = lambda_ij f^T M(w)^{-1} f and k = m-1, the
-equivalence theorem certifies a design once max d_ij <= k + kw_tolerance.
+equivalence theorem certifies a design once max d_ij <= k + KW_TOLERANCE,
+which by concavity also bounds log det M* - log det M(w) by KW_TOLERANCE.
 Every saturated D-optimal design is a path, and only the path that visits
 the alternatives in descending order of beta can hold beta in its region
 (regions.sorted_beta_path), so the loop starts there, at weight 1/k on each
 of its k edges.  Designs rank certified first, then by log det.  Each round
-stops once max d <= k + kw_tolerance; otherwise it tries these designs in
+stops once max d <= k + KW_TOLERANCE; otherwise it tries these designs in
 turn and adopts the first that ranks higher than w:
 
 * in round 1 only, the exact design on the path plus its violators V
-  (the pairs with d - k > kw_tolerance, read from the start's own
+  (the pairs with d - k > KW_TOLERANCE, read from the start's own
   evaluation), when that support is a cactus: every violator joins path
   positions at least two apart, and no two violators' spans along the path
   share an edge.  regions._cactus_weights solves the KW equalities there,
@@ -35,8 +36,8 @@ that adopts none of its designs ends the loop, keeping w.
 The guard and the stop keep the loop from cycling: a finish's cut-back can
 drop the pair the step just added, and the same point would return.  A pair
 that a finish dropped wrongly returns as a violator in the next round.
-Where float rounding alone leaves d - k near 1e-8 (|beta| near 20), a round
-cannot raise log det, and the loop stops there uncertified.
+Where float rounding alone leaves d - k above KW_TOLERANCE (at |beta| <= 20
+it stays below about 7e-8), a round cannot raise log det: the loop stops.
 
 The cactus trial only proposes weights: every answer, that one included,
 is certified from core._derivatives on all pairs, and the violators come
@@ -54,7 +55,6 @@ max_iterations has failed that many of them, having stepped once fewer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +67,7 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
     cholesky_pivots,
     regression_matrix,
 )
-from .optimality import KwCertificate, _certificate
+from .optimality import KW_TOLERANCE, KwCertificate, _certificate
 from .regions import _cactus_weights, sorted_beta_path
 
 # Newton steps (re-linearizations) per finish; convergence is quadratic
@@ -75,17 +75,7 @@ from .regions import _cactus_weights, sorted_beta_path
 _NEWTON_STEPS = 30
 _NEWTON_STEP_TOL = 1e-13
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iterations: int = 100_000
-    kw_tolerance: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not 0 < self.kw_tolerance < math.inf:
-            raise ValueError("kw_tolerance must be positive and finite")
+MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -199,12 +189,14 @@ def _single_step(w: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
     return trial
 
 
-def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverResult:
-    """Find a locally D-optimal design for the given parameter point.
+def solve(params: Parameters, *, max_iterations: int = MAX_ITERATIONS) -> SolverResult:
+    """Find a locally D-optimal design for the given parameter point in at most max_iterations (>= 1) rounds.
 
     The loop starts on the sorted-beta path; see the module docstring for
     its rounds, its steps and its stopping rules.
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     k = params.m - 1
     F = regression_matrix(params.m)
     lam = params.intensities
@@ -216,7 +208,7 @@ def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverRe
         raise SingularMatrixError("information matrix is singular after 0 iterations")
 
     def rank(found):  # certified first, then by log det, read from the factor L
-        return found[0].max() - k <= config.kw_tolerance, 2.0 * float(np.log(found[2].diagonal()).sum())
+        return found[0].max() - k <= KW_TOLERANCE, 2.0 * float(np.log(found[2].diagonal()).sum())
 
     def finished(trial):  # the trial and its evaluation, or their Newton finish unless it ranks lower
         stepped = _derivatives(trial, lam, F)
@@ -229,15 +221,15 @@ def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverRe
 
     def trials(first, w, d):  # the round's designs, in the order they are tried
         if first:
-            cactus = _cactus_weights(path, lam, np.flatnonzero(d - k > config.kw_tolerance).tolist())
+            cactus = _cactus_weights(path, lam, np.flatnonzero(d - k > KW_TOLERANCE).tolist())
             if cactus is not None:
                 yield cactus, _derivatives(cactus, lam, F)
-        yield finished(_fedorov_wynn_step(w, d, k, config.kw_tolerance))
+        yield finished(_fedorov_wynn_step(w, d, k, KW_TOLERANCE))
         yield finished(_single_step(w, d, k))
 
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         held = rank(found)
-        if held[0] or iterations == config.max_iterations:
+        if held[0] or iterations == max_iterations:
             break
         for trial, stepped in trials(iterations == 1, w, found[0]):
             if stepped is not None and rank(stepped) > held:
@@ -246,12 +238,6 @@ def solve(params: Parameters, config: SolverConfig = SolverConfig()) -> SolverRe
         else:
             break
 
-    # found was evaluated at exactly the weights of design, so this is kw_check(design, params).
-    design = Design(params.m, w)
-    certificate = _certificate(found, params.m, config.kw_tolerance)
-    return SolverResult(
-        design=design,
-        certificate=certificate,
-        iterations=iterations,
-        converged=certificate.max_violation <= config.kw_tolerance,
-    )
+    # found was evaluated at exactly the weights w, so this is kw_check of the design.
+    certificate = _certificate(found, params.m, KW_TOLERANCE)
+    return SolverResult(Design(params.m, w), certificate, iterations, converged=certificate.is_optimal)

@@ -21,7 +21,6 @@ PUBLIC = {
     "RegionLabel",
     "RegionMembership",
     "SingularMatrixError",
-    "SolverConfig",
     "SolverResult",
     "SupportGraph",
     "all_pairs",

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import btdesign
 from btdesign import (
+    KW_TOLERANCE,
     Design,
     Pair,
     Parameters,
@@ -89,6 +90,15 @@ class TestOptimize:
         rc, report = run_json(["optimize", "--m", "2", "--beta", "0"])
         assert rc == 0
         assert report["design"]["weights"] == {"1-2": 1.0}
+
+    def test_float_floor_point_certifies(self):
+        # Float rounding alone leaves d - k at 4.1e-8 on the optimal path
+        # here, so a solver stricter than KW_TOLERANCE stopped uncertified.
+        beta = "18.887073911065173,-13.407574939786366,18.931134002741636"
+        rc, report = run_json(["optimize", "--m", "4", f"--beta={beta}"])
+        assert rc == 0 and report["converged"] and report["certificate"]["is_optimal"]
+        rc, label = run_json(["classify", "--m", "4", f"--beta={beta}"])
+        assert rc == 0 and report["log_det"] == report_log_det(label, beta)
 
     def test_beta_length_mismatch_is_usage_error(self):
         rc, _ = run(["optimize", "--m", "4", "--beta", "0,0"])
@@ -602,10 +612,13 @@ class TestScans:
     def test_search_disjoint4_tiny_intensities_give_no_false_slack(self):
         # Where intensities are tiny, a residual test on t = lambda (w^2 - w/3)
         # passes any w, and a slack near +3 followed; the exact design has
-        # none at the first scale and a slack near -1.4e12 at the second.
-        for argv in (["--starts=367", "--beta-scale=390.0"], ["--starts=2000", "--beta-scale=60"]):
+        # none at the first scale and a slack near -1.4e12 at the second.  At
+        # the third, some draws have a gap past 745, whose intensity
+        # underflows to 0: each counts in n_starts alone, and the search goes on.
+        for argv in (["--starts=367", "--beta-scale=390.0"], ["--starts=2000", "--beta-scale=60"],
+                     ["--starts=1000", "--beta-scale=400"]):
             rc, report = run_json(["search-disjoint4", *argv])
-            assert rc == 0
+            assert rc == 0 and report["n_starts"] == int(argv[0].removeprefix("--starts="))
             assert report["certified_count"] == 0
             assert report["best_slack"] is None or report["best_slack"] < 0.0, argv
 
@@ -641,6 +654,12 @@ class TestUsage:
         assert err.startswith("usage: btdesign optimize")
         assert err.splitlines()[-1] == "error: argument --m: invalid int value: 'x'"
 
+    def test_tolerance_flag_is_unrecognized(self, capsys):
+        # Every certificate is judged at KW_TOLERANCE; optimize has no flag to set another.
+        rc, out = run(["optimize", "--m", "4", "--beta", "0,0,0", "--kw-tolerance", "1e-8"])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err.splitlines()[-1] == "error: unrecognized arguments: --kw-tolerance 1e-8"
+
     def test_usage_error_leaves_the_parser_reusable(self):
         # The parser is built once per process and shared by every call.
         build_parser.cache_clear()
@@ -654,7 +673,7 @@ class TestUsage:
         "argv",
         [
             ["optimize", "--m", "4", "--beta", "0,0,0", "--max-iterations", "0"],
-            ["optimize", "--m", "4", "--beta", "0,0,0", "--kw-tolerance", "-1"],
+            ["optimize", "--m", "4", "--beta", "0,0,0", "--max-iterations", "-1"],
             ["claw-scan", "--grid-points", "0", "--samples", "0"],
             ["claw-scan", "--lower", "-1"],
             ["search-disjoint4", "--starts", "0"],
@@ -710,6 +729,35 @@ class TestJsonOutput:
         assert json.dumps(json.loads(text)) + "\n" == text
 
 
+class TestOneTolerance:
+    """Every route judges optimality at KW_TOLERANCE; only classify_m4 widens it, never at these points."""
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["classify", "--m", "4", "--beta", "1.7,0.85,2.125"], "five-point"),
+            (["classify", "--m", "4", "--beta", "3.5,1.75,4.375"], "saturated"),
+            (["classify", "--m", "5", "--beta", "0.14,5.41,-4.27,5.38"], "saturated"),
+            (["classify", "--m", "5", "--beta", "0,0,0,0"], "unsaturated"),
+            (["classify", "--m", "6", "--beta=-5.21,-4.55,4.21,2.91,4.02"], "unsaturated"),
+            (["optimize", "--m", "4", "--beta", "1.7,0.85,2.125"], None),
+            (["optimize", "--m", "5", "--beta=1.69,0.23,-5.82,4.69"], None),
+            (["verify", "--m", "4", "--beta", "0,0,0", "--design", "{file}"], None),
+        ],
+        ids=["classify-m4-closed-form", "classify-m4-path", "classify-path", "classify-solver", "classify-solver-m6",
+             "optimize-m4", "optimize-m5", "verify"],
+    )
+    def test_certificate_tolerance(self, argv, kind, tmp_path):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"m": 4, "weights": {p.key(): 1 / 6 for p in all_pairs(4)}}))
+        rc, report = run_json([a.format(file=design) for a in argv])
+        assert rc == 0 and report["certificate"]["is_optimal"]
+        assert report["certificate"]["tolerance"] == KW_TOLERANCE
+        assert report.get("kind") == kind
+        if "converged" in report:
+            assert report["converged"] == report["certificate"]["is_optimal"]
+
+
 # Anything a user might type for a number: huge, tiny, non-finite, or not a number at all.
 _ANY_NUMBER = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -755,7 +803,6 @@ def _optimize_argv(draw) -> list[str]:
     return [
         *draw(_point_argv("optimize")),
         f"--max-iterations={draw(st.integers(-1, 300))}",
-        *draw(_option("kw-tolerance", st.one_of(st.floats(0.0, 1e-3).map(repr), _ANY_NUMBER))),
     ]
 
 

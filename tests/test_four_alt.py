@@ -26,7 +26,7 @@ from btdesign import (
     search_disjoint_four_point,
     solve,
 )
-from btdesign.core import all_pairs, intensity_vector
+from btdesign.core import IntensityUnderflowError, all_pairs, intensity_vector
 from btdesign import four_alt
 from btdesign.four_alt import (
     _COLUMNS,
@@ -405,6 +405,35 @@ class TestDisjointFourPoint:
             expected.n_starts, expected.interior_count, expected.certified_count)
         assert report.best_slack == pytest.approx(expected.best_slack, abs=1e-12)
         assert report.best_point == pytest.approx(expected.best_point, abs=1e-12)
+
+    def test_underflowing_draws_count_only_in_n_starts(self, monkeypatch):
+        # At this scale about 1 % of draws have a gap past 745, whose
+        # intensity underflows, so every block holds some; the other draws of
+        # the block are still solved.
+        beta = np.random.default_rng(0).uniform(-400.0, 400.0, size=(20_000, 3))
+        evaluable = []
+        for row in beta:
+            try:
+                evaluable.append(intensity_vector(row))
+            except IntensityUnderflowError:
+                pass
+        assert 0 < 20_000 - len(evaluable) < 1000
+        solved = []
+
+        def counted(lam):
+            solved.append(len(lam))
+            return _disjoint_design(lam)
+
+        monkeypatch.setattr(four_alt, "_disjoint_design", counted)
+        report = search_disjoint_four_point(n_starts=20_000, seed=0, beta_scale=400.0)
+        assert len(solved) == 3 and sum(solved) == len(evaluable)
+        w, _ = _disjoint_design(np.array(evaluable))
+        assert report.interior_count == np.count_nonzero(~np.isnan(w[:, 0])) > 0
+        assert report.n_starts == 20_000 and report.certified_count == 0
+        # Where every draw underflows, no block is solved.
+        solved.clear()
+        report = search_disjoint_four_point(n_starts=10, seed=0, beta_scale=1e300)
+        assert solved == [] and (report.interior_count, report.best_point) == (0, None)
 
 
 class TestClassify:

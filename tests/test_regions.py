@@ -395,8 +395,8 @@ class TestCactusWeights:
                 path = sorted_beta_path(params)
                 lam = params.intensities
                 d = _derivatives(path.design().w, lam, F)[0]
-                w = _cactus_weights(path, lam, np.flatnonzero(d - k > 1e-8).tolist())
-                if w is None or d.max() - k <= 1e-8:
+                w = _cactus_weights(path, lam, np.flatnonzero(d - k > KW_TOLERANCE).tolist())
+                if w is None or d.max() - k <= KW_TOLERANCE:
                     continue
                 taken[m] += 1
                 assert w.sum() == pytest.approx(1.0, abs=1e-14)

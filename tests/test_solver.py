@@ -20,7 +20,7 @@ from btdesign import (
 )
 from btdesign.core import _derivatives, information_matrix, intensity_vector, log_det, regression_matrix
 from btdesign.regions import _cactus_weights, sorted_beta_path
-from btdesign.solver import SolverConfig, _fedorov_wynn_step, _newton_on_support, _single_step
+from btdesign.solver import MAX_ITERATIONS, _fedorov_wynn_step, _newton_on_support, _single_step
 
 from helpers import (
     count_derivative_calls,
@@ -53,11 +53,11 @@ def forms_a_cactus(path, chords) -> bool:
     return all(b - a >= 2 for a, b in spans) and all(b <= a for (_, b), (a, _) in zip(spans, spans[1:]))
 
 
-def reference_solve_weights(params: Parameters, config: SolverConfig = SolverConfig()) -> np.ndarray:
+def reference_solve_weights(params: Parameters) -> np.ndarray:
     """solve's weights, replayed from intensity_vector(beta) and core._derivatives.
 
     The solver's rounds: start at 1/k on the sorted-beta path; stop once
-    max d <= k + tolerance or at the last round.  Otherwise try, in order:
+    max d <= k + KW_TOLERANCE or at the last round.  Otherwise try, in order:
     in round 1 only, when the path plus its violators forms a cactus, the
     exact design on that support (regions._cactus_weights); then a step
     toward the k largest violators by a_p = (d_p - k) / (k (d_p - 1)),
@@ -77,7 +77,7 @@ def reference_solve_weights(params: Parameters, config: SolverConfig = SolverCon
         w[all_pairs(params.m).index(edge)] = 1.0 / k
 
     def rank(found):
-        return found[0].max() - k <= config.kw_tolerance, factor_log_det(found)
+        return found[0].max() - k <= KW_TOLERANCE, factor_log_det(found)
 
     def finished(trial):
         stepped = _derivatives(trial, lam, F)
@@ -90,7 +90,7 @@ def reference_solve_weights(params: Parameters, config: SolverConfig = SolverCon
 
     def scaled_step(w, d):
         top = np.argsort(d, kind="stable")[-k:]
-        top = top[d[top] - k > config.kw_tolerance]
+        top = top[d[top] - k > KW_TOLERANCE]
         a = (d[top] - k) / (k * (d[top] - 1.0))
         a *= min(1.0, 0.5 / a.sum())
         trial = (1.0 - a.sum()) * w
@@ -105,14 +105,14 @@ def reference_solve_weights(params: Parameters, config: SolverConfig = SolverCon
         return finished(trial)
 
     def exact(w, d):
-        chords = [int(c) for c in np.flatnonzero(d - k > config.kw_tolerance)]
+        chords = [int(c) for c in np.flatnonzero(d - k > KW_TOLERANCE)]
         cactus = _cactus_weights(path, lam, chords) if forms_a_cactus(path, chords) else None
         return (None, None) if cactus is None else (cactus, _derivatives(cactus, lam, F))
 
     found = _derivatives(w, lam, F)
-    for rounds in range(1, config.max_iterations + 1):
+    for rounds in range(1, MAX_ITERATIONS + 1):
         held = rank(found)
-        if held[0] or rounds == config.max_iterations:
+        if held[0] or rounds == MAX_ITERATIONS:
             return w
         for trial_of in ([exact] if rounds == 1 else []) + [scaled_step, single_step]:
             trial, stepped = trial_of(w, found[0])
@@ -156,10 +156,10 @@ class TestSolve:
     def test_converged_implies_certificate(self):
         rng = np.random.default_rng(211)
         for _ in range(20):
-            config = SolverConfig()
-            result = solve(random_params(rng, 4, scale=5.0), config)
+            result = solve(random_params(rng, 4, scale=5.0))
+            assert result.converged == result.certificate.is_optimal
             if result.converged:
-                assert result.certificate.max_violation <= config.kw_tolerance
+                assert result.certificate.max_violation <= KW_TOLERANCE
 
     def test_log_det_monotone_along_iteration(self):
         # solve stopped after r rounds returns the design the guard adopted
@@ -173,7 +173,7 @@ class TestSolve:
                 lam = intensity_vector(params.beta)
                 last = -np.inf
                 for rounds in range(1, solve(params).iterations + 1):
-                    w = solve(params, SolverConfig(max_iterations=rounds)).design.w
+                    w = solve(params, max_iterations=rounds).design.w
                     current = factor_log_det(_derivatives(w, lam, F))
                     assert current >= last, (params.beta, rounds)
                     last = current
@@ -200,7 +200,7 @@ class TestSolve:
 
     def test_iteration_cap_reported(self):
         # The m = 4 origin needs 2 rounds: the start path, then uniform weights.
-        result = solve(Parameters(4, (0.0, 0.0, 0.0)), SolverConfig(max_iterations=1))
+        result = solve(Parameters(4, (0.0, 0.0, 0.0)), max_iterations=1)
         assert result.iterations == 1
         assert not result.converged
 
@@ -267,11 +267,10 @@ class TestSolve:
         # Outside every path region; this solve once hit the 100 000-iteration cap.
         beta = (-2.389172507307342, -5.831192976807449, 3.5680804896961824,
                 -5.735195029649638, -1.0698048806276548, -2.4131484039801387)
-        config = SolverConfig()
-        result = solve(Parameters(7, beta), config)
+        result = solve(Parameters(7, beta))
         assert result.converged
-        assert result.iterations < config.max_iterations
-        assert result.certificate.max_violation <= config.kw_tolerance
+        assert result.iterations < MAX_ITERATIONS
+        assert result.certificate.max_violation <= KW_TOLERANCE
 
     def test_support_discovery_matches_regions(self):
         rng = np.random.default_rng(229)
@@ -297,11 +296,9 @@ class TestSolve:
                     assert edges <= set(result.design.support()), params.beta
         assert converged == 400
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(kw_tolerance=0.0)
+    def test_max_iterations_validation(self):
+        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+            solve(Parameters(4, (0.0, 0.0, 0.0)), max_iterations=0)
 
     @pytest.mark.parametrize(
         "beta, support",
@@ -311,15 +308,22 @@ class TestSolve:
                 (-17.831879553857924, 18.856570321203506, -17.69676536718233, 19.873671896324453),
                 [(1, 3), (2, 4), (2, 5), (3, 5)],
             ),
+            ((18.887073911065173, -13.407574939786366, 18.931134002741636), [(1, 3), (1, 4), (2, 4)]),
+            (
+                (-16.70108896108241, 19.32399018562662, -4.631147552999417, 19.25238158780757),
+                [(1, 3), (2, 4), (3, 5), (4, 5)],
+            ),
         ],
     )
     def test_noise_floor_point_ends_on_the_optimal_support(self, beta, support):
-        # At these points float rounding alone puts d - k at 1e-8 to 2e-8 on
-        # a support pair (1.17e-8 at the m = 5 path's exact 1/4 weights), so
-        # the round cannot raise log det and the loop stops, at the support
-        # the multiplicative solver certified there after 26-31 iterations.
+        # At these points float rounding alone puts d - k at 1e-8 to 7.1e-8
+        # on a support pair (1.17e-8 at the first m = 5 path's exact 1/4
+        # weights), below KW_TOLERANCE, so the start path certifies.  The
+        # multiplicative solver certified the first two after 26-31
+        # iterations; at the last two a solver judging at 1e-8 stopped
+        # uncertified, max_violation 2.05e-8 and 2.08e-8.
         result = solve(Parameters(len(beta) + 1, beta))
-        assert result.iterations <= 5
+        assert result.converged and result.iterations == 1
         assert result.design.support() == tuple(Pair(i, j) for i, j in support)
         assert result.certificate.max_violation < KW_TOLERANCE
 
@@ -331,7 +335,7 @@ class TestSolve:
             for _ in range(100):
                 result = solve(random_params(rng, m, scale=20.0))
                 assert result.iterations <= 5, result
-                assert result.converged or result.certificate.max_violation < KW_TOLERANCE, result
+                assert result.converged, result
 
     def test_weights_bitwise_equal_to_the_reference(self):
         rng = np.random.default_rng(2024)
@@ -356,7 +360,7 @@ class TestSolve:
                     assert value.tobytes() == fresh.tobytes()
                 if np.count_nonzero(trial) == k:
                     ends["k pairs"] += 1
-                elif held[0].max() - k <= SolverConfig().kw_tolerance:
+                elif held[0].max() - k <= KW_TOLERANCE:
                     ends["converged"] += 1
             return finish
 
@@ -461,21 +465,21 @@ class TestPathPlusChords:
         k = params.m - 1
         path = sorted_beta_path(params)
         d = _derivatives(path.design().w, params.intensities, regression_matrix(params.m))[0]
-        assert not forms_a_cactus(path, np.flatnonzero(d - k > SolverConfig().kw_tolerance).tolist())
+        assert not forms_a_cactus(path, np.flatnonzero(d - k > KW_TOLERANCE).tolist())
         calls = count_derivative_calls(monkeypatch)
         assert solve(params).converged
         assert calls[0] == parent_calls
 
 
-def assert_is_kw_check(result, params: Parameters, tolerance: float) -> None:
+def assert_is_kw_check(result, params: Parameters) -> None:
     """solve's certificate is field by field kw_check of its design, derivatives bitwise."""
-    expected = kw_check(result.design, params, tolerance=tolerance)
+    expected = kw_check(result.design, params)
     cert = result.certificate
     assert cert.derivatives.shape == expected.derivatives.shape
     assert cert.derivatives.tobytes() == expected.derivatives.tobytes()
     assert cert.max_violation.hex() == expected.max_violation.hex()
     assert cert.is_optimal == expected.is_optimal
-    assert cert.tolerance == expected.tolerance == tolerance
+    assert cert.tolerance == expected.tolerance == KW_TOLERANCE
     assert cert.singular == expected.singular
 
 
@@ -487,23 +491,13 @@ class TestCertificate:
         for m in range(2, 10):
             for _ in range(5):
                 params = random_params(rng, m, scale=6.0)
-                assert_is_kw_check(solve(params), params, SolverConfig().kw_tolerance)
+                assert_is_kw_check(solve(params), params)
 
     def test_iteration_cap(self):
         params = Parameters(4, (0.0, 0.0, 0.0))
-        result = solve(params, SolverConfig(max_iterations=1))
+        result = solve(params, max_iterations=1)
         assert not result.converged
-        assert_is_kw_check(result, params, SolverConfig().kw_tolerance)
-
-    def test_tight_tolerance(self):
-        rng = np.random.default_rng(271)
-        config = SolverConfig(kw_tolerance=1e-12)
-        for m in range(3, 9):
-            for _ in range(3):
-                params = random_params(rng, m, scale=6.0)
-                result = solve(params, config)
-                assert result.converged
-                assert_is_kw_check(result, params, config.kw_tolerance)
+        assert_is_kw_check(result, params)
 
 
 class TestWholePipeline:
