@@ -30,7 +30,7 @@ reversal names the same candidates).  Everything below but the region
 polynomials depends only on which of the 24 orders beta has, so each order's
 path, path design, missing pairs and relabelings are built once, at import,
 from the same rules (_SORTED_ORDERS); a call sorts beta and reads its row,
-and its labels are the ones the rule gives.  classify_m4 tries, in this order:
+and its labels are the ones the rule gives.  The candidates are
 
 1. full support;
 2. the five-point design missing the end pair (a, d);
@@ -39,7 +39,11 @@ and its labels are the ones the rule gives.  classify_m4 tries, in this order:
 4. the path a-b-c-d itself.
 
 Every candidate keeps the path's three edges; the kinds differ only in which
-of the other three pairs they drop.
+of the other three pairs they drop.  classify_m4 first evaluates the path's
+three region polynomials, the cheapest test of the four.  If they are all
+<= 0, it tests 3.; if 3. fails, it tries 4. alone, and neither closed form
+of 1. or 2. is evaluated.  Otherwise it tries 1., 2., 3. and then 4., if
+the polynomials passed, in that order: largest support first.
 
 What is proven.  The regions module docstring proves that no path other
 than a-b-c-d can hold beta in its region.  Ties never change the answer:
@@ -54,6 +58,20 @@ unchanged by every relabeling that leaves all lambda unchanged.
 - If |beta_a - beta_c| = |beta_b - beta_d|, the reflection a<->d, b<->c
   leaves lambda unchanged, so w_ac = w_bd and no four-point design drops
   only one of the two.  The tie-break in 3. does not matter.
+
+Testing the path first changes no label.  A closed form passes its test
+exactly when its design satisfies the Kiefer-Wolfowitz conditions: one
+strict sign of the numerators makes its weights positive, and nonnegative
+slacks keep the derivative toward each missing pair at most 3.  The optimum
+is unique, so in exact arithmetic no closed form passes anywhere in the
+closed saturated region: its design would be a second optimum, with
+positive weight on a pair the path does not use.  The Fraction retry
+therefore gives the labels of the largest-support-first order.  In floats
+the saturated and four-point tests can both pass within rounding of the
+surface the two regions share; testing 3. first gives that band to the
+four-point kind, as largest support first does.  The full-support and
+five-point tests could pass in the saturated region only within rounding
+of a set of codimension 3 or 2, where three or two of their weights vanish.
 
 What is only verified.  That every optimal support contains the sorted
 path's edges, so that the candidates above are the only ones of their kinds
@@ -70,6 +88,13 @@ only how soon solve gets there, never which support it certifies.  The
 search stays as the test oracle (tests/helpers.classify_by_pattern_search).
 A point where the rule failed would raise ClassificationError; it could
 never return an uncertified design, because every label passes its certificate.
+That testing the path first keeps the float labels is also only verified:
+against largest support first, labels, certificates and errors were
+bit-identical at 489 410 random and lattice points with |beta| up to 40,
+123 000 of them within 20 * 64 ulps (of the segment parameter) of 1 500
+kind boundaries bisected to adjacent floats.  Without the four-point test
+first, 153 of those boundaries flip to saturated, all within 18 * 64 ulps.
+The old order stays as a test oracle (tests/helpers.classify_largest_support_first).
 
 Four-point designs whose two missing pairs are disjoint carry no known
 optimality region.  Their support, (1,3), (1,4), (2,3), (2,4) up to
@@ -482,24 +507,34 @@ def _certify(found: Sequence[np.ndarray] | None, params: Parameters, what: Calla
 def _candidates(
     params: Parameters, lam: Intensities
 ) -> Iterator[tuple[RegionKind, Design | None, tuple[Pair, ...], PathDesign | None, tuple[np.ndarray] | None]]:
-    """The one candidate of each kind, largest support first, each built when reached.
+    """The one candidate of each kind, in the order of the module docstring, each built when reached.
 
     Yields (kind, design or None outside its region, missing pairs, path,
     directional values); the values come with the saturated path only, and
-    every closed form is evaluated through M.  The module docstring says why
-    no other candidate is needed.  Everything but the region polynomials is
-    read from the row of beta's descending order in _SORTED_ORDERS.
+    every closed form is evaluated through M.  Inside the path's region,
+    unless the four-point candidate passes too, only the path is yielded;
+    otherwise the order is largest support first.  The module docstring says
+    why this gives the labels of largest support first and why no other
+    candidate is needed.  Everything but the region polynomials is read from
+    the row of beta's descending order in _SORTED_ORDERS.
     """
-    yield RegionKind.FULL_SUPPORT, _closed_form_design(full_support_raw, (1, 2, 3, 4), lam), (), None, None
     beta = (*params.beta, 0.0)
     row = _SORTED_ORDERS[tuple(_descending_order(beta))]
+    a, b, c, d = row.positions
+    four_missing, four_tau = row.four_ac if abs(beta[a] - beta[c]) >= abs(beta[b] - beta[d]) else row.four_bd
+    saturated = all(v <= 0.0 for v in saturated_inequality_values(row.path, lam))
+    if saturated:
+        four = _closed_form_design(four_point_shared_raw, four_tau, lam)
+        if four is None:
+            yield RegionKind.SATURATED, row.design, (), row.path, row.path_values(lam)
+            return
+    yield RegionKind.FULL_SUPPORT, _closed_form_design(full_support_raw, (1, 2, 3, 4), lam), (), None, None
     missing, tau = row.five_point
     yield RegionKind.FIVE_POINT, _closed_form_design(five_point_raw, tau, lam), missing, None, None
-    a, b, c, d = row.positions
-    missing, tau = row.four_ac if abs(beta[a] - beta[c]) >= abs(beta[b] - beta[d]) else row.four_bd
-    design = _closed_form_design(four_point_shared_raw, tau, lam)
-    yield RegionKind.FOUR_POINT_SHARED_VERTEX, design, missing, None, None
-    if all(v <= 0.0 for v in saturated_inequality_values(row.path, lam)):
+    if not saturated:
+        four = _closed_form_design(four_point_shared_raw, four_tau, lam)
+    yield RegionKind.FOUR_POINT_SHARED_VERTEX, four, four_missing, None, None
+    if saturated:
         yield RegionKind.SATURATED, row.design, (), row.path, row.path_values(lam)
 
 
@@ -516,10 +551,13 @@ def _first_certified(params: Parameters, lam: Intensities) -> RegionLabel | None
 def classify_m4(params: Parameters) -> RegionLabel:
     """Map a parameter point to its optimality region and certified design.
 
-    One candidate per kind, taken from the sorted-beta path, is tried from
-    largest to smallest support, which fixes which region claims a shared
-    boundary: full support is open, saturated regions are closed, and
-    intermediate boundaries go to the first kind that certifies.  When the
+    One candidate per kind, taken from the sorted-beta path, is tried.  The
+    path's region is tested first; inside it only the four-point candidate
+    is tried before the path, and elsewhere the order is largest support
+    first.  The labels are those of largest support first (the module
+    docstring says why), which fixes which region claims a shared boundary:
+    full support is open, saturated regions are closed, and intermediate
+    boundaries go to the first kind that certifies.  When the
     float pass finds no region or a candidate fails its certificate, the
     same intensities are tried once more as Fractions, where the division-free
     polynomials evaluate exactly; a singular certificate is not retried.
@@ -669,7 +707,9 @@ class DisjointSearchReport:
     underflows has none it can evaluate: it counts in n_starts alone); certified_count is how
     many of those designs had both slacks >= 0 and passed kw_check
     (expected: zero).  best_slack is the largest min(slack1, slack2) over
-    them, and best_point its beta and weights on (1,3), (1,4), (2,3), (2,4).
+    them, -inf where every one overflows, and best_point the beta and weights
+    on (1,3), (1,4), (2,3), (2,4) of the first draw that attains it; it is
+    None exactly when interior_count is 0.
     """
 
     n_starts: int
@@ -697,12 +737,14 @@ def search_disjoint_four_point(
         if not len(beta):
             continue
         w, slacks = _disjoint_design(lam)
-        interior += int(np.count_nonzero(~np.isnan(w[:, 0])))
+        positive = ~np.isnan(w[:, 0])
+        interior += int(np.count_nonzero(positive))
         slack = slacks.min(axis=1)
-        slack[np.isnan(slack)] = -np.inf  # no positive design
-        top = int(slack.argmax())
-        if slack[top] > best_slack:
-            best_slack, best_point = float(slack[top]), (*beta[top].tolist(), *w[top].tolist())
+        slack[np.isnan(slack)] = -np.inf  # no positive design, or no slack in the float range
+        if positive.any():  # best_point is set even where every positive design's slack is -inf
+            top = int(np.flatnonzero(positive)[slack[positive].argmax()])
+            if best_point is None or slack[top] > best_slack:
+                best_slack, best_point = float(slack[top]), (*beta[top].tolist(), *w[top].tolist())
         for i in np.flatnonzero(slack >= 0.0):  # zero weight on (1,2) and (3,4)
             certified += kw_check(Design(4, np.pad(w[i], 1)), Parameters(4, tuple(beta[i]))).is_optimal
     return DisjointSearchReport(

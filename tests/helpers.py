@@ -18,7 +18,7 @@ from btdesign import (
     all_pairs,
     region_membership,
 )
-from btdesign import core, optimality, solver
+from btdesign import core, four_alt, optimality, solver
 from btdesign.core import intensity_vector
 from btdesign.four_alt import (
     _closed_form_design,
@@ -110,6 +110,20 @@ def count_factorizations(monkeypatch) -> list[int]:
     return calls
 
 
+def count_closed_form_calls(monkeypatch) -> dict[str, int]:
+    """Count calls of four_alt.full_support_raw and four_alt.five_point_raw from here on, by name."""
+    calls = {"full_support_raw": 0, "five_point_raw": 0}
+    for name in calls:
+        original = getattr(four_alt, name)
+
+        def counted(lam, original=original, name=name):
+            calls[name] += 1
+            return original(lam)
+
+        monkeypatch.setattr(four_alt, name, counted)
+    return calls
+
+
 def count_pair_hashes(monkeypatch) -> list[int]:
     """Count hashes of Pair objects from here on, in a one-item list."""
     calls = [0]
@@ -182,6 +196,34 @@ def classify_by_pattern_search(params: Parameters) -> tuple[RegionKind, tuple[Pa
         if design is not None:
             return RegionKind.FOUR_POINT_SHARED_VERTEX, missing_pairs, design
     path = sorted_beta_path(params)
+    if all(v <= 0.0 for v in saturated_inequality_values(path, lam)):
+        return RegionKind.SATURATED, (), path.design()
+    return None
+
+
+def classify_largest_support_first(params: Parameters) -> tuple[RegionKind, tuple[Pair, ...], Design] | None:
+    """The m = 4 region of the first sorted-path candidate that holds, largest support first; None if none holds.
+
+    The reference for classify_m4's order: full support, the five-point
+    design missing (a, d), the four-point design missing (a, d) and the
+    wider two-step pair, then the path a-b-c-d itself, each through its
+    closed form, with every polynomial evaluated.  Nothing is certified.
+    """
+    lam = intensity_vector(params.beta).tolist()
+    path = sorted_beta_path(params)
+    a, b, c, d = path.order
+    beta = (*params.beta, 0.0)
+    wider = Pair(a, c) if abs(beta[a - 1] - beta[c - 1]) >= abs(beta[b - 1] - beta[d - 1]) else Pair(b, d)
+    four = tuple(sorted((Pair(a, d), wider)))
+    candidates = (
+        (RegionKind.FULL_SUPPORT, (), full_support_raw, (1, 2, 3, 4)),
+        (RegionKind.FIVE_POINT, (Pair(a, d),), five_point_raw, _five_point_tau(Pair(a, d))),
+        (RegionKind.FOUR_POINT_SHARED_VERTEX, four, four_point_shared_raw, _four_point_tau(*four)),
+    )
+    for kind, missing, raw, tau in candidates:
+        design = _closed_form_design(raw, tau, lam)
+        if design is not None:
+            return kind, missing, design
     if all(v <= 0.0 for v in saturated_inequality_values(path, lam)):
         return RegionKind.SATURATED, (), path.design()
     return None

@@ -427,7 +427,7 @@ class TestScan:
         out_file = tmp_path / "grid.csv"
         rc, _ = run(["scan", "--spec", str(spec_file), "--output", str(out_file)])
         assert rc == 0
-        rows = list(csv.DictReader(out_file.open()))
+        rows = list(csv.DictReader(out_file.read_text().splitlines()))
         assert len(rows) == 125
 
     def test_failure_leaves_no_output_file(self, tmp_path, capsys):
@@ -572,7 +572,7 @@ class TestEfficiency:
         out_file = tmp_path / "eff.csv"
         rc, _ = run(["efficiency", "--range", "0,1", "--steps", "3", "--output", str(out_file)])
         assert rc == 0
-        assert len(list(csv.DictReader(out_file.open()))) == 3
+        assert len(list(csv.DictReader(out_file.read_text().splitlines()))) == 3
 
     def test_failure_leaves_no_output_file(self, tmp_path, capsys):
         # t = 800 underflows the intensities after the t = 0 row succeeded.
@@ -627,7 +627,15 @@ class TestScans:
         rc, report = run_json(["search-disjoint4", "--starts", "2"])
         assert rc == 0
         assert report["interior_count"] == 0
-        assert report["best_slack"] is None
+        assert report["best_slack"] is None and report["best_point"] is None
+
+    def test_search_disjoint4_keeps_a_best_point_whose_slack_overflows(self):
+        # The one interior draw has a subnormal intensity on two cycle edges,
+        # so its slack overflows to -inf (null); it is still the best point.
+        rc, report = run_json(["search-disjoint4", "--starts=20000", "--beta-scale=600"])
+        assert rc == 0
+        assert (report["interior_count"], report["best_slack"]) == (1, None)
+        assert report["best_point"][:3] == pytest.approx([250.04, 249.25, -495.00], abs=0.01)
 
 # Scan specs: a small valid grid, one that asks for too many points, and one
 # whose grid runs past the largest float.

@@ -46,6 +46,8 @@ from btdesign.regions import PathDesign, sorted_beta_path
 
 from helpers import (
     classify_by_pattern_search,
+    classify_largest_support_first,
+    count_closed_form_calls,
     count_constructions,
     count_factorizations,
     count_intensity_calls,
@@ -715,3 +717,60 @@ class TestSortedPathCandidates:
             for t in (lo, hi):
                 assert_matches_pattern_search(Parameters(4, tuple(x + t * (y - x))))
             checked += 1
+
+
+def _ulps_away(t: float, n: int) -> float:
+    """The float n units in the last place from t >= 0 (toward +inf for n > 0)."""
+    return float((np.float64(t).view(np.int64) + n).view(np.float64))
+
+
+class TestPathRegionFirst:
+    """classify_m4 tests the sorted path's region first, with the labels of the largest-support-first order."""
+
+    def test_matches_largest_support_first_at_saturated_boundaries(self):
+        # Segments from a saturated point to a point of another kind, bisected
+        # to adjacent floats of t.  Within 20 * 64 ulps of t on either side
+        # of the boundary, the saturated test and the four-point test can
+        # both pass; the four-point guard gives such points to the four-point
+        # kind, as the reference does.  Without it about one boundary in ten flips.
+        def kind_at(x, y, t):
+            found = classify_largest_support_first(Parameters(4, tuple(x + t * (y - x))))
+            return None if found is None else found[0]
+
+        rng = np.random.default_rng(181)
+        checked = 0
+        while checked < 40:
+            x, y = rng.uniform(-8.0, 8.0, size=(2, 3))
+            if kind_at(x, y, 0.0) is not RegionKind.SATURATED or kind_at(x, y, 1.0) is RegionKind.SATURATED:
+                continue
+            lo, hi = 0.0, 1.0
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                if kind_at(x, y, mid) is RegionKind.SATURATED:
+                    lo = mid
+                else:
+                    hi = mid
+            for t in (lo, hi):
+                for k in range(-20, 21):
+                    params = Parameters(4, tuple(x + _ulps_away(t, 64 * k) * (y - x)))
+                    found = classify_largest_support_first(params)
+                    assert found is not None, params.beta
+                    label = classify_m4(params)
+                    kind, missing, design = found
+                    assert (label.kind, label.missing_pairs, label.design.w.tobytes()) == (
+                        kind, missing, design.w.tobytes()
+                    ), params.beta
+            checked += 1
+
+    def test_saturated_points_skip_full_support_and_five_point(self, monkeypatch):
+        rng = np.random.default_rng(191)
+        points = []
+        while len(points) < 200:
+            params = random_params(rng, 4, scale=8.0)
+            if classify_m4(params).kind is RegionKind.SATURATED:
+                points.append(params)
+        calls = count_closed_form_calls(monkeypatch)
+        for params in points:
+            classify_m4(params)
+        assert calls == {"full_support_raw": 0, "five_point_raw": 0}
+        assert classify_m4(line_params(2.5)).kind is RegionKind.FOUR_POINT_SHARED_VERTEX
+        assert calls == {"full_support_raw": 1, "five_point_raw": 1}
