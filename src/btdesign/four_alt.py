@@ -11,18 +11,27 @@ polynomial per missing pair.  A point is in the region exactly when every
 numerator is nonzero with one common sign and every slack is >= 0.
 
 Every design returned here is re-verified with the equivalence theorem
-before being handed out; a formula that fails its own certificate raises
-ConsistencyError instead of returning a wrong design.  A closed-form design
-is certified through its information matrix M, as kw_check does.  The
+before being handed out, and every certificate is judged at KW_TOLERANCE;
+a formula that fails its own certificate raises ConsistencyError instead
+of returning a wrong design.  In the float pass a closed-form design is
+certified through its information matrix M, as kw_check does.  The
 saturated path is certified by the tree identity of the regions module,
 derivative 3 (g - 1), summed from the intensities without M: it is never
-singular and never widened, and since the region test evaluates the
-polynomials below, not g, the certificate still cross-checks that test.
-kw_check, solve and the CLI's verify and optimize still factor M.  Near
-symmetric points, such as beta = (-12, -12, 0), the float polynomials
-cancel; when the float pass finds no region or fails a certificate,
-classify_m4 evaluates the same float intensities once more as Fractions,
-exactly, and certifies as usual.
+singular, and since the region test evaluates the polynomials below, not
+g, the certificate still cross-checks that test.  kw_check, solve and the
+CLI's verify and optimize still factor M.
+
+Near symmetric points, such as beta = (-12, -12, 0), the float polynomials
+cancel, and at extreme points a closed form's M is too ill-conditioned, or
+singular at the pivot test, for its float certificate to hold.  When the
+float pass finds no region or a certificate fails, classify_m4 evaluates
+the same float intensities once more as Fractions.  The polynomials and g
+are then exact, and so is a closed form's 3 x 3 M, built from the design's
+float weights and inverted as adj(M) / det(M); each derivative is rounded
+once to a float and judged at KW_TOLERANCE like any other.  An exact
+certificate covers the float intensities, not lambda(beta) itself.  A
+certificate that fails in exact arithmetic is a wrong formula, and its
+ConsistencyError propagates.
 
 Classification needs one candidate per kind.  Let a-b-c-d be the path that
 visits the alternatives in descending order of beta (sorted_beta_path; its
@@ -42,8 +51,9 @@ Every candidate keeps the path's three edges; the kinds differ only in which
 of the other three pairs they drop.  classify_m4 first evaluates the path's
 three region polynomials, the cheapest test of the four.  If they are all
 <= 0, it tests 3.; if 3. fails, it tries 4. alone, and neither closed form
-of 1. or 2. is evaluated.  Otherwise it tries 1., 2., 3. and then 4., if
-the polynomials passed, in that order: largest support first.
+of 1. or 2. is evaluated.  Otherwise it tries 1., 2. and 3., in that order:
+largest support first.  4. is never tried after 3.: where the polynomials
+pass and 3. passes too, 3. is certified or fails, and either ends the search.
 
 What is proven.  The regions module docstring proves that no path other
 than a-b-c-d can hold beta in its region.  Ties never change the answer:
@@ -126,7 +136,7 @@ from .core import (
     intensity_vector,
     regression_matrix,
 )
-from .optimality import KW_TOLERANCE, KwCertificate, _certificate, kw_check
+from .optimality import KwCertificate, _certificate, kw_check
 from .regions import PathDesign, _cycle_shares, _descending_order
 
 Scalar = Union[float, np.ndarray, Fraction]
@@ -148,12 +158,9 @@ _COLUMNS = {
 
 
 class ClassificationError(BtDesignError):
-    """No certified label could be produced for the parameter point.
+    """No region's conditions hold at the parameter point, even in exact arithmetic.
 
-    Raised when no region's conditions hold (a bug signal: the regions tile
-    all of parameter space) or when the point sits beyond the numerically
-    certifiable range, i.e. the optimal design's own information matrix
-    trips the singularity threshold.
+    A bug signal: the regions tile all of parameter space.
     """
 
 
@@ -467,37 +474,43 @@ def _describe(kind: RegionKind, missing: tuple[Pair, ...], path: PathDesign | No
     return f"{points}-point formula missing " + ", ".join(map(repr, missing))
 
 
-def _certify(found: Sequence[np.ndarray] | None, params: Parameters, what: Callable[[], str]) -> KwCertificate:
-    """The candidate's certificate from its directional values, widened where M's conditioning demands.
+_F = regression_matrix(4)
+# Its rows as integers, so that products with Fractions stay exact.
+_F_INT = _F.astype(int).tolist()
 
-    found is a core._derivatives result, or the saturated path's values from
-    _SortedOrder.path_values.  what names the candidate; it is called only
-    when the certificate fails.
+
+def _exact_values(w: np.ndarray, lam: Sequence[Fraction]) -> tuple[np.ndarray] | None:
+    """lambda f^T M^{-1} f of a closed-form design for every pair, exact, each rounded once to a float.
+
+    M = F^T diag(w lambda) F is summed in Fractions from the design's float
+    weights, the Fraction intensities and F's integer rows, and inverted as
+    adj(M) / det(M).  None when det(M) is 0, as core._derivatives gives for
+    a singular M.  Shaped as optimality._certificate takes it.
     """
-    cert = _certificate(found, params.m, KW_TOLERANCE)
+    wl = [Fraction(x) * l for x, l in zip(w.tolist(), lam)]
+    M = [[sum(c * f[r] * f[s] for c, f in zip(wl, _F_INT)) for s in range(3)] for r in range(3)]
+    # Cofactor (r, s), sign included, from rows r + 1, r + 2 and columns s + 1, s + 2 mod 3;
+    # M is symmetric, so the cofactors are adj(M) as they stand.
+    cyclic = ((1, 2), (2, 0), (0, 1))
+    adj = [[M[a][c] * M[b][d] - M[a][d] * M[b][c] for c, d in cyclic] for a, b in cyclic]
+    det = sum(M[0][s] * adj[0][s] for s in range(3))
+    if det == 0:
+        return None
+    quadratic = [sum(f[r] * f[s] * adj[r][s] for r in range(3) for s in range(3)) for f in _F_INT]
+    return (np.array([float(l * q / det) for l, q in zip(lam, quadratic)]),)
+
+
+def _certify(found: Sequence[np.ndarray] | None, params: Parameters, what: Callable[[], str]) -> KwCertificate:
+    """The candidate's certificate from its directional values; ConsistencyError when it fails.
+
+    found is a core._derivatives result (None where M is singular at the
+    pivot test), a closed form's _exact_values, or the saturated path's
+    values from _SortedOrder.path_values.  what names the candidate; it is
+    called only when the certificate fails.
+    """
+    cert = _certificate(found, params.m)
     if cert.is_optimal:
         return cert
-    if cert.singular:
-        # The candidate's support spans, so a singular flag means some of
-        # its own intensities sit below the pivot threshold: the point is
-        # outside the range where any certificate can be evaluated.
-        raise ClassificationError(
-            f"the information matrix of the {what()} candidate at beta={params.beta} "
-            "is singular at the pivot threshold; the point is beyond the "
-            "numerically certifiable range"
-        )
-    # Directional values computed through M^{-1} cannot be resolved sharper
-    # than the conditioning of M allows; at extreme parameters (some
-    # intensities near zero) the strict tolerance is below that floor.  A
-    # transcription bug shows O(1) violations, far above it.  cond(M) is
-    # estimated by the squared pivot ratio of the factor L the evaluation
-    # already made.  The path's values come without M, hence without L, and
-    # are never widened.
-    if len(found) == 3:
-        pivots = found[2].diagonal()
-        floor = 16.0 * float(np.finfo(float).eps) * float((pivots.max() / pivots.min()) ** 2)
-        if cert.max_violation <= floor:
-            return _certificate(found, params.m, floor)
     raise ConsistencyError(
         f"{what()} claimed optimality at beta={params.beta} but the certificate "
         f"shows violation {cert.max_violation:.3e}"
@@ -511,12 +524,14 @@ def _candidates(
 
     Yields (kind, design or None outside its region, missing pairs, path,
     directional values); the values come with the saturated path only, and
-    every closed form is evaluated through M.  Inside the path's region,
+    every closed form is certified through M.  Inside the path's region,
     unless the four-point candidate passes too, only the path is yielded;
-    otherwise the order is largest support first.  The module docstring says
-    why this gives the labels of largest support first and why no other
-    candidate is needed.  Everything but the region polynomials is read from
-    the row of beta's descending order in _SORTED_ORDERS.
+    otherwise the order is largest support first, without the path, which
+    could only follow a four-point candidate that ends the search.  The
+    module docstring says why this gives the labels of largest support first
+    and why no other candidate is needed.  Everything but the region
+    polynomials is read from the row of beta's descending order in
+    _SORTED_ORDERS.
     """
     beta = (*params.beta, 0.0)
     row = _SORTED_ORDERS[tuple(_descending_order(beta))]
@@ -534,15 +549,18 @@ def _candidates(
     if not saturated:
         four = _closed_form_design(four_point_shared_raw, four_tau, lam)
     yield RegionKind.FOUR_POINT_SHARED_VERTEX, four, four_missing, None, None
-    if saturated:
-        yield RegionKind.SATURATED, row.design, (), row.path, row.path_values(lam)
 
 
 def _first_certified(params: Parameters, lam: Intensities) -> RegionLabel | None:
+    """The label of the first candidate inside its region; None when there is none.
+
+    On Fraction intensities a closed form is certified exactly, on floats through core._derivatives.
+    """
+    exact = isinstance(lam[0], Fraction)
     for kind, design, missing, path, found in _candidates(params, lam):
         if design is not None:
             if found is None:
-                found = _derivatives(design.w, params.intensities, regression_matrix(params.m))
+                found = _exact_values(design.w, lam) if exact else _derivatives(design.w, params.intensities, _F)
             cert = _certify(found, params, lambda: _describe(kind, missing, path))
             return RegionLabel(kind, design, cert, missing, path)
     return None
@@ -558,9 +576,10 @@ def classify_m4(params: Parameters) -> RegionLabel:
     docstring says why), which fixes which region claims a shared boundary:
     full support is open, saturated regions are closed, and intermediate
     boundaries go to the first kind that certifies.  When the
-    float pass finds no region or a candidate fails its certificate, the
-    same intensities are tried once more as Fractions, where the division-free
-    polynomials evaluate exactly; a singular certificate is not retried.
+    float pass finds no region or a candidate fails its certificate (by a
+    violation or a singular M), the same intensities are tried once more as
+    Fractions, where the polynomials and the certificates evaluate exactly;
+    a failure there propagates.  Every certificate is judged at KW_TOLERANCE.
     """
     if params.m != 4:
         raise ValueError(f"closed-form classification requires m=4, got m={params.m}")

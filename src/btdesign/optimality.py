@@ -12,7 +12,7 @@ every direction and returns the result as a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
 )
 
 # Absolute tolerance on directional derivatives for declaring optimality, the
-# one every route judges at; only classify_m4 widens it, where M's conditioning demands.
+# one every certificate is judged at.
 KW_TOLERANCE = 1e-7
 
 
@@ -38,21 +38,22 @@ class KwCertificate:
 
     derivatives is a read-only array holding, for each pair in all_pairs
     order, lambda_ij f^T M^{-1} f - (m-1), and is empty when M is singular;
-    the design is optimal iff the largest of these is nonpositive (within
-    the recorded tolerance), and support pairs then sit at zero.
+    the design is optimal iff the largest of these is nonpositive within
+    tolerance, which is KW_TOLERANCE for every certificate, and support
+    pairs then sit at zero.
     """
 
     derivatives: np.ndarray
     max_violation: float
     is_optimal: bool
-    tolerance: float = KW_TOLERANCE
     singular: bool = False
+    tolerance: ClassVar[float] = KW_TOLERANCE
 
     def __post_init__(self) -> None:
         self.derivatives.setflags(write=False)
 
     def __reduce__(self):  # pickle and deepcopy through the constructor, which keeps derivatives read-only
-        return type(self), (self.derivatives, self.max_violation, self.is_optimal, self.tolerance, self.singular)
+        return type(self), (self.derivatives, self.max_violation, self.is_optimal, self.singular)
 
 
 def kw_check(design: Design, params: Parameters) -> KwCertificate:
@@ -60,22 +61,23 @@ def kw_check(design: Design, params: Parameters) -> KwCertificate:
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
     found = _derivatives(design.w, params.intensities, regression_matrix(params.m))
-    return _certificate(found, params.m, KW_TOLERANCE)
+    return _certificate(found, params.m)
 
 
-def _certificate(found: Sequence[np.ndarray] | None, m: int, tolerance: float) -> KwCertificate:
+def _certificate(found: Sequence[np.ndarray] | None, m: int) -> KwCertificate:
     """The certificate from a design's directional values; None means M is singular.
 
     found[0] holds lambda f^T M^{-1} f for every pair: a core._derivatives
-    result, or a saturated path's (m - 1) g from the tree identity (see the
-    regions module docstring).  Every certificate is made here, so solve's
+    result, a saturated path's (m - 1) g from the tree identity (see the
+    regions module docstring), or an m = 4 closed form's exact values rounded
+    to floats (four_alt).  Every certificate is made here, so solve's
     is kw_check of its design without a second evaluation.
     """
     if found is None:
-        return KwCertificate(np.empty(0), float("inf"), False, tolerance, singular=True)
+        return KwCertificate(np.empty(0), float("inf"), False, singular=True)
     derivatives = found[0] - (m - 1)
     max_violation = float(derivatives.max())
-    return KwCertificate(derivatives, max_violation, max_violation <= tolerance, tolerance)
+    return KwCertificate(derivatives, max_violation, max_violation <= KW_TOLERANCE)
 
 
 def d_efficiency(design: Design, reference: Design, params: Parameters) -> float:

@@ -54,9 +54,9 @@ tree that resistance is the sum of (m-1) / lambda_k along the path between
 them: the equivalence-theorem derivative toward (i, j) is exactly
 (m-1)(g(i, j) - 1).  region_membership builds the design's certificate from
 the same g it tests, with no factorization of M: edges read exactly 0, and
-the certificate is never singular and never needs a widened tolerance.
-kw_check, solve and the CLI's verify and optimize still factor M, so they
-remain an independent check of this identity.
+the certificate is never singular.  kw_check, solve and the CLI's verify
+and optimize still factor M, so they remain an independent check of this
+identity.
 
 Path plus chords.  Let a support be the path plus chords, pairs at path
 positions a < b with b - a >= 2, whose spans [a, b] share no path edge.
@@ -114,7 +114,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Design, Pair, Parameters, _pair_columns, all_pairs
-from .optimality import KW_TOLERANCE, KwCertificate, _certificate
+from .optimality import KwCertificate, _certificate
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,7 @@ def region_membership(path: PathDesign, params: Parameters) -> RegionMembership:
     off = np.delete(g, path._edge_columns())  # edges give exactly 1
     margin = (float(off.max()) if off.size else 1.0) - 1.0
     # lambda f^T M^{-1} f = (m - 1) g on the path's design, so edges certify at exactly 0.
-    certificate = _certificate(((path.m - 1) * g,), path.m, KW_TOLERANCE)
+    certificate = _certificate(((path.m - 1) * g,), path.m)
     return RegionMembership(path=path, inside=margin <= 0.0, margin=margin, certificate=certificate)
 
 

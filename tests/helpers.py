@@ -124,6 +124,19 @@ def count_closed_form_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
+def count_exact_evaluations(monkeypatch) -> list[int]:
+    """Count calls of four_alt._exact_values, the exact closed-form certificate, from here on, in a one-item list."""
+    calls = [0]
+    original = four_alt._exact_values
+
+    def counted(w, lam):
+        calls[0] += 1
+        return original(w, lam)
+
+    monkeypatch.setattr(four_alt, "_exact_values", counted)
+    return calls
+
+
 def count_pair_hashes(monkeypatch) -> list[int]:
     """Count hashes of Pair objects from here on, in a one-item list."""
     calls = [0]

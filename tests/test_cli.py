@@ -28,12 +28,14 @@ from btdesign import (
     apply_to_params,
     cli,
     information_matrix,
+    kw_check,
     log_det,
     region_membership,
     solve,
 )
 from btdesign.cli import MAX_POINTS, CliError, ScanAxis, ScanSpec, build_parser, main, run_scan
 from btdesign.core import SUPPORT_THRESHOLD
+from btdesign.solver import SolverResult
 
 from helpers import exact_path_derivatives, sample_in_path_region
 
@@ -184,6 +186,20 @@ class TestVerify:
         rc, _ = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
         assert rc == 2
 
+    def test_negative_weight_is_usage_error(self, tmp_path, capsys):
+        # The weights sum to 1, so only the Design constructor refuses them.
+        design_file = tmp_path / "negative.json"
+        design_file.write_text(json.dumps({"m": 4, "weights": {"1-2": 1.5, "1-3": -0.5}}))
+        rc, _ = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: weight for (1,3) must be finite and nonnegative")
+
+    def test_missing_design_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        rc, _ = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(missing)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read design file {missing}: ")
+
     def test_huge_design_m_is_usage_error(self, tmp_path):
         # A junk m is refused before any pair table is built for it.
         design_file = tmp_path / "huge.json"
@@ -237,6 +253,19 @@ class TestClassify:
         exact = max(exact_path_derivatives(PathDesign(tuple(report["path"])), params))
         assert 0 < exact < 1e-15
         assert abs(report["certificate"]["max_violation"] - exact) <= 1e-14
+
+    def test_uncertified_solver_answer_exits_1(self, monkeypatch, capsys):
+        # The report is still written, and the error line follows it.
+        params = Parameters(5, (0.0, 0.0, 0.0, 0.0))
+        path = PathDesign.canonical(5).design()
+        certificate = kw_check(path, params)
+        assert not certificate.is_optimal
+        monkeypatch.setattr(cli, "solve", lambda params: SolverResult(path, certificate, 0, False))
+        rc, report = run_json(["classify", "--m", "5", "--beta", "0,0,0,0"])
+        assert rc == 1
+        assert report["kind"] == "unsaturated" and report["converged"] is False
+        assert not report["certificate"]["is_optimal"]
+        assert capsys.readouterr().err == "error: the unsaturated design is not certified optimal at this point\n"
 
     def test_solver_fallback_tail_point_converges(self):
         # An m=7 point outside every path region whose solve once ran into
@@ -525,9 +554,16 @@ class TestScan:
         assert report["kind"] == "unsaturated"
         assert report["converged"] and report["certificate"]["is_optimal"]
 
-    def test_classify_beyond_certifiable_range(self):
-        rc, _ = run(["classify", "--m", "4", "--beta", "40,40,40"])
+    def test_classify_beyond_certifiable_range(self, capsys):
+        # A triple tie at 40 is certified by the exact retry; the range ends
+        # where an intensity underflows.
+        rc, report = run_json(["classify", "--m", "4", "--beta", "40,40,40"])
+        assert rc == 0 and report["certificate"]["is_optimal"]
+        rc, _ = run(["classify", "--m", "4", "--beta", "800,800,800"])
         assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: an intensity underflows to 0: the preference gap is beyond the certifiable range\n"
+        )
 
     def test_optimize_beyond_certifiable_range_is_reported(self):
         # Even the uniform starting design is singular at the pivot
@@ -738,7 +774,7 @@ class TestJsonOutput:
 
 
 class TestOneTolerance:
-    """Every route judges optimality at KW_TOLERANCE; only classify_m4 widens it, never at these points."""
+    """Every route judges optimality at KW_TOLERANCE."""
 
     @pytest.mark.parametrize(
         "argv, kind",

@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from btdesign import (
-    ClassificationError,
     ConsistencyError,
     Design,
     Pair,
@@ -26,7 +25,7 @@ from btdesign import (
     search_disjoint_four_point,
     solve,
 )
-from btdesign.core import IntensityUnderflowError, all_pairs, intensity_vector
+from btdesign.core import IntensityUnderflowError, _derivatives, all_pairs, intensity_vector, regression_matrix
 from btdesign import four_alt
 from btdesign.four_alt import (
     _COLUMNS,
@@ -49,6 +48,7 @@ from helpers import (
     classify_largest_support_first,
     count_closed_form_calls,
     count_constructions,
+    count_exact_evaluations,
     count_factorizations,
     count_intensity_calls,
     exact_path_derivatives,
@@ -509,14 +509,14 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_m4(Parameters(5, (0.0, 0.0, 0.0, 0.0)))
 
-    def test_extreme_ties_certify_at_conditioning_floor(self):
+    def test_extreme_ties_certify_at_strict_tolerance(self):
         # Ties between huge preferences leave a tiny eigenvalue in the
-        # optimal information matrix, so certificates there carry a
-        # conditioning-scaled tolerance instead of the strict default.
+        # optimal information matrix, too small for the float certificate;
+        # the exact retry certifies at the strict tolerance.
         label = classify_m4(Parameters(4, (25.0, 25.0, 25.0)))
         assert label.kind is RegionKind.FULL_SUPPORT
-        assert label.certificate.is_optimal
-        assert label.certificate.max_violation <= label.certificate.tolerance
+        assert label.certificate.is_optimal and label.certificate.tolerance == KW_TOLERANCE
+        assert label.certificate.max_violation <= KW_TOLERANCE
         expected = {Pair(1, 2): 2 / 9, Pair(1, 3): 2 / 9, Pair(2, 3): 2 / 9}
         for pair, w in expected.items():
             assert label.design.weight(pair) == pytest.approx(w, rel=1e-5)
@@ -530,13 +530,26 @@ class TestClassify:
                 assert certificate.is_optimal and certificate.tolerance == KW_TOLERANCE, beta
 
     def test_beyond_certifiable_range_raises(self):
-        message = (
-            "the information matrix of the four-point formula missing (1,4), (2,4) candidate at "
-            "beta=(40.0, 40.0, 40.0) is singular at the pivot threshold; the point is beyond the "
-            "numerically certifiable range"
-        )
-        with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
-            classify_m4(Parameters(4, (40.0, 40.0, 40.0)))
+        # At this triple tie the float pass picks the four-point candidate,
+        # whose M is singular at the pivot test; the exact retry gives full
+        # support with the weights the tie symmetry requires.
+        label = classify_m4(Parameters(4, (40.0, 40.0, 40.0)))
+        assert label.kind is RegionKind.FULL_SUPPORT
+        assert label.certificate.is_optimal and label.certificate.tolerance == KW_TOLERANCE
+        for pair in all_pairs(4):
+            assert label.design.weight(pair) == pytest.approx(1 / 9 if pair.j == 4 else 2 / 9, abs=1e-15)
+        # The range ends where an intensity underflows, at a gap near 745.
+        with pytest.raises(IntensityUnderflowError, match="beyond the certifiable range"):
+            classify_m4(Parameters(4, (800.0, 800.0, 800.0)))
+
+    @pytest.mark.parametrize("s", [24, 32, 40])
+    def test_every_point_certifies_at_strict_tolerance(self, s):
+        # Float certificates that the pivot test or M's conditioning defeats
+        # are retried exactly, never widened or refused.
+        rng = np.random.default_rng(s)
+        for beta in rng.uniform(-s, s, size=(1000, 3)).tolist():
+            certificate = classify_m4(Parameters(4, tuple(beta))).certificate
+            assert certificate.is_optimal and certificate.tolerance == KW_TOLERANCE, beta
 
     @pytest.mark.parametrize(
         "t,what",
@@ -548,9 +561,9 @@ class TestClassify:
         ],
     )
     def test_failed_certificate_names_the_candidate(self, t, what, monkeypatch):
-        # A certificate that reports a violation far above every tolerance.
-        def violated(found, m, tolerance):
-            return KwCertificate(found[0] - (m - 1), 0.5, False, tolerance)
+        # A certificate that reports a violation far above the tolerance, in both passes.
+        def violated(found, m):
+            return KwCertificate(found[0] - (m - 1), 0.5, False)
 
         monkeypatch.setattr(four_alt, "_certificate", violated)
         params = line_params(t)
@@ -562,16 +575,17 @@ class TestClassify:
         # The float pass's path certificate fails; the Fraction pass certifies.
         calls = []
 
-        def violated_once(found, m, tolerance):
-            calls.append(tolerance)
+        def violated_once(found, m):
+            calls.append(m)
             if len(calls) == 1:
-                return KwCertificate(found[0] - (m - 1), 0.5, False, tolerance)
-            return _certificate(found, m, tolerance)
+                return KwCertificate(found[0] - (m - 1), 0.5, False)
+            return _certificate(found, m)
 
         monkeypatch.setattr(four_alt, "_certificate", violated_once)
         label = classify_m4(line_params(3.5))
         assert label.kind is RegionKind.SATURATED and label.certificate.is_optimal
-        assert calls == [KW_TOLERANCE, KW_TOLERANCE]
+        assert label.certificate.tolerance == KW_TOLERANCE
+        assert calls == [4, 4]
 
     def test_saturated_certificate_factors_nothing(self, monkeypatch):
         factorizations = count_factorizations(monkeypatch)
@@ -583,19 +597,17 @@ class TestClassify:
         rng = np.random.default_rng(167)
         saturated = 0
         for _ in range(300):
-            try:
-                label = classify_m4(random_params(rng, 4, scale=40.0))
-            except ClassificationError:
-                continue
+            label = classify_m4(random_params(rng, 4, scale=40.0))
             if label.kind is RegionKind.SATURATED:
                 saturated += 1
                 assert label.certificate.tolerance == KW_TOLERANCE and not label.certificate.singular
         assert saturated > 100
 
-    def test_one_factorization_at_a_widened_point(self, monkeypatch):
+    def test_one_factorization_at_a_retried_point(self, monkeypatch):
+        # The float pass factors M once and fails; the exact retry factors nothing.
         factorizations = count_factorizations(monkeypatch)
         certificate = classify_m4(Parameters(4, (25.0, 25.0, 25.0))).certificate
-        assert certificate.is_optimal and certificate.tolerance > KW_TOLERANCE
+        assert certificate.is_optimal and certificate.tolerance == KW_TOLERANCE
         assert factorizations == [1]
 
     @pytest.mark.parametrize(
@@ -717,6 +729,41 @@ class TestSortedPathCandidates:
             for t in (lo, hi):
                 assert_matches_pattern_search(Parameters(4, tuple(x + t * (y - x))))
             checked += 1
+
+
+class TestExactRetry:
+    """The Fraction pass of classify_m4 certifies every candidate exactly."""
+
+    @given(st.one_of(uniform_m4_points(), tied_m4_points()))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_pass_agrees_with_the_float_pass(self, params):
+        lam = params.intensities.tolist()
+        try:
+            found = four_alt._first_certified(params, lam)
+        except ConsistencyError:  # a failed float certificate: no float label
+            found = None
+        assume(found is not None)
+        exact_lam = [Fraction(x) for x in lam]
+        label = four_alt._first_certified(params, exact_lam)
+        assert (label.kind, label.missing_pairs, label.path) == (found.kind, found.missing_pairs, found.path)
+        assert label.certificate.is_optimal and label.certificate.tolerance == KW_TOLERANCE
+        if found.kind is not RegionKind.SATURATED:
+            (exact,) = four_alt._exact_values(found.design.w, exact_lam)
+            values = _derivatives(found.design.w, params.intensities, regression_matrix(4))[0]
+            assert np.abs(exact - values).max() <= 1e-9
+
+    def test_bench_inputs_need_no_exact_evaluation(self, monkeypatch):
+        # The 13^3 scan grid on [-4, 4] and single calls uniform in [-8, 8]^3
+        # all certify in the float pass.
+        axis = np.linspace(-4.0, 4.0, 13)
+        points = [*itertools.product(axis.tolist(), repeat=3)]
+        points += [tuple(b) for b in np.random.default_rng(1).uniform(-8.0, 8.0, size=(2000, 3)).tolist()]
+        calls = count_exact_evaluations(monkeypatch)
+        for beta in points:
+            classify_m4(Parameters(4, beta))
+        assert calls == [0]
+        classify_m4(Parameters(4, (25.0, 25.0, 25.0)))
+        assert calls == [1]
 
 
 def _ulps_away(t: float, n: int) -> float:
