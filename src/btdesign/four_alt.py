@@ -13,22 +13,26 @@ numerator is nonzero with one common sign and every slack is >= 0.
 Every design returned here is re-verified with the equivalence theorem
 before being handed out, and every certificate is judged at KW_TOLERANCE;
 a formula that fails its own certificate raises ConsistencyError instead
-of returning a wrong design.  In the float pass a closed-form design is
-certified through its information matrix M, as kw_check does.  The
-saturated path is certified by the tree identity of the regions module,
-derivative 3 (g - 1), summed from the intensities without M: it is never
-singular, and since the region test evaluates the polynomials below, not
-g, the certificate still cross-checks that test.  kw_check, solve and the
-CLI's verify and optimize still factor M.
+of returning a wrong design.  Every candidate is certified without M by
+_kirchhoff_values: M is the Laplacian of the support grounded at the
+control, so lambda_p f_p^T M^{-1} f_p is lambda_p times an effective
+resistance, by Kirchhoff's theorem a ratio of two sums of nonnegative
+products (Ghosh, Boyd & Saberi 2008).  Such a ratio keeps a few ulps at any
+condition of M, as GTH elimination does (Grassmann, Taksar & Heyman 1985).
+The region tests evaluate the polynomials below, so the certificate still
+cross-checks them.  kw_check, solve and the CLI's verify and optimize
+still factor M.
 
 Near symmetric points, such as beta = (-12, -12, 0), the float polynomials
-cancel, and at extreme points a closed form's M is too ill-conditioned, or
-singular at the pivot test, for its float certificate to hold.  When the
-float pass finds no region or a certificate fails, classify_m4 evaluates
-the same float intensities once more as Fractions.  The polynomials and g
-are then exact, and so is a closed form's 3 x 3 M, built from the design's
-float weights and inverted as adj(M) / det(M); each derivative is rounded
-once to a float and judged at KW_TOLERANCE like any other.  An exact
+cancel: a test can pass for a design that is not optimal, which its
+certificate refuses, or no test passes.  At ties more than about 37 apart
+1 + 4 lambda rounds to 1, and a negative slack can cancel to exactly 0.0,
+as at beta = (40, 40, 40), where the design it lets through is within
+rounding of the optimum and would certify under the wrong kind; so a float
+slack of exactly 0.0 leaves its closed form unresolved (_CancelledSlack).
+In each case classify_m4 evaluates the same float intensities once more as
+Fractions, where the polynomials and the kernel, on the design's float
+weights, are exact; each derivative is rounded once to a float.  An exact
 certificate covers the float intensities, not lambda(beta) itself.  A
 certificate that fails in exact arithmetic is a wrong formula, and its
 ConsistencyError propagates.
@@ -132,9 +136,8 @@ from .core import (
     IntensityUnderflowError,
     Pair,
     Parameters,
-    _derivatives,
+    _SMALLEST_NORMAL,
     intensity_vector,
-    regression_matrix,
 )
 from .optimality import KwCertificate, _certificate, kw_check
 from .regions import PathDesign, _cycle_shares, _descending_order
@@ -166,6 +169,10 @@ class ClassificationError(BtDesignError):
 
 class ConsistencyError(BtDesignError):
     """A closed-form design failed its own optimality certificate."""
+
+
+class _CancelledSlack(Exception):
+    """A float slack let a closed form through at exactly 0.0, which may be a negative slack that cancelled."""
 
 
 class RegionKind(Enum):
@@ -203,7 +210,8 @@ def _closed_form_design(raw: Callable, tau: tuple[int, ...], lam: Intensities) -
     Relabels the intensities by tau and evaluates the representative's
     numerators N and slacks with raw, one of the three *_raw functions below.
     Inside means every numerator is nonzero with one common sign and every
-    slack is nonnegative.  The numerators belong to the last pairs of the
+    slack is nonnegative, where a float slack of exactly 0.0 raises
+    _CancelledSlack.  The numerators belong to the last pairs of the
     reference order, carried by tau.
     """
     columns = _COLUMNS[tau]
@@ -212,6 +220,8 @@ def _closed_form_design(raw: Callable, tau: tuple[int, ...], lam: Intensities) -
         return None
     if not all(s >= 0 for s in slacks):
         return None
+    if 0.0 in slacks and not isinstance(lam[0], Fraction):
+        raise _CancelledSlack
     total = sum(numerators)
     w = np.zeros(6)
     w[list(columns[6 - len(numerators):])] = [float(n / total) for n in numerators]
@@ -409,11 +419,11 @@ class _SortedOrder:
     (a, d), and four_ac or four_bd misses (a, d) and the wider two-step pair,
     (a, c) or (b, d).  positions holds the 0-based a, b, c, d that decide
     which of the two is wider.  design is the path's equal-weight design,
-    shared by every call and read-only.  between pairs each of the three
-    non-edge columns with the columns of the path edges between its ends.
+    shared by every call and read-only; like the closed forms, it is
+    certified by _kirchhoff_values.
     """
 
-    __slots__ = ("path", "design", "positions", "five_point", "four_ac", "four_bd", "between")
+    __slots__ = ("path", "design", "positions", "five_point", "four_ac", "four_bd")
 
     def __init__(self, order: tuple[int, ...]) -> None:
         self.path = PathDesign(tuple(v + 1 for v in order))
@@ -427,26 +437,6 @@ class _SortedOrder:
             missing = tuple(sorted((end, wider)))
             four_point.append((missing, _four_point_tau(*missing)))
         self.four_ac, self.four_bd = four_point
-        order = self.path.order
-
-        def column(x: int, y: int) -> int:  # of the pair at path positions x and y
-            return _PAIRS4.index(Pair(order[x], order[y]))
-
-        self.between = tuple(
-            (column(x, y), tuple(column(k, k + 1) for k in range(x, y))) for x, y in ((0, 2), (1, 3), (0, 3))
-        )
-
-    def path_values(self, lam: Intensities) -> tuple[np.ndarray]:
-        """lambda f^T M^{-1} f of the path's design for every pair, from the tree identity.
-
-        That is 3 g: exactly 3 on an edge, 3 lambda_c sum(1 / lambda_e)
-        over the edges e between the ends of any other pair c, in floats or
-        exactly in Fractions.  Shaped as optimality._certificate takes it.
-        """
-        values = [3.0] * 6
-        for c, edges in self.between:
-            values[c] = float(3 * lam[c] * sum(1 / lam[e] for e in edges))
-        return (np.array(values),)
 
 
 def _sorted_orders() -> dict[tuple[int, ...], _SortedOrder]:
@@ -474,39 +464,43 @@ def _describe(kind: RegionKind, missing: tuple[Pair, ...], path: PathDesign | No
     return f"{points}-point formula missing " + ", ".join(map(repr, missing))
 
 
-_F = regression_matrix(4)
-# Its rows as integers, so that products with Fractions stay exact.
-_F_INT = _F.astype(int).tolist()
+def _kirchhoff_values(w: Sequence[Scalar], lam: Intensities) -> tuple[np.ndarray] | None:
+    """lambda f^T M^{-1} f of a design for every pair, by the matrix-tree theorem (module docstring).
 
-
-def _exact_values(w: np.ndarray, lam: Sequence[Fraction]) -> tuple[np.ndarray] | None:
-    """lambda f^T M^{-1} f of a closed-form design for every pair, exact, each rounded once to a float.
-
-    M = F^T diag(w lambda) F is summed in Fractions from the design's float
-    weights, the Fraction intensities and F's integer rows, and inverted as
-    adj(M) / det(M).  None when det(M) is 0, as core._derivatives gives for
-    a singular M.  Shaped as optimality._certificate takes it.
+    With c = w lambda, each value is lambda_p T_p / T.  For p = (i, j) with
+    complement {k, l}, A = c_ik + c_jk, B = c_il + c_jl and C = c_kl, the sum
+    T_p = A B + (A + B) C of the 2-forests that separate i and j; Foster's
+    theorem gives the sum of the spanning trees, T = sum(c_p T_p) / 3.
+    Floats or Fractions alike; each value is rounded once to a float.  None
+    where T is 0, a support that leaves a vertex or the control apart, or in floats
+    where T or a T_p is below the normal floats.  Shaped as _certificate takes it.
     """
-    wl = [Fraction(x) * l for x, l in zip(w.tolist(), lam)]
-    M = [[sum(c * f[r] * f[s] for c, f in zip(wl, _F_INT)) for s in range(3)] for r in range(3)]
-    # Cofactor (r, s), sign included, from rows r + 1, r + 2 and columns s + 1, s + 2 mod 3;
-    # M is symmetric, so the cofactors are adj(M) as they stand.
-    cyclic = ((1, 2), (2, 0), (0, 1))
-    adj = [[M[a][c] * M[b][d] - M[a][d] * M[b][c] for c, d in cyclic] for a, b in cyclic]
-    det = sum(M[0][s] * adj[0][s] for s in range(3))
-    if det == 0:
+    c12, c13, c14, c23, c24, c34 = (w[0] * lam[0], w[1] * lam[1], w[2] * lam[2],
+                                    w[3] * lam[3], w[4] * lam[4], w[5] * lam[5])
+    a, b = c13 + c23, c14 + c24
+    t12 = a * b + (a + b) * c34
+    a, b = c12 + c23, c14 + c34
+    t13 = a * b + (a + b) * c24
+    a, b = c12 + c24, c13 + c34
+    t14 = a * b + (a + b) * c23
+    a, b = c12 + c13, c24 + c34
+    t23 = a * b + (a + b) * c14
+    a, b = c12 + c14, c23 + c34
+    t24 = a * b + (a + b) * c13
+    a, b = c13 + c14, c23 + c24
+    t34 = a * b + (a + b) * c12
+    total = c12 * t12 + c13 * t13 + c14 * t14 + c23 * t23 + c24 * t24 + c34 * t34
+    if not total or (not isinstance(total, Fraction) and min(total, t12, t13, t14, t23, t24, t34) < _SMALLEST_NORMAL):
         return None
-    quadratic = [sum(f[r] * f[s] * adj[r][s] for r in range(3) for s in range(3)) for f in _F_INT]
-    return (np.array([float(l * q / det) for l, q in zip(lam, quadratic)]),)
+    s = 3 / total
+    values = lam[0] * t12 * s, lam[1] * t13 * s, lam[2] * t14 * s, lam[3] * t23 * s, lam[4] * t24 * s, lam[5] * t34 * s
+    return (np.array(values, dtype=float),)
 
 
 def _certify(found: Sequence[np.ndarray] | None, params: Parameters, what: Callable[[], str]) -> KwCertificate:
-    """The candidate's certificate from its directional values; ConsistencyError when it fails.
+    """The candidate's certificate from its _kirchhoff_values; ConsistencyError when it fails.
 
-    found is a core._derivatives result (None where M is singular at the
-    pivot test), a closed form's _exact_values, or the saturated path's
-    values from _SortedOrder.path_values.  what names the candidate; it is
-    called only when the certificate fails.
+    what names the candidate; it is called only when the certificate fails.
     """
     cert = _certificate(found, params.m)
     if cert.is_optimal:
@@ -519,19 +513,17 @@ def _certify(found: Sequence[np.ndarray] | None, params: Parameters, what: Calla
 
 def _candidates(
     params: Parameters, lam: Intensities
-) -> Iterator[tuple[RegionKind, Design | None, tuple[Pair, ...], PathDesign | None, tuple[np.ndarray] | None]]:
+) -> Iterator[tuple[RegionKind, Design | None, tuple[Pair, ...], PathDesign | None]]:
     """The one candidate of each kind, in the order of the module docstring, each built when reached.
 
-    Yields (kind, design or None outside its region, missing pairs, path,
-    directional values); the values come with the saturated path only, and
-    every closed form is certified through M.  Inside the path's region,
-    unless the four-point candidate passes too, only the path is yielded;
-    otherwise the order is largest support first, without the path, which
-    could only follow a four-point candidate that ends the search.  The
-    module docstring says why this gives the labels of largest support first
-    and why no other candidate is needed.  Everything but the region
-    polynomials is read from the row of beta's descending order in
-    _SORTED_ORDERS.
+    Yields (kind, design or None outside its region, missing pairs, path).
+    Inside the path's region, unless the four-point candidate passes too,
+    only the path is yielded; otherwise the order is largest support first,
+    without the path, which could only follow a four-point candidate that
+    ends the search.  The module docstring says why this gives the labels of
+    largest support first and why no other candidate is needed.  Everything
+    but the region polynomials is read from the row of beta's descending
+    order in _SORTED_ORDERS.
     """
     beta = (*params.beta, 0.0)
     row = _SORTED_ORDERS[tuple(_descending_order(beta))]
@@ -541,26 +533,27 @@ def _candidates(
     if saturated:
         four = _closed_form_design(four_point_shared_raw, four_tau, lam)
         if four is None:
-            yield RegionKind.SATURATED, row.design, (), row.path, row.path_values(lam)
+            yield RegionKind.SATURATED, row.design, (), row.path
             return
-    yield RegionKind.FULL_SUPPORT, _closed_form_design(full_support_raw, (1, 2, 3, 4), lam), (), None, None
+    yield RegionKind.FULL_SUPPORT, _closed_form_design(full_support_raw, (1, 2, 3, 4), lam), (), None
     missing, tau = row.five_point
-    yield RegionKind.FIVE_POINT, _closed_form_design(five_point_raw, tau, lam), missing, None, None
+    yield RegionKind.FIVE_POINT, _closed_form_design(five_point_raw, tau, lam), missing, None
     if not saturated:
         four = _closed_form_design(four_point_shared_raw, four_tau, lam)
-    yield RegionKind.FOUR_POINT_SHARED_VERTEX, four, four_missing, None, None
+    yield RegionKind.FOUR_POINT_SHARED_VERTEX, four, four_missing, None
 
 
 def _first_certified(params: Parameters, lam: Intensities) -> RegionLabel | None:
     """The label of the first candidate inside its region; None when there is none.
 
-    On Fraction intensities a closed form is certified exactly, on floats through core._derivatives.
+    The candidate is certified by _kirchhoff_values, on floats or, for
+    Fraction intensities, on its weights as Fractions.
     """
     exact = isinstance(lam[0], Fraction)
-    for kind, design, missing, path, found in _candidates(params, lam):
+    for kind, design, missing, path in _candidates(params, lam):
         if design is not None:
-            if found is None:
-                found = _exact_values(design.w, lam) if exact else _derivatives(design.w, params.intensities, _F)
+            w = design.w.tolist()
+            found = _kirchhoff_values([Fraction(x) for x in w] if exact else w, lam)
             cert = _certify(found, params, lambda: _describe(kind, missing, path))
             return RegionLabel(kind, design, cert, missing, path)
     return None
@@ -575,18 +568,19 @@ def classify_m4(params: Parameters) -> RegionLabel:
     first.  The labels are those of largest support first (the module
     docstring says why), which fixes which region claims a shared boundary:
     full support is open, saturated regions are closed, and intermediate
-    boundaries go to the first kind that certifies.  When the
-    float pass finds no region or a candidate fails its certificate (by a
-    violation or a singular M), the same intensities are tried once more as
-    Fractions, where the polynomials and the certificates evaluate exactly;
-    a failure there propagates.  Every certificate is judged at KW_TOLERANCE.
+    boundaries go to the first kind that certifies.  When the float pass
+    finds no region, meets a slack that cancelled to 0.0 or a candidate
+    fails its certificate (by a violation or an underflow), the same
+    intensities are tried once more as Fractions, where the polynomials and
+    the certificates evaluate exactly; a failure there propagates.  Every
+    certificate is judged at KW_TOLERANCE.
     """
     if params.m != 4:
         raise ValueError(f"closed-form classification requires m=4, got m={params.m}")
     lam = _intensities(params)
     try:
         label = _first_certified(params, lam)
-    except ConsistencyError:
+    except (ConsistencyError, _CancelledSlack):
         label = None
     if label is None:
         label = _first_certified(params, [Fraction(x) for x in lam])

@@ -69,9 +69,10 @@ def _certificate(found: Sequence[np.ndarray] | None, m: int) -> KwCertificate:
 
     found[0] holds lambda f^T M^{-1} f for every pair: a core._derivatives
     result, a saturated path's (m - 1) g from the tree identity (see the
-    regions module docstring), or an m = 4 closed form's exact values rounded
-    to floats (four_alt).  Every certificate is made here, so solve's
-    is kw_check of its design without a second evaluation.
+    regions module docstring), or, for every m = 4 answer of classify_m4,
+    the matrix-tree values of four_alt._kirchhoff_values, in floats or
+    rounded once from Fractions.  Every certificate is made here, so
+    solve's is kw_check of its design without a second evaluation.
     """
     if found is None:
         return KwCertificate(np.empty(0), float("inf"), False, singular=True)

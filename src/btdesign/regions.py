@@ -54,8 +54,10 @@ tree that resistance is the sum of (m-1) / lambda_k along the path between
 them: the equivalence-theorem derivative toward (i, j) is exactly
 (m-1)(g(i, j) - 1).  region_membership builds the design's certificate from
 the same g it tests, with no factorization of M: edges read exactly 0, and
-the certificate is never singular.  kw_check, solve and the CLI's verify
-and optimize still factor M, so they remain an independent check of this
+the certificate is never singular.  At m = 4, classify_m4 certifies the
+same path, and its closed forms, by four_alt's matrix-tree kernel, which
+on a tree reduces to this sum.  kw_check, solve and the CLI's verify and
+optimize still factor M, so they remain an independent check of this
 identity.
 
 Path plus chords.  Let a support be the path plus chords, pairs at path

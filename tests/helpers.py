@@ -124,16 +124,16 @@ def count_closed_form_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
-def count_exact_evaluations(monkeypatch) -> list[int]:
-    """Count calls of four_alt._exact_values, the exact closed-form certificate, from here on, in a one-item list."""
+def count_fraction_passes(monkeypatch) -> list[int]:
+    """Count classify_m4's Fraction passes, _first_certified on Fraction intensities, in a one-item list."""
     calls = [0]
-    original = four_alt._exact_values
+    original = four_alt._first_certified
 
-    def counted(w, lam):
-        calls[0] += 1
-        return original(w, lam)
+    def counted(params, lam):
+        calls[0] += isinstance(lam[0], Fraction)
+        return original(params, lam)
 
-    monkeypatch.setattr(four_alt, "_exact_values", counted)
+    monkeypatch.setattr(four_alt, "_first_certified", counted)
     return calls
 
 

@@ -48,8 +48,8 @@ from helpers import (
     classify_largest_support_first,
     count_closed_form_calls,
     count_constructions,
-    count_exact_evaluations,
     count_factorizations,
+    count_fraction_passes,
     count_intensity_calls,
     exact_path_derivatives,
     geometric_params,
@@ -139,6 +139,13 @@ def fraction_tables(n: int) -> list:
         pi = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 60, size=(4, 2))]
         tables.append([pi[p.i - 1] * pi[p.j - 1] / (pi[p.i - 1] + pi[p.j - 1]) ** 2 for p in _PAIRS4])
     return tables
+
+
+def bench_points() -> list[tuple[float, ...]]:
+    """The inputs of the m4-classify benchmark: the 13^3 scan grid on [-4, 4] and 2 000 points uniform in [-8, 8]^3."""
+    axis = np.linspace(-4.0, 4.0, 13).tolist()
+    points = [*itertools.product(axis, repeat=3)]
+    return points + [tuple(b) for b in np.random.default_rng(1).uniform(-8.0, 8.0, size=(2000, 3)).tolist()]
 
 
 def in_saturated_region(params: Parameters, path: PathDesign) -> bool:
@@ -510,9 +517,10 @@ class TestClassify:
             classify_m4(Parameters(5, (0.0, 0.0, 0.0, 0.0)))
 
     def test_extreme_ties_certify_at_strict_tolerance(self):
-        # Ties between huge preferences leave a tiny eigenvalue in the
-        # optimal information matrix, too small for the float certificate;
-        # the exact retry certifies at the strict tolerance.
+        # At ties between huge preferences the float full-support numerators
+        # cancel, and the float weights miss the optimum by about 4e-8: the
+        # certificate refuses them, and the exact retry certifies at the
+        # strict tolerance.
         label = classify_m4(Parameters(4, (25.0, 25.0, 25.0)))
         assert label.kind is RegionKind.FULL_SUPPORT
         assert label.certificate.is_optimal and label.certificate.tolerance == KW_TOLERANCE
@@ -530,9 +538,9 @@ class TestClassify:
                 assert certificate.is_optimal and certificate.tolerance == KW_TOLERANCE, beta
 
     def test_beyond_certifiable_range_raises(self):
-        # At this triple tie the float pass picks the four-point candidate,
-        # whose M is singular at the pivot test; the exact retry gives full
-        # support with the weights the tie symmetry requires.
+        # At this triple tie a four-point slack that is negative cancels to
+        # 0.0 in floats, and the float pass leaves it unresolved; the exact
+        # retry gives full support with the weights the tie symmetry requires.
         label = classify_m4(Parameters(4, (40.0, 40.0, 40.0)))
         assert label.kind is RegionKind.FULL_SUPPORT
         assert label.certificate.is_optimal and label.certificate.tolerance == KW_TOLERANCE
@@ -603,12 +611,13 @@ class TestClassify:
                 assert label.certificate.tolerance == KW_TOLERANCE and not label.certificate.singular
         assert saturated > 100
 
-    def test_one_factorization_at_a_retried_point(self, monkeypatch):
-        # The float pass factors M once and fails; the exact retry factors nothing.
+    def test_no_factorization_on_the_bench_inputs(self, monkeypatch):
+        # Every candidate is certified by the matrix-tree kernel, in both
+        # passes: the retried triple ties factor nothing either.
         factorizations = count_factorizations(monkeypatch)
-        certificate = classify_m4(Parameters(4, (25.0, 25.0, 25.0))).certificate
-        assert certificate.is_optimal and certificate.tolerance == KW_TOLERANCE
-        assert factorizations == [1]
+        for beta in [*bench_points(), (25.0, 25.0, 25.0), (40.0, 40.0, 40.0)]:
+            assert classify_m4(Parameters(4, beta)).certificate.is_optimal
+        assert factorizations == [0]
 
     @pytest.mark.parametrize(
         "t,designs", [(1.0, 1), (1.7, 1), (2.5, 1), (3.5, 0)], ids=["full", "five", "four", "saturated"]
@@ -685,19 +694,20 @@ class TestSortedPathCandidates:
             assert row.design.w.tobytes() == row.path.design().w.tobytes()
             assert not row.design.w.flags.writeable
 
-    def test_path_values_are_the_exact_tree_identity(self):
+    def test_kernel_gives_the_exact_tree_identity_on_paths(self):
         # Each row's path at points in its own order, |beta| <= 40: the
-        # certificate's derivatives 3 (g - 1), in floats and in Fractions.
+        # kernel's derivatives are 3 (g - 1), in floats and in Fractions.
         rng = np.random.default_rng(173)
         for order, row in four_alt._SORTED_ORDERS.items():
+            w = row.design.w.tolist()
             for _ in range(25):
                 beta_full = np.empty(4)
                 beta_full[list(order)] = np.sort(rng.uniform(-20.0, 20.0, 4))[::-1]
                 params = Parameters(4, tuple(beta_full[:3] - beta_full[3]))
                 lam = params.intensities.tolist()
                 exact = exact_path_derivatives(row.path, params)
-                for values in (lam, [Fraction(x) for x in lam]):
-                    (found,) = row.path_values(values)
+                for weights, values in ((w, lam), ([Fraction(x) for x in w], [Fraction(x) for x in lam])):
+                    (found,) = four_alt._kirchhoff_values(weights, values)
                     assert max(abs(x - 3 - y) for x, y in zip(found.tolist(), exact)) <= 1e-14, params.beta
 
     @given(st.one_of(uniform_m4_points(), tied_m4_points(), _tied_two_step_gaps()))
@@ -740,30 +750,28 @@ class TestExactRetry:
         lam = params.intensities.tolist()
         try:
             found = four_alt._first_certified(params, lam)
-        except ConsistencyError:  # a failed float certificate: no float label
+        except (ConsistencyError, four_alt._CancelledSlack):  # no float label
             found = None
         assume(found is not None)
-        exact_lam = [Fraction(x) for x in lam]
-        label = four_alt._first_certified(params, exact_lam)
+        label = four_alt._first_certified(params, [Fraction(x) for x in lam])
         assert (label.kind, label.missing_pairs, label.path) == (found.kind, found.missing_pairs, found.path)
         assert label.certificate.is_optimal and label.certificate.tolerance == KW_TOLERANCE
-        if found.kind is not RegionKind.SATURATED:
-            (exact,) = four_alt._exact_values(found.design.w, exact_lam)
-            values = _derivatives(found.design.w, params.intensities, regression_matrix(4))[0]
-            assert np.abs(exact - values).max() <= 1e-9
+        # One kernel in both passes, on weights that differ by float rounding.
+        assert np.abs(label.certificate.derivatives - found.certificate.derivatives).max() <= 1e-9
 
     def test_bench_inputs_need_no_exact_evaluation(self, monkeypatch):
         # The 13^3 scan grid on [-4, 4] and single calls uniform in [-8, 8]^3
-        # all certify in the float pass.
-        axis = np.linspace(-4.0, 4.0, 13)
-        points = [*itertools.product(axis.tolist(), repeat=3)]
-        points += [tuple(b) for b in np.random.default_rng(1).uniform(-8.0, 8.0, size=(2000, 3)).tolist()]
-        calls = count_exact_evaluations(monkeypatch)
-        for beta in points:
+        # all certify in the float pass.  At the triple ties (25, 25, 25)
+        # the float full-support weights miss the optimum by about 4e-8, and
+        # at (40, 40, 40) a slack cancels to 0.0: each takes one Fraction
+        # pass and stays full support.
+        calls = count_fraction_passes(monkeypatch)
+        for beta in bench_points():
             classify_m4(Parameters(4, beta))
         assert calls == [0]
-        classify_m4(Parameters(4, (25.0, 25.0, 25.0)))
-        assert calls == [1]
+        for n, beta in enumerate([(25.0, 25.0, 25.0), (40.0, 40.0, 40.0)], start=1):
+            assert classify_m4(Parameters(4, beta)).kind is RegionKind.FULL_SUPPORT
+            assert calls == [n]
 
 
 def _ulps_away(t: float, n: int) -> float:
@@ -821,3 +829,131 @@ class TestPathRegionFirst:
         assert calls == {"full_support_raw": 0, "five_point_raw": 0}
         assert classify_m4(line_params(2.5)).kind is RegionKind.FOUR_POINT_SHARED_VERTEX
         assert calls == {"full_support_raw": 1, "five_point_raw": 1}
+
+
+def fraction_derivatives(w: list, lam: list) -> list[Fraction] | None:
+    """lambda f^T M^{-1} f for every pair, exact: the test oracle of four_alt._kirchhoff_values.
+
+    M = F^T diag(w lambda) F is summed in Fractions from F's integer rows
+    and inverted as adj(M) / det(M); None when det(M) is 0.
+    """
+    F = regression_matrix(4).astype(int).tolist()
+    c = [Fraction(x) * Fraction(y) for x, y in zip(w, lam)]
+    M = [[sum(ck * f[r] * f[s] for ck, f in zip(c, F)) for s in range(3)] for r in range(3)]
+    # Cofactor (r, s) from rows r + 1, r + 2 and columns s + 1, s + 2 mod 3; M is symmetric.
+    cyclic = ((1, 2), (2, 0), (0, 1))
+    adj = [[M[a][x] * M[b][y] - M[a][y] * M[b][x] for x, y in cyclic] for a, b in cyclic]
+    det = sum(M[0][s] * adj[0][s] for s in range(3))
+    if det == 0:
+        return None
+    return [Fraction(y) * sum(f[r] * f[s] * adj[r][s] for r in range(3) for s in range(3)) / det for y, f in zip(lam, F)]
+
+
+def connected(support: list) -> bool:
+    """Whether the pairs of support reach all four vertices, the control included, from vertex 1."""
+    reached = {1}
+    for _ in range(3):
+        reached |= {v for p in support if {p.i, p.j} & reached for v in (p.i, p.j)}
+    return len(reached) == 4
+
+
+def random_kernel_cases(rng: np.random.Generator, n: int, scale: float) -> list[tuple[list, list]]:
+    """(weights, intensities) at points uniform in [-scale, scale]^3, half on full support, half on sparser ones."""
+    cases = []
+    while len(cases) < n:
+        size = 6 if len(cases) % 2 else int(rng.integers(3, 6))
+        support = sorted(rng.choice(6, size=size, replace=False).tolist())
+        if not connected([_PAIRS4[c] for c in support]):
+            continue
+        w = np.zeros(6)
+        w[support] = rng.dirichlet(np.ones(size))
+        cases.append((w.tolist(), intensity_vector(rng.uniform(-scale, scale, 3)).tolist()))
+    return cases
+
+
+class TestKirchhoffKernel:
+    """four_alt._kirchhoff_values, the matrix-tree certificate of every classify_m4 answer."""
+
+    def test_matches_the_fraction_oracle_to_a_few_ulps(self):
+        # |beta| <= 100: M's condition number reaches far past 1 / eps.
+        for w, lam in random_kernel_cases(np.random.default_rng(193), 400, scale=100.0):
+            (found,) = four_alt._kirchhoff_values(w, lam)
+            exact = fraction_derivatives(w, lam)
+            for x, y in zip(found.tolist(), exact):
+                assert abs(Fraction(x) - y) <= Fraction(1, 10**13) * y, (w, lam)
+
+    def test_matches_core_derivatives_where_m_is_well_conditioned(self):
+        F = regression_matrix(4)
+        for w, lam in random_kernel_cases(np.random.default_rng(197), 400, scale=6.0):
+            (found,) = four_alt._kirchhoff_values(w, lam)
+            values = _derivatives(np.array(w), np.array(lam), F)[0]
+            assert np.all(np.abs(found - values) <= 1e-12 * values), (w, lam)
+
+    def test_none_exactly_when_the_support_is_not_connected(self):
+        lam = intensity_vector(np.array([1.5, -0.5, 2.0])).tolist()
+        for size in range(1, 7):
+            for support in itertools.combinations(range(6), size):
+                w = [1 / size if c in support else 0.0 for c in range(6)]
+                expected = connected([_PAIRS4[c] for c in support])
+                for weights, values in ((w, lam), ([Fraction(x) for x in w], [Fraction(x) for x in lam])):
+                    assert (four_alt._kirchhoff_values(weights, values) is not None) is expected, support
+
+    def test_floats_below_the_normal_range_give_none(self):
+        # T sums products of three c of about 2e-106: a subnormal float,
+        # with digits lost, and the Fraction pass still evaluates it.
+        w, lam = [1 / 6] * 6, [1e-105] * 6
+        assert four_alt._kirchhoff_values(w, lam) is None
+        (found,) = four_alt._kirchhoff_values([Fraction(x) for x in w], [Fraction(x) for x in lam])
+        assert found.tolist() == pytest.approx([3.0] * 6, rel=1e-15)
+
+
+# Each tie family is the line beta = t * direction; its labels for t in
+# TIE_STEPS, of either sign: F, 5, 4, S for the kinds, x for an intensity
+# that underflows.  (t, t, t) and (t, 0, 0) tie three alternatives, so the
+# tie symmetry forces full support.  Past a gap of about 37, 1 + 4 lambda
+# rounds to 1: the float pass then certifies a design within rounding of a
+# degenerate optimum, and these labels pin which one, against a change of
+# certificate that could move them silently.
+TIE_STEPS = (0.5, 1, 2, 3, 5, 8, 10, 12, 15, 20, 25, 30, 37, 40, 50, 60, 80, 100, 200, 300)
+TIE_LABELS = {
+    (1, 1, 1): "FFFFFFFFFFFFFFFFFFFF",
+    (1, 1, 0): "FFFFFFFFFFFFFFFFFFFS",
+    (1, 0, 0): "FFFFFFFFFFFFFFFFFFFF",
+    (1, 1, -1): "FF44444444444444444S",
+    (1, -1, 0): "F555555555555SSSSSSS",
+    (1, 1, 2): "F555555555555SSSSSSS",
+    (2, 1, 0): "FF44444444444444444S",
+    (1, 2, 3): "F5SSSSSSSSSSSSSSSSSx",
+    (1, 1, 0.5): "FFF44444444444444444",
+}
+_KIND_CODES = {
+    RegionKind.FULL_SUPPORT: "F",
+    RegionKind.FIVE_POINT: "5",
+    RegionKind.FOUR_POINT_SHARED_VERTEX: "4",
+    RegionKind.SATURATED: "S",
+}
+
+
+class TestTieFamilies:
+    @pytest.mark.parametrize("direction", list(TIE_LABELS), ids=str)
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+", "-"])
+    def test_labels_match_largest_support_first(self, direction, sign):
+        # Wherever kw_check certifies the reference's label independently,
+        # classify_m4 gives it; everywhere, its label certifies.
+        codes = ""
+        for t in TIE_STEPS:
+            params = Parameters(4, tuple(sign * t * x for x in direction))
+            try:
+                label = classify_m4(params)
+            except IntensityUnderflowError:
+                codes += "x"
+                continue
+            assert label.certificate.is_optimal and label.certificate.tolerance == KW_TOLERANCE
+            codes += _KIND_CODES[label.kind]
+            try:
+                found = classify_largest_support_first(params)
+            except four_alt._CancelledSlack:
+                continue
+            if found is not None and kw_check(found[2], params).is_optimal:
+                assert (label.kind, label.missing_pairs) == found[:2], params.beta
+        assert codes == TIE_LABELS[direction]
