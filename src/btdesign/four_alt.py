@@ -86,6 +86,9 @@ surface the two regions share; testing 3. first gives that band to the
 four-point kind, as largest support first does.  The full-support and
 five-point tests could pass in the saturated region only within rounding
 of a set of codimension 3 or 2, where three or two of their weights vanish.
+At ties more than about 37 apart the float optimum is degenerate, and the
+orders can certify different kinds: at beta = (38.5, -38.5, 0) this one
+certifies the path, largest support first the five-point design.
 
 What is only verified.  That every optimal support contains the sorted
 path's edges, so that the candidates above are the only ones of their kinds
@@ -419,8 +422,7 @@ class _SortedOrder:
     (a, d), and four_ac or four_bd misses (a, d) and the wider two-step pair,
     (a, c) or (b, d).  positions holds the 0-based a, b, c, d that decide
     which of the two is wider.  design is the path's equal-weight design,
-    shared by every call and read-only; like the closed forms, it is
-    certified by _kirchhoff_values.
+    shared by every call and read-only.
     """
 
     __slots__ = ("path", "design", "positions", "five_point", "four_ac", "four_bd")
