@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -123,18 +123,6 @@ class Parameters:
         if not all(math.isfinite(b) for b in beta):
             raise ValueError(f"parameters must be finite, got {beta}")
         object.__setattr__(self, "beta", beta)
-
-    @classmethod
-    def from_pi(cls, pi: Sequence[float]) -> "Parameters":
-        """Build from positive preference values; the last one is the control."""
-        m = len(pi)
-        if any(p <= 0 for p in pi):
-            raise ValueError("preference values must be positive")
-        return cls(m, tuple(math.log(pi[i] / pi[-1]) for i in range(m - 1)))
-
-    def beta_full(self) -> np.ndarray:
-        """The length-m log-preference vector including the control zero."""
-        return np.append(np.asarray(self.beta, dtype=float), 0.0)
 
     @cached_property
     def intensities(self) -> np.ndarray:

@@ -10,6 +10,15 @@ numerators over a common denominator that equals their sum, plus one slack
 polynomial per missing pair.  A point is in the region exactly when every
 numerator is nonzero with one common sign and every slack is >= 0.
 
+Structure.  A triangle with edge intensities x, y, z has the edge
+numerators 2 y z (y z - x (y + z)) and its two rotations, which sum to 2 D
+with D = (x y + y z + z x)^2 - 4 x y z (x + y + z) (_triangle).  The
+four-point design is the triangle 2-3-4 plus the edge (1,4) at one third,
+and the five-point design is the triangles 1-3-4 and 2-3-4, which share
+the edge (3,4).  The five-point slack is the full-support numerator of the
+missing pair (1,2) over a positive factor (_full_bracket): the two regions
+meet where that pair's full-support weight vanishes.
+
 Every design returned here is re-verified with the equivalence theorem
 before being handed out, and every certificate is judged at KW_TOLERANCE;
 a formula that fails its own certificate raises ConsistencyError instead
@@ -53,11 +62,13 @@ and its labels are the ones the rule gives.  The candidates are
 
 Every candidate keeps the path's three edges; the kinds differ only in which
 of the other three pairs they drop.  classify_m4 first evaluates the path's
-three region polynomials, the cheapest test of the four.  If they are all
-<= 0, it tests 3.; if 3. fails, it tries 4. alone, and neither closed form
-of 1. or 2. is evaluated.  Otherwise it tries 1., 2. and 3., in that order:
-largest support first.  4. is never tried after 3.: where the polynomials
-pass and 3. passes too, 3. is certified or fails, and either ends the search.
+three region polynomials, the cheapest test of the four, unless two betas
+tie: a tie lies in no path region (regions docstring, (ii)).  If they are
+all <= 0, it tests 3.; if 3. fails, it tries 4. alone, and neither closed
+form of 1. or 2. is evaluated.  Otherwise it tries 1., 2. and 3., in that
+order: largest support first.  4. is never tried after 3.: where the
+polynomials pass and 3. passes too, 3. is certified or fails, and either
+ends the search.
 
 What is proven.  The regions module docstring proves that no path other
 than a-b-c-d can hold beta in its region.  Ties never change the answer:
@@ -86,9 +97,12 @@ surface the two regions share; testing 3. first gives that band to the
 four-point kind, as largest support first does.  The full-support and
 five-point tests could pass in the saturated region only within rounding
 of a set of codimension 3 or 2, where three or two of their weights vanish.
-At ties more than about 37 apart the float optimum is degenerate, and the
-orders can certify different kinds: at beta = (38.5, -38.5, 0) this one
-certifies the path, largest support first the five-point design.
+Ties more than about 37 apart are why ties skip the path test: 1 + 4 lambda
+rounds to 1 there, the float test passes, and the path would certify within
+rounding of a degenerate optimum.  At beta = (38.5, -38.5, 0) the label is
+the five-point design, as in exact arithmetic on the same intensities; at
+10 800 points of nine tie families, beta = t d with |t| up to 300, every
+label equals that exact evaluation.
 
 What is only verified.  That every optimal support contains the sorted
 path's edges, so that the candidates above are the only ones of their kinds
@@ -259,138 +273,84 @@ def saturated_inequality_values(path: PathDesign, lam: Intensities) -> tuple[Sca
 
 
 # ---------------------------------------------------------------------------
-# Full support: degree-9 weight numerators
+# The closed forms, built from one triangle form and one full-support bracket
 # ---------------------------------------------------------------------------
 
 
-def _full_numerator(lam: Intensities, columns: tuple[int, ...]) -> Scalar:
-    """Stationarity-solution numerator of w_ij; (k, l) is the complement.
+def _triangle(x: Scalar, y: Scalar, z: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """Edge numerators of the triangle with edge intensities x, y, z (module docstring), and D, half their sum."""
+    yz, zx, xy = y * z, z * x, x * y
+    nx = 2 * yz * (yz - x * (y + z))
+    ny = 2 * zx * (zx - y * (z + x))
+    nz = 2 * xy * (xy - z * (x + y))
+    return nx, ny, nz, (nx + ny + nz) / 2
 
-    columns holds the columns of (ij, ik, il, jk, jl, kl).
+
+def _full_bracket(lij: Scalar, lik: Scalar, lil: Scalar, ljk: Scalar, ljl: Scalar, lkl: Scalar) -> tuple[Scalar, Scalar]:
+    """p = lik lil ljk ljl and the bracket whose product with p is the full-support numerator of w_ij.
+
+    (k, l) is the complement of (i, j).  With e3 = lik lil (ljk + ljl) +
+    ljk ljl (lik + lil) the bracket is
+    lij (p - lkl e3 + lkl^2 (lik - lil)(ljk - ljl)) + 2 p lkl.
     """
-    lij, lik, lil, ljk, ljl, lkl = (lam[c] for c in columns)
-    bracket = (
-        lij * lik * lil * ljk * ljl
-        - lij * lik * lil * ljk * lkl
-        - lij * lik * lil * ljl * lkl
-        - lij * lik * ljk * ljl * lkl
-        + lij * lik * ljk * lkl**2
-        - lij * lik * ljl * lkl**2
-        - lij * lil * ljk * ljl * lkl
-        - lij * lil * ljk * lkl**2
-        + lij * lil * ljl * lkl**2
-        + 2 * lik * lil * ljk * ljl * lkl
-    )
-    return lik * lil * ljk * ljl * bracket
+    p = lik * lil * ljk * ljl
+    e3 = lik * lil * (ljk + ljl) + ljk * ljl * (lik + lil)
+    return p, lij * (p - lkl * e3 + lkl * lkl * (lik - lil) * (ljk - ljl)) + 2 * p * lkl
 
 
-# For each pair (i, j) with complement (k, l): the relabeling 1234 -> ijkl.
-_FULL_COLUMNS = tuple(
-    _COLUMNS[(p.i, p.j, *sorted({1, 2, 3, 4} - {p.i, p.j}))] for p in _PAIRS4
-)
+def _five_point_tau(missing: Pair) -> tuple[int, ...]:
+    """The relabeling 1234 -> ijkl of the pair (i, j) with complement (k, l)."""
+    return (missing.i, missing.j, *sorted({1, 2, 3, 4} - {missing.i, missing.j}))
+
+
+# The full-support numerator of w_ij reads the intensities relabeled as for the five-point design missing (i, j).
+_FULL_COLUMNS = tuple(_COLUMNS[_five_point_tau(p)] for p in _PAIRS4)
 
 
 def full_support_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], tuple[()]]:
     """The six weight numerators and no slacks.
 
-    lam and the numerators are both in all_pairs(4) order; each weight is its
+    lam and the numerators are both in all_pairs(4) order; the numerator of
+    w_ij is p times the bracket of _full_bracket.  Each weight is its
     numerator over their sum, and the point is in the full-support region
     exactly when all six share one strict sign.
     """
-    return tuple(_full_numerator(lam, columns) for columns in _FULL_COLUMNS), ()
-
-
-# ---------------------------------------------------------------------------
-# Five-point designs: one pair unsupported
-# ---------------------------------------------------------------------------
+    brackets = (_full_bracket(*map(lam.__getitem__, columns)) for columns in _FULL_COLUMNS)
+    return tuple(p * bracket for p, bracket in brackets), ()
 
 
 def five_point_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], tuple[Scalar]]:
     """Representative five-point solution (missing pair (1,2)) and its boundary slack.
 
-    Takes the six intensities in reference labels and returns the weight
-    numerators of (1,3), (1,4), (2,3), (2,4), (3,4) over the common
-    denominator 3 d1 d2, and the slack of the missing-direction condition;
-    the derivative toward (1,2) is nonpositive exactly when the slack is >= 0.
+    Takes the six intensities in reference labels.  The support is the two
+    triangles 1-3-4 and 2-3-4, which share the edge (3,4); with their
+    _triangle numerators a, b and forms D1, D2, the weight numerators of
+    (1,3), (1,4), (2,3), (2,4), (3,4) are
+
+        a13 D2,  a14 D2,  b23 D1,  b24 D1,  a34 D2 + b34 D1 - D1 D2
+
+    over 3 D1 D2.  The slack is the full-support bracket of the missing pair
+    (1,2): the derivative toward (1,2) is nonpositive exactly when it is >= 0,
+    and the two regions meet where w12 of full support vanishes.
     """
     l12, l13, l14, l23, l24, l34 = lam
-
-    d1 = l13**2 * (l14 - l34) ** 2 - 2 * l13 * l14 * l34 * (l14 + l34) + l14**2 * l34**2
-    d2 = l23**2 * (l24 - l34) ** 2 - 2 * l23 * l24 * l34 * (l24 + l34) + l24**2 * l34**2
-
-    n13 = 2 * l14 * l34 * (l14 * l34 - l13 * (l14 + l34)) * d2
-    n14 = 2 * l13 * l34 * (l13 * (l34 - l14) - l14 * l34) * d2
-    n23 = 2 * l24 * l34 * (l24 * l34 - l23 * (l24 + l34)) * d1
-    n24 = 2 * l23 * l34 * (l23 * (l34 - l24) - l24 * l34) * d1
-    n34 = (
-        3 * l13**2 * l14**2 * l23**2 * l24**2
-        - 4 * l13 * l14 * l23 * l24 * l34**4
-        - 2 * l13 * l14 * l23**2 * l24**2 * l34**2
-        + 4 * l13 * l14**2 * l23 * l24**2 * l34**2
-        + 4 * l13**2 * l14 * l23 * l24**2 * l34**2
-        + 4 * l13 * l14**2 * l23**2 * l24 * l34**2
-        + 4 * l13**2 * l14 * l23**2 * l24 * l34**2
-        - 2 * l13**2 * l14**2 * l23 * l24 * l34**2
-        - 4 * l13 * l14**2 * l23**2 * l24**2 * l34
-        - 4 * l13**2 * l14 * l23**2 * l24**2 * l34
-        - 4 * l13**2 * l14**2 * l23 * l24**2 * l34
-        - 4 * l13**2 * l14**2 * l23**2 * l24 * l34
-        + 2 * l13 * l14 * l23**2 * l34**4
-        + l13**2 * l14**2 * l23**2 * l34**2
-        + 2 * l13 * l14 * l24**2 * l34**4
-        + l13**2 * l14**2 * l24**2 * l34**2
-        + 2 * l13**2 * l23 * l24 * l34**4
-        + l13**2 * l23**2 * l24**2 * l34**2
-        - l13**2 * l23**2 * l34**4
-        - l13**2 * l24**2 * l34**4
-        + 2 * l14**2 * l23 * l24 * l34**4
-        + l14**2 * l23**2 * l24**2 * l34**2
-        - l14**2 * l23**2 * l34**4
-        - l14**2 * l24**2 * l34**4
-    )
-
-    lhs = l12 * (
-        l13 * (l14 * (l23 * (l24 - l34) - l24 * l34) + l34 * (l23 * (l34 - l24) - l24 * l34))
-        - l14 * l34 * (l23 * (l24 + l34) - l24 * l34)
-    )
-    rhs = -2 * l13 * l14 * l23 * l24 * l34
-    return (n13, n14, n23, n24, n34), (lhs - rhs,)
-
-
-def _five_point_tau(missing: Pair) -> tuple[int, ...]:
-    return (missing.i, missing.j, *sorted({1, 2, 3, 4} - {missing.i, missing.j}))
-
-
-# ---------------------------------------------------------------------------
-# Four-point designs, missing pairs sharing a vertex
-# ---------------------------------------------------------------------------
+    a13, a14, a34, d1 = _triangle(l13, l14, l34)
+    b23, b24, b34, d2 = _triangle(l23, l24, l34)
+    numerators = (a13 * d2, a14 * d2, b23 * d1, b24 * d1, a34 * d2 + b34 * d1 - d1 * d2)
+    return numerators, (_full_bracket(*lam)[1],)
 
 
 def four_point_shared_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], tuple[Scalar, Scalar]]:
     """Representative solution for missing pairs (1,2) and (1,3).
 
-    Takes the six intensities in reference labels and returns the weight
-    numerators of (1,4), (2,3), (2,4), (3,4) over the common denominator
-    3 d, so w14 is d over 3 d, one third, and the slacks of the two
-    missing-direction conditions (both must be >= 0 inside the region).
-    The first monomial of the w34 numerator is taken as L23*L24; this is
-    the variant under which the four weights sum to one and the certificate
-    closes.
+    Takes the six intensities in reference labels.  The support is the
+    triangle 2-3-4 plus the edge (1,4), which carries one third: the weight
+    numerators of (1,4), (2,3), (2,4), (3,4) are D and the triangle's
+    _triangle numerators, over 3 D.  The slacks of the two missing-direction
+    conditions follow; both must be >= 0 inside the region.
     """
     l12, l13, l14, l23, l24, l34 = lam
-
-    d = (
-        l23**2 * l24**2
-        + l23**2 * l34**2
-        + l24**2 * l34**2
-        - 2 * l23**2 * l24 * l34
-        - 2 * l23 * l24**2 * l34
-        - 2 * l23 * l24 * l34**2
-    )
-    n23 = 2 * l24 * l34 * (l24 * l34 - l23 * l24 - l23 * l34)
-    n24 = 2 * l23 * l34 * (l23 * l34 - l23 * l24 - l24 * l34)
-    n34 = 2 * l23 * l24 * (l23 * l24 - l23 * l34 - l24 * l34)
-
+    n23, n24, n34, d = _triangle(l23, l24, l34)
     slack12 = l14 * l24 - l12 * (l14 + l24)
     slack13 = l14 * l34 - l13 * (l14 + l34)
     return (d, n23, n24, n34), (slack12, slack13)
@@ -416,7 +376,7 @@ def _four_point_tau(missing1: Pair, missing2: Pair) -> tuple[int, ...]:
 
 
 class _SortedOrder:
-    """The candidates of one descending order of beta_full, the sorted path a-b-c-d.
+    """The candidates of one descending order of (*beta, 0), the sorted path a-b-c-d.
 
     Each closed-form candidate is (missing pairs, tau): five_point misses
     (a, d), and four_ac or four_bd misses (a, d) and the wider two-step pair,
@@ -473,9 +433,13 @@ def _kirchhoff_values(w: Sequence[Scalar], lam: Intensities) -> tuple[np.ndarray
     complement {k, l}, A = c_ik + c_jk, B = c_il + c_jl and C = c_kl, the sum
     T_p = A B + (A + B) C of the 2-forests that separate i and j; Foster's
     theorem gives the sum of the spanning trees, T = sum(c_p T_p) / 3.
-    Floats or Fractions alike; each value is rounded once to a float.  None
-    where T is 0, a support that leaves a vertex or the control apart, or in floats
-    where T or a T_p is below the normal floats.  Shaped as _certificate takes it.
+    Floats or Fractions alike; each value is rounded once to a float.  Each
+    value is of degree 0 in lambda, so where T or a T_p falls below the
+    normal floats, the values are taken once more on lambda scaled by the
+    power of two that brings its largest entry into [1/2, 1), which is exact.
+    None where T is 0, a support that leaves a vertex or the control apart,
+    or in floats where T or a T_p is still below the normal floats.  Shaped
+    as _certificate takes it.
     """
     c12, c13, c14, c23, c24, c34 = (w[0] * lam[0], w[1] * lam[1], w[2] * lam[2],
                                     w[3] * lam[3], w[4] * lam[4], w[5] * lam[5])
@@ -493,7 +457,10 @@ def _kirchhoff_values(w: Sequence[Scalar], lam: Intensities) -> tuple[np.ndarray
     t34 = a * b + (a + b) * c12
     total = c12 * t12 + c13 * t13 + c14 * t14 + c23 * t23 + c24 * t24 + c34 * t34
     if not total or (not isinstance(total, Fraction) and min(total, t12, t13, t14, t23, t24, t34) < _SMALLEST_NORMAL):
-        return None
+        if isinstance(total, Fraction) or max(lam) >= 0.5:
+            return None
+        k = math.ldexp(1.0, -math.frexp(max(lam))[1])
+        return _kirchhoff_values(w, [x * k for x in lam])
     s = 3 / total
     values = lam[0] * t12 * s, lam[1] * t13 * s, lam[2] * t14 * s, lam[3] * t23 * s, lam[4] * t24 * s, lam[5] * t34 * s
     return (np.array(values, dtype=float),)
@@ -531,7 +498,9 @@ def _candidates(
     row = _SORTED_ORDERS[tuple(_descending_order(beta))]
     a, b, c, d = row.positions
     four_missing, four_tau = row.four_ac if abs(beta[a] - beta[c]) >= abs(beta[b] - beta[d]) else row.four_bd
-    saturated = all(v <= 0.0 for v in saturated_inequality_values(row.path, lam))
+    # A tie lies in no path region (regions docstring, (ii)); in floats its
+    # test can pass once 1 + 4 lambda rounds to 1, so ties skip it.
+    saturated = len(set(beta)) == 4 and all(v <= 0.0 for v in saturated_inequality_values(row.path, lam))
     if saturated:
         four = _closed_form_design(four_point_shared_raw, four_tau, lam)
         if four is None:

@@ -12,7 +12,8 @@ positions along the path.  Regions are closed: boundary points count as
 inside.
 
 For m >= 3 at most one path's region can contain a given beta: the path
-that visits the alternatives in descending order of beta_full().  Write
+that visits the alternatives in descending order of (*beta, 0), beta with
+the control's zero appended.  Write
 lambda_xy for the intensity of the pair (x, y); it strictly decreases in
 |beta_x - beta_y| and is 1/4 at 0.
 
@@ -29,11 +30,12 @@ lambda_xy for the intensity of the pair (x, y); it strictly decreases in
 Along a path whose region contains beta, (ii) makes neighbours' betas
 distinct, and then (i) puts each inner vertex's beta strictly between its
 neighbours'.  So beta is strictly monotone along the path, which makes it
-the descending order of beta_full().  A point with tied coordinates lies
+the descending order of (*beta, 0).  A point with tied coordinates lies
 in no path region, so how ties are broken never matters.  In floating
 point, 1 + 4 lambda_ca rounds to 1 once |beta_c - beta_a| exceeds about 37;
 such a point tests as on the boundary of every tied order, and the stable
-sort picks one of them.
+sort picks one of them.  At m = 4, classify_m4 therefore never runs the
+path test at a tied point.
 
 Evaluation.  With the path's edges numbered k = 0..m-2 in visiting order,
 the sum in g(i, j) runs over the edges between the positions a < b of i and

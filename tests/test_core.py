@@ -68,10 +68,6 @@ class TestParameters:
         with pytest.raises(ValueError):
             Parameters(1, ())
 
-    def test_from_pi_matches_log_ratios(self):
-        p = Parameters.from_pi([2.0, 8.0, 4.0])
-        assert p.beta == pytest.approx((math.log(0.5), math.log(2.0)))
-
 
 class TestParametersIntensities:
     def test_bitwise_equal_to_intensity_vector(self):

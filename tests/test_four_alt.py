@@ -1,6 +1,7 @@
 """Closed-form m=4 designs: weight formulas, regions, classifier, scans."""
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -129,6 +130,94 @@ def four_point_denominator(lam: list):
         l23**2 * l24**2 + l23**2 * l34**2 + l24**2 * l34**2
         - 2 * l23**2 * l24 * l34 - 2 * l23 * l24**2 * l34 - 2 * l23 * l24 * l34**2
     )
+
+
+def full_support_reference(lam: list) -> tuple:
+    """The six full-support numerators as expanded monomials, transcribed apart from four_alt (all_pairs(4) order).
+
+    The numerator of w_ij, with (k, l) the complement, is lik lil ljk ljl
+    times a 10-term bracket.
+    """
+    def numerator(lij, lik, lil, ljk, ljl, lkl):
+        return lik * lil * ljk * ljl * (
+            lij * lik * lil * ljk * ljl
+            - lij * lik * lil * ljk * lkl
+            - lij * lik * lil * ljl * lkl
+            - lij * lik * ljk * ljl * lkl
+            + lij * lik * ljk * lkl**2
+            - lij * lik * ljl * lkl**2
+            - lij * lil * ljk * ljl * lkl
+            - lij * lil * ljk * lkl**2
+            + lij * lil * ljl * lkl**2
+            + 2 * lik * lil * ljk * ljl * lkl
+        )
+
+    complements = [(p.i, p.j, *sorted({1, 2, 3, 4} - {p.i, p.j})) for p in _PAIRS4]
+    return tuple(numerator(*(lam[c] for c in _COLUMNS[tau])) for tau in complements), ()
+
+
+def five_point_reference(lam: list) -> tuple:
+    """The five-point numerators and slack as expanded monomials (reference labels, missing (1,2))."""
+    l12, l13, l14, l23, l24, l34 = lam
+    d1 = l13**2 * (l14 - l34) ** 2 - 2 * l13 * l14 * l34 * (l14 + l34) + l14**2 * l34**2
+    d2 = l23**2 * (l24 - l34) ** 2 - 2 * l23 * l24 * l34 * (l24 + l34) + l24**2 * l34**2
+    n13 = 2 * l14 * l34 * (l14 * l34 - l13 * (l14 + l34)) * d2
+    n14 = 2 * l13 * l34 * (l13 * (l34 - l14) - l14 * l34) * d2
+    n23 = 2 * l24 * l34 * (l24 * l34 - l23 * (l24 + l34)) * d1
+    n24 = 2 * l23 * l34 * (l23 * (l34 - l24) - l24 * l34) * d1
+    n34 = (
+        3 * l13**2 * l14**2 * l23**2 * l24**2
+        - 4 * l13 * l14 * l23 * l24 * l34**4
+        - 2 * l13 * l14 * l23**2 * l24**2 * l34**2
+        + 4 * l13 * l14**2 * l23 * l24**2 * l34**2
+        + 4 * l13**2 * l14 * l23 * l24**2 * l34**2
+        + 4 * l13 * l14**2 * l23**2 * l24 * l34**2
+        + 4 * l13**2 * l14 * l23**2 * l24 * l34**2
+        - 2 * l13**2 * l14**2 * l23 * l24 * l34**2
+        - 4 * l13 * l14**2 * l23**2 * l24**2 * l34
+        - 4 * l13**2 * l14 * l23**2 * l24**2 * l34
+        - 4 * l13**2 * l14**2 * l23 * l24**2 * l34
+        - 4 * l13**2 * l14**2 * l23**2 * l24 * l34
+        + 2 * l13 * l14 * l23**2 * l34**4
+        + l13**2 * l14**2 * l23**2 * l34**2
+        + 2 * l13 * l14 * l24**2 * l34**4
+        + l13**2 * l14**2 * l24**2 * l34**2
+        + 2 * l13**2 * l23 * l24 * l34**4
+        + l13**2 * l23**2 * l24**2 * l34**2
+        - l13**2 * l23**2 * l34**4
+        - l13**2 * l24**2 * l34**4
+        + 2 * l14**2 * l23 * l24 * l34**4
+        + l14**2 * l23**2 * l24**2 * l34**2
+        - l14**2 * l23**2 * l34**4
+        - l14**2 * l24**2 * l34**4
+    )
+    lhs = l12 * (
+        l13 * (l14 * (l23 * (l24 - l34) - l24 * l34) + l34 * (l23 * (l34 - l24) - l24 * l34))
+        - l14 * l34 * (l23 * (l24 + l34) - l24 * l34)
+    )
+    rhs = -2 * l13 * l14 * l23 * l24 * l34
+    return (n13, n14, n23, n24, n34), (lhs - rhs,)
+
+
+def four_point_reference(lam: list) -> tuple:
+    """The four-point numerators and slacks as expanded monomials (reference labels, missing (1,2), (1,3))."""
+    l12, l13, l14, l23, l24, l34 = lam
+    d = (
+        l23**2 * l24**2 + l23**2 * l34**2 + l24**2 * l34**2
+        - 2 * l23**2 * l24 * l34 - 2 * l23 * l24**2 * l34 - 2 * l23 * l24 * l34**2
+    )
+    n23 = 2 * l24 * l34 * (l24 * l34 - l23 * l24 - l23 * l34)
+    n24 = 2 * l23 * l34 * (l23 * l34 - l23 * l24 - l24 * l34)
+    n34 = 2 * l23 * l24 * (l23 * l24 - l23 * l34 - l24 * l34)
+    slack12 = l14 * l24 - l12 * (l14 + l24)
+    slack13 = l14 * l34 - l13 * (l14 + l34)
+    return (d, n23, n24, n34), (slack12, slack13)
+
+
+def free_fraction_tables(n: int) -> list:
+    """Six independent rational intensities in (0, 1/4] per table: the closed forms are identities on any table."""
+    rng = np.random.default_rng(167)
+    return [[Fraction(int(a), int(b)) for a, b in zip(rng.integers(1, 11, 6), rng.integers(40, 400, 6))] for _ in range(n)]
 
 
 def fraction_tables(n: int) -> list:
@@ -340,6 +429,42 @@ class TestFourPointSharedVertex:
 
     def test_pattern_count(self):
         assert len(shared_vertex_patterns()) == 12
+
+
+CLOSED_FORMS = [
+    (full_support_raw, full_support_reference),
+    (five_point_raw, five_point_reference),
+    (four_point_shared_raw, four_point_reference),
+]
+
+
+class TestStructuredForms:
+    """The closed forms, built from one triangle form and one full-support bracket, against expanded oracles."""
+
+    @pytest.mark.parametrize("raw, reference", CLOSED_FORMS, ids=lambda f: f.__name__)
+    def test_equals_the_expanded_reference_in_q(self, raw, reference):
+        for table in free_fraction_tables(300):
+            assert raw(table) == reference(table), table
+
+    @pytest.mark.parametrize("raw", [raw for raw, _ in CLOSED_FORMS], ids=lambda f: f.__name__)
+    def test_designs_are_stationary_in_q(self, raw):
+        # The numerators belong to the last pairs of the reference order; on
+        # them the matrix-tree kernel reads m - 1 = 3 exactly.
+        for table in free_fraction_tables(300):
+            numerators, _ = raw(table)
+            total = sum(numerators)
+            first = 6 - len(numerators)
+            w = [Fraction(0)] * first + [n / total for n in numerators]
+            (values,) = four_alt._kirchhoff_values(w, table)
+            assert values[first:].tolist() == [3.0] * len(numerators), table
+
+    def test_five_point_slack_is_the_full_support_numerator_of_the_missing_pair(self):
+        # w12 of full support is lik lil ljk ljl > 0 times the slack, so the
+        # five-point region meets the full-support region where w12 vanishes.
+        for table in free_fraction_tables(50):
+            (slack,) = five_point_raw(table)[1]
+            l12, l13, l14, l23, l24, l34 = table
+            assert full_support_raw(table)[0][0] == l13 * l14 * l23 * l24 * slack
 
 
 class TestClaw:
@@ -899,30 +1024,44 @@ class TestKirchhoffKernel:
                     assert (four_alt._kirchhoff_values(weights, values) is not None) is expected, support
 
     def test_floats_below_the_normal_range_give_none(self):
-        # T sums products of three c of about 2e-106: a subnormal float,
-        # with digits lost, and the Fraction pass still evaluates it.
-        w, lam = [1 / 6] * 6, [1e-105] * 6
+        # Each value is of degree 0 in lambda, and where T underflows the
+        # kernel retakes the values on lambda scaled by a power of two, so
+        # uniformly tiny intensities certify in floats.  A spread no scale
+        # removes still underflows: with lambda12
+        # = 1/4 and the rest 1e-160, T_p sums products of two c of about
+        # 2e-161, subnormal, and the Fraction pass still evaluates them.
+        w = [1 / 6] * 6
+        (found,) = four_alt._kirchhoff_values(w, [1e-105] * 6)
+        assert found.tolist() == pytest.approx([3.0] * 6, rel=1e-15)
+        lam = [0.25] + [1e-160] * 5
         assert four_alt._kirchhoff_values(w, lam) is None
         (found,) = four_alt._kirchhoff_values([Fraction(x) for x in w], [Fraction(x) for x in lam])
-        assert found.tolist() == pytest.approx([3.0] * 6, rel=1e-15)
+        assert found.tolist() == [float(x) for x in fraction_derivatives(w, lam)]
+
+    def test_a_power_of_two_scale_leaves_the_values_bitwise(self):
+        for w, lam in random_kernel_cases(np.random.default_rng(199), 200, scale=8.0):
+            (found,) = four_alt._kirchhoff_values(w, lam)
+            for e in (-600, -40, 3):  # at 2^-600, T would underflow unscaled
+                (scaled,) = four_alt._kirchhoff_values(w, [math.ldexp(x, e) for x in lam])
+                assert scaled.tobytes() == found.tobytes(), (w, lam, e)
 
 
 # Each tie family is the line beta = t * direction; its labels for t in
 # TIE_STEPS, of either sign: F, 5, 4, S for the kinds, x for an intensity
 # that underflows.  (t, t, t) and (t, 0, 0) tie three alternatives, so the
-# tie symmetry forces full support.  Past a gap of about 37, 1 + 4 lambda
-# rounds to 1: the float pass then certifies a design within rounding of a
-# degenerate optimum, and these labels pin which one, against a change of
-# certificate that could move them silently.
+# tie symmetry forces full support.  A tie lies in no path region, and
+# classify_m4 never tests one: past a gap of about 37, 1 + 4 lambda rounds
+# to 1 and the float path test would pass.  (t, 2t, 3t) ties no two
+# alternatives; its labels are saturated from t = 2.
 TIE_STEPS = (0.5, 1, 2, 3, 5, 8, 10, 12, 15, 20, 25, 30, 37, 40, 50, 60, 80, 100, 200, 300)
 TIE_LABELS = {
     (1, 1, 1): "FFFFFFFFFFFFFFFFFFFF",
-    (1, 1, 0): "FFFFFFFFFFFFFFFFFFFS",
+    (1, 1, 0): "FFFFFFFFFFFFFFFFFFFF",
     (1, 0, 0): "FFFFFFFFFFFFFFFFFFFF",
-    (1, 1, -1): "FF44444444444444444S",
-    (1, -1, 0): "F555555555555SSSSSSS",
-    (1, 1, 2): "F555555555555SSSSSSS",
-    (2, 1, 0): "FF44444444444444444S",
+    (1, 1, -1): "FF444444444444444444",
+    (1, -1, 0): "F5555555555555555555",
+    (1, 1, 2): "F5555555555555555555",
+    (2, 1, 0): "FF444444444444444444",
     (1, 2, 3): "F5SSSSSSSSSSSSSSSSSx",
     (1, 1, 0.5): "FFF44444444444444444",
 }
@@ -938,8 +1077,9 @@ class TestTieFamilies:
     @pytest.mark.parametrize("direction", list(TIE_LABELS), ids=str)
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+", "-"])
     def test_labels_match_largest_support_first(self, direction, sign):
-        # Wherever kw_check certifies the reference's label independently,
-        # classify_m4 gives it; everywhere, its label certifies.
+        # Every label certifies and equals the exact evaluation on the same
+        # float intensities; wherever kw_check certifies the reference's
+        # label independently, classify_m4 gives it too.
         codes = ""
         for t in TIE_STEPS:
             params = Parameters(4, tuple(sign * t * x for x in direction))
@@ -950,6 +1090,8 @@ class TestTieFamilies:
                 continue
             assert label.certificate.is_optimal and label.certificate.tolerance == KW_TOLERANCE
             codes += _KIND_CODES[label.kind]
+            exact = four_alt._first_certified(params, [Fraction(x) for x in params.intensities.tolist()])
+            assert (label.kind, label.missing_pairs, label.path) == (exact.kind, exact.missing_pairs, exact.path)
             try:
                 found = classify_largest_support_first(params)
             except four_alt._CancelledSlack:
