@@ -308,7 +308,7 @@ def test_region_figure_scan_completes_and_respects_symmetry():
         fixed=(0.0, 0.0, 0.0),
     )
     sink = io.StringIO()
-    n_rows = run_scan(spec, sink, workers=1)
+    n_rows = run_scan(spec, sink)  # the default worker count, as `btdesign scan` runs
     assert n_rows == 51**3
     lines = sink.getvalue().strip().splitlines()
     assert len(lines) == n_rows + 1  # header + one row per grid point
@@ -332,9 +332,8 @@ def test_region_figure_scan_completes_and_respects_symmetry():
 
     # Pointwise equivariance for all 24 group elements on a subsample.
     perms = [Permutation(images) for images in itertools.permutations(range(1, 5))]
-    grid_points = list(spec.grid())
     mismatches = 0
-    for _, params in itertools.islice(grid_points, 0, None, 157):
+    for _, params in itertools.islice(spec.grid(), 0, None, 157):
         label = classify_m4(params)
         for sigma in perms:
             transported = classify_m4(apply_to_params(sigma, params))

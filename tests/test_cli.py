@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -422,8 +423,51 @@ class TestScan:
         assert run_scan(spec, io.StringIO(), workers=1) == 5
         assert seen == [1, 2, 3, 4, 5]
 
+    BOX = ScanSpec(
+        m=4,
+        axes=(
+            ScanAxis((1.0, 0.0, 0.0), -3.0, 3.0, 5),
+            ScanAxis((0.0, 1.0, 0.0), -2.0, 4.0, 7),
+            ScanAxis((0.0, 0.0, 1.0), -1.0, 1.0, 3),
+        ),
+        fixed=(0.25, -0.5, 0.0),
+    )
+
+    @pytest.mark.parametrize("bounds", [(0, 105), (0, 0), (104, 105), (17, 62)])
+    def test_grid_range_is_a_slice_of_the_grid(self, bounds):
+        start, stop = bounds
+        assert self.BOX.size() == 105
+        ranged = list(self.BOX.grid(start, stop))
+        sliced = list(itertools.islice(self.BOX.grid(), start, stop))
+        assert len(ranged) == stop - start
+        assert [idx for idx, _ in ranged] == [idx for idx, _ in sliced]
+        # Bitwise: the same float sums, not merely equal values.
+        assert [np.array(p.beta).tobytes() for _, p in ranged] == [np.array(p.beta).tobytes() for _, p in sliced]
+
+    # 105 points are not a multiple of the range count; 3 points are fewer than the ranges.
+    @pytest.mark.parametrize(
+        "spec",
+        [BOX, ScanSpec(m=4, axes=(ScanAxis((1.0, -1.0, 0.5), -2.0, 2.0, 3),), fixed=(0.0, 0.0, 0.0))],
+        ids=["105-points", "3-points"],
+    )
+    def test_parallel_scan_writes_the_serial_bytes(self, monkeypatch, spec):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # the pooled path on any host
+        serial, pooled = io.StringIO(), io.StringIO()
+        run_scan(spec, serial, workers=1)
+        assert run_scan(spec, pooled, workers=2) == spec.size()
+        assert pooled.getvalue() == serial.getvalue()
+
+    def test_parallel_scan_builds_no_point_in_the_caller(self, monkeypatch):
+        # Workers draw their own ranges: only (spec, start, stop) leaves the caller.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        built, post_init = [], Parameters.__post_init__
+        monkeypatch.setattr(Parameters, "__post_init__", lambda self: built.append(1) or post_init(self))
+        assert run_scan(self.BOX, io.StringIO(), workers=2) == 105
+        assert built == []
+
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_scan_errors_keep_their_source(self, workers):
+    def test_scan_errors_keep_their_source(self, monkeypatch, workers):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # workers=2 fails in a worker on any host
         overflow = ScanSpec(m=4, axes=(ScanAxis((10.0, 0.0, 0.0), 0.0, 1e308, 3),), fixed=(0.0, 0.0, 0.0))
         with pytest.raises(CliError, match="bad scan grid"):
             run_scan(overflow, io.StringIO(), workers=workers)
@@ -431,6 +475,34 @@ class TestScan:
         m5 = ScanSpec(m=5, axes=(ScanAxis((1.0, 0.0, 0.0, 0.0), 0.0, 1.0, 3),), fixed=(0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="requires m=4"):
             run_scan(m5, io.StringIO(), workers=workers)
+
+    def test_a_failed_range_cancels_the_ranges_not_started(self, monkeypatch):
+        import concurrent.futures
+
+        shutdowns = []
+
+        class InlinePool:  # runs each range as its text is read, and starts no process
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, **_):
+                return map(fn, *iterables)
+
+            def shutdown(self, **kwargs):
+                shutdowns.append(kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        overflow = ScanSpec(m=4, axes=(ScanAxis((10.0, 0.0, 0.0), 0.0, 1e308, 3),), fixed=(0.0, 0.0, 0.0))
+        with pytest.raises(CliError, match="bad scan grid"):
+            run_scan(overflow, io.StringIO())
+        assert shutdowns == [{"cancel_futures": True}]
 
     def test_grid_rows_and_determinism(self, tmp_path):
         spec_file = tmp_path / "spec.json"
@@ -518,8 +590,8 @@ class TestScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, points, chunksize=1):
-                return map(fn, points)
+            def map(self, fn, *iterables, **_):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
@@ -703,6 +775,16 @@ class TestUsage:
         rc, out = run(["optimize", "--m", "4", "--beta", "0,0,0", "--kw-tolerance", "1e-8"])
         assert (rc, out) == (2, "")
         assert capsys.readouterr().err.splitlines()[-1] == "error: unrecognized arguments: --kw-tolerance 1e-8"
+
+    @pytest.mark.parametrize("command", ["optimize", "verify", "classify"])
+    @pytest.mark.parametrize("m", [1, 0, -3])
+    def test_fewer_than_two_alternatives_is_usage_error(self, command, m, capsys, tmp_path):
+        design_file = tmp_path / "design.json"
+        design_file.write_text(json.dumps({"m": 2, "weights": {"1-2": 1.0}}))
+        extra = ["--design", str(design_file)] if command == "verify" else []
+        rc, out = run([command, "--m", str(m), "--beta", "0", *extra])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == f"error: need at least two alternatives, got m={m}\n"
 
     def test_usage_error_leaves_the_parser_reusable(self):
         # The parser is built once per process and shared by every call.
