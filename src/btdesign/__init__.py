@@ -28,16 +28,6 @@ from .four_alt import (
     region_margin,
     search_disjoint_four_point,
 )
-from .graphs import (
-    Permutation,
-    SupportGraph,
-    apply_to_design,
-    apply_to_params,
-    is_path,
-    is_tree,
-    q_matrix,
-    support_graph,
-)
 from .optimality import KW_TOLERANCE, KwCertificate, d_efficiency, kw_check
 from .regions import (
     PathDesign,
@@ -59,31 +49,23 @@ __all__ = [
     "Pair",
     "Parameters",
     "PathDesign",
-    "Permutation",
     "RegionKind",
     "RegionLabel",
     "RegionMembership",
     "SingularMatrixError",
     "SolverResult",
-    "SupportGraph",
     "all_pairs",
-    "apply_to_design",
-    "apply_to_params",
     "classify_m4",
     "claw_infeasibility_sample",
     "claw_infeasibility_scan",
     "d_efficiency",
     "find_optimal_saturated",
     "information_matrix",
-    "is_path",
-    "is_tree",
     "kw_check",
     "log_det",
-    "q_matrix",
     "region_margin",
     "region_membership",
     "regression_vector",
     "search_disjoint_four_point",
     "solve",
-    "support_graph",
 ]

@@ -50,6 +50,12 @@ DEFAULT_EFFICIENCY_LINE = (1.0, 0.5, 1.25)
 # bytes per point; in a parallel scan the parent holds that text and each
 # worker holds the rows of the one index range it is scanning.
 MAX_POINTS = 1_000_000
+# The most alternatives a point command reads.  Every command builds the
+# dense pairs-by-(m - 1) regression matrix, O(m^3) memory, before it can
+# refuse a point.  At m = 200 an in-process classify peaks at 99 MB on the
+# path route and at 360 MB when the solver runs (111 s on a 2-core host);
+# at m = 1000 the matrix alone needs about 4 GB.
+MAX_ALTERNATIVES = 200
 # Contiguous index ranges per worker in a parallel scan.  More than one
 # keeps a block of slow points from idling the other workers.  On a 2-core
 # host 1, 2, 4 and 8 per worker timed alike (within 4 %) on the 13^3 and
@@ -70,6 +76,8 @@ class CliError(Exception):
 def parse_beta(text: str, m: int) -> Parameters:
     if m < 2:
         raise CliError(f"need at least two alternatives, got m={m}")
+    if m > MAX_ALTERNATIVES:
+        raise CliError(f"at most {MAX_ALTERNATIVES} alternatives, got m={m}")
     try:
         values = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
@@ -100,7 +108,12 @@ def design_from_dict(data: dict, m: int) -> Design:
     """
     try:
         given = int(data["m"])
-        raw = {Pair.from_key(k): float(v) for k, v in data["weights"].items()}
+        raw = {}
+        for k, v in data["weights"].items():
+            pair = Pair.from_key(k)
+            if pair in raw:
+                raise CliError(f"design weights name the pair {pair.key()} twice")
+            raw[pair] = float(v)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CliError(f"malformed design object: {exc}") from None
     if given != m:
@@ -116,10 +129,19 @@ def design_from_dict(data: dict, m: int) -> Design:
 
 
 def _read_json(path: str, what: str):
-    """The JSON value in a file; a file that cannot be read or parsed is a usage error."""
+    """The JSON value in a file; a file that cannot be read or parsed, or repeats a key, is a usage error."""
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise CliError(f"{what} {path} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -260,17 +282,14 @@ def load_scan_spec(path: str) -> ScanSpec:
     return scan_spec_from_dict(_read_json(path, "scan spec"))
 
 
-def _scan_row(args: tuple[tuple[int, ...], Parameters]) -> tuple:
-    idx, params = args
-    label = classify_m4(params)
-    beta = [f"{b:.12g}" for b in params.beta]
-    return (*beta, label.kind.value, len(label.design.support()), f"{region_margin(label):.12g}")
-
-
 def _scan_rows(spec: ScanSpec, start: int, stop: int) -> str:
     """The CSV rows of grid points start..stop-1, as run_scan writes them."""
     rows = io.StringIO()
-    csv.writer(rows).writerows(map(_scan_row, spec.grid(start, stop)))
+    writer = csv.writer(rows)
+    for _, params in spec.grid(start, stop):
+        label = classify_m4(params)
+        beta = [f"{b:.12g}" for b in params.beta]
+        writer.writerow((*beta, label.kind.value, len(label.design.support()), f"{region_margin(label):.12g}"))
     return rows.getvalue()
 
 
@@ -278,27 +297,28 @@ def run_scan(spec: ScanSpec, stream: TextIO, workers: int | None = None) -> int:
     """Classify every grid point and write CSV rows in deterministic order.
 
     The scan runs on min(workers, CPU count) processes, all of them when
-    workers is None; one scans in-process, a point at a time.  Several
-    workers each scan contiguous index ranges and send back their CSV text,
-    which is written in index order, so the bytes are the serial scan's.
+    workers is None.  The grid is split into RANGES_PER_WORKER contiguous
+    index ranges per worker; one worker scans them in-process, several each
+    scan some and send back their CSV text.  The texts are written in index
+    order, so the bytes do not depend on the worker count.
     """
     if workers is not None and workers < 1:
         raise CliError(f"--workers must be at least 1, got {workers}")
     cpu = os.cpu_count() or 1
     workers = min(workers or cpu, cpu)
-    writer = csv.writer(stream)
-    writer.writerow([*(f"beta{i}" for i in range(1, spec.m)), "kind", "support_size", "margin"])
+    csv.writer(stream).writerow([*(f"beta{i}" for i in range(1, spec.m)), "kind", "support_size", "margin"])
+    n, ranges = spec.size(), RANGES_PER_WORKER * workers
+    bounds = [n * k // ranges for k in range(ranges + 1)]
+    args = (itertools.repeat(spec), bounds[:-1], bounds[1:])
     if workers == 1:
-        writer.writerows(map(_scan_row, spec.grid()))
+        stream.writelines(map(_scan_rows, *args))
     else:
-        n, ranges = spec.size(), RANGES_PER_WORKER * workers
-        bounds = [n * k // ranges for k in range(ranges + 1)]
         # Imported here: multiprocessing adds ~2 MB to every process that loads the CLI.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                stream.writelines(pool.map(_scan_rows, itertools.repeat(spec), bounds[:-1], bounds[1:]))
+                stream.writelines(pool.map(_scan_rows, *args))
             except BaseException:
                 pool.shutdown(cancel_futures=True)  # start no range after a failed one
                 raise

@@ -426,7 +426,7 @@ def _describe(kind: RegionKind, missing: tuple[Pair, ...], path: PathDesign | No
     return f"{points}-point formula missing " + ", ".join(map(repr, missing))
 
 
-def _kirchhoff_values(w: Sequence[Scalar], lam: Intensities) -> tuple[np.ndarray] | None:
+def _kirchhoff_values(w: Sequence[Scalar], lam: Intensities) -> np.ndarray | None:
     """lambda f^T M^{-1} f of a design for every pair, by the matrix-tree theorem (module docstring).
 
     With c = w lambda, each value is lambda_p T_p / T.  For p = (i, j) with
@@ -438,8 +438,7 @@ def _kirchhoff_values(w: Sequence[Scalar], lam: Intensities) -> tuple[np.ndarray
     normal floats, the values are taken once more on lambda scaled by the
     power of two that brings its largest entry into [1/2, 1), which is exact.
     None where T is 0, a support that leaves a vertex or the control apart,
-    or in floats where T or a T_p is still below the normal floats.  Shaped
-    as _certificate takes it.
+    or in floats where T or a T_p is still below the normal floats.
     """
     c12, c13, c14, c23, c24, c34 = (w[0] * lam[0], w[1] * lam[1], w[2] * lam[2],
                                     w[3] * lam[3], w[4] * lam[4], w[5] * lam[5])
@@ -463,15 +462,15 @@ def _kirchhoff_values(w: Sequence[Scalar], lam: Intensities) -> tuple[np.ndarray
         return _kirchhoff_values(w, [x * k for x in lam])
     s = 3 / total
     values = lam[0] * t12 * s, lam[1] * t13 * s, lam[2] * t14 * s, lam[3] * t23 * s, lam[4] * t24 * s, lam[5] * t34 * s
-    return (np.array(values, dtype=float),)
+    return np.array(values, dtype=float)
 
 
-def _certify(found: Sequence[np.ndarray] | None, params: Parameters, what: Callable[[], str]) -> KwCertificate:
+def _certify(values: np.ndarray | None, params: Parameters, what: Callable[[], str]) -> KwCertificate:
     """The candidate's certificate from its _kirchhoff_values; ConsistencyError when it fails.
 
     what names the candidate; it is called only when the certificate fails.
     """
-    cert = _certificate(found, params.m)
+    cert = _certificate(values, params.m)
     if cert.is_optimal:
         return cert
     raise ConsistencyError(
@@ -524,8 +523,8 @@ def _first_certified(params: Parameters, lam: Intensities) -> RegionLabel | None
     for kind, design, missing, path in _candidates(params, lam):
         if design is not None:
             w = design.w.tolist()
-            found = _kirchhoff_values([Fraction(x) for x in w] if exact else w, lam)
-            cert = _certify(found, params, lambda: _describe(kind, missing, path))
+            values = _kirchhoff_values([Fraction(x) for x in w] if exact else w, lam)
+            cert = _certify(values, params, lambda: _describe(kind, missing, path))
             return RegionLabel(kind, design, cert, missing, path)
     return None
 

@@ -1,10 +1,11 @@
-"""Graph view of designs and the relabeling symmetry of the model.
+"""Spanning trees on the alternatives and the tree and path predicates.
 
-A design is represented by the undirected graph on the alternatives whose
-edges are the supported pairs.  Structural predicates on that graph (tree,
-path) decide which saturated designs can be optimal.  Relabeling the
-alternatives by a permutation acts on designs and, through the matrices
-q_matrix produces, on the parameter space.
+A support is the undirected graph on the alternatives whose edges are the
+supported pairs; every saturated optimum is a path.  Neither the package
+nor its __init__ imports this module.  It stays only because the
+benchmark's tests check their own tree enumeration against
+enumerate_spanning_trees and is_path; once the benchmark has its own trees,
+it moves into the tests.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .core import Design, Pair, Parameters, _pair_columns, all_pairs
+from .core import Pair, all_pairs
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,6 @@ class SupportGraph:
         return len(seen) == self.m
 
 
-def support_graph(design: Design) -> SupportGraph:
-    """Graph whose edges are the pairs in the design's support."""
-    return SupportGraph(design.m, frozenset(design.support()))
-
-
 def is_tree(g: SupportGraph) -> bool:
     """Connected on all m vertices with exactly m-1 edges."""
     return len(g.edges) == g.m - 1 and g.is_connected_spanning()
@@ -71,83 +65,6 @@ def is_tree(g: SupportGraph) -> bool:
 def is_path(g: SupportGraph) -> bool:
     """A tree in which no vertex meets more than two edges."""
     return is_tree(g) and max(g.degrees().values()) <= 2
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..m}, stored as the image tuple (sigma(1), ..., sigma(m))."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        images = tuple(int(v) for v in self.images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        object.__setattr__(self, "images", images)
-
-    @property
-    def m(self) -> int:
-        return len(self.images)
-
-    def __call__(self, v: int) -> int:
-        return self.images[v - 1]
-
-    def pair(self, p: Pair) -> Pair:
-        return Pair(self(p.i), self(p.j))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.m
-        for v, img in enumerate(self.images, start=1):
-            inv[img - 1] = v
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(v) = self(other(v))."""
-        return Permutation(tuple(self(other(v)) for v in range(1, self.m + 1)))
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(1, m + 1)))
-
-    @classmethod
-    def transposition(cls, m: int, a: int, b: int) -> "Permutation":
-        images = list(range(1, m + 1))
-        images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
-        return cls(tuple(images))
-
-
-def q_matrix(sigma: Permutation, m: int | None = None) -> np.ndarray:
-    """Integer matrix Q with f(sigma(i), sigma(j)) = Q f(i,j) for all pairs.
-
-    Column i is the ordered regression vector of (sigma(i), sigma(m)), which
-    pins Q down uniquely and makes sigma -> Q a group homomorphism.
-    """
-    m = m or sigma.m
-    if sigma.m != m:
-        raise ValueError(f"permutation acts on {sigma.m} elements, expected {m}")
-
-    def unit(v: int) -> np.ndarray:
-        e = np.zeros(m - 1, dtype=np.int64)
-        if v < m:
-            e[v - 1] = 1
-        return e
-
-    cols = [unit(sigma(i)) - unit(sigma(m)) for i in range(1, m)]
-    return np.column_stack(cols)
-
-
-def apply_to_design(sigma: Permutation, design: Design) -> Design:
-    """Relabel every pair by sigma: pair (i, j) gets the weight of (sigma^-1(i), sigma^-1(j))."""
-    inverse = np.asarray(sigma.inverse().images) - 1
-    u, v = np.triu_indices(design.m, 1)  # the pairs in all_pairs order, 0-based
-    return Design(design.m, design.w[_pair_columns(design.m)[inverse[u], inverse[v]]])
-
-
-def apply_to_params(sigma: Permutation, params: Parameters) -> Parameters:
-    """The parameter point Q_sigma^{-T} beta matched to the relabeled design."""
-    Q = q_matrix(sigma, params.m).astype(float)
-    beta = np.linalg.solve(Q.T, np.asarray(params.beta))
-    return Parameters(params.m, tuple(beta))
 
 
 @lru_cache(maxsize=None)

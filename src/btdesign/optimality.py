@@ -12,7 +12,7 @@ every direction and returns the result as a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,22 +61,22 @@ def kw_check(design: Design, params: Parameters) -> KwCertificate:
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
     found = _derivatives(design.w, params.intensities, regression_matrix(params.m))
-    return _certificate(found, params.m)
+    return _certificate(None if found is None else found[0], params.m)
 
 
-def _certificate(found: Sequence[np.ndarray] | None, m: int) -> KwCertificate:
+def _certificate(values: np.ndarray | None, m: int) -> KwCertificate:
     """The certificate from a design's directional values; None means M is singular.
 
-    found[0] holds lambda f^T M^{-1} f for every pair: a core._derivatives
-    result, a saturated path's (m - 1) g from the tree identity (see the
-    regions module docstring), or, for every m = 4 answer of classify_m4,
-    the matrix-tree values of four_alt._kirchhoff_values, in floats or
-    rounded once from Fractions.  Every certificate is made here, so
-    solve's is kw_check of its design without a second evaluation.
+    values holds lambda f^T M^{-1} f for every pair: the first entry of a
+    core._derivatives result, a saturated path's (m - 1) g from the tree
+    identity (see the regions module docstring), or, for every m = 4 answer
+    of classify_m4, the matrix-tree values of four_alt._kirchhoff_values,
+    in floats or rounded once from Fractions.  Every certificate is made
+    here, so solve's is kw_check of its design without a second evaluation.
     """
-    if found is None:
+    if values is None:
         return KwCertificate(np.empty(0), float("inf"), False, singular=True)
-    derivatives = found[0] - (m - 1)
+    derivatives = values - (m - 1)
     max_violation = float(derivatives.max())
     return KwCertificate(derivatives, max_violation, max_violation <= KW_TOLERANCE)
 

@@ -213,7 +213,8 @@ def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
     column = _pair_columns(path.m)
     upper, a, b = _path_tables(path.m)
     vertex = np.asarray(path.order) - 1  # vertex at each path position, 0-based
-    inverse = 1.0 / lam[..., path._edge_columns()]
+    with np.errstate(over="ignore"):  # a subnormal edge intensity has no finite inverse: inf is meant
+        inverse = 1.0 / lam[..., path._edge_columns()]
     S = np.cumsum(np.where(upper, inverse[..., None, :], 0.0), axis=-1)
     pairs = column[vertex[a], vertex[b]]
     g = np.ones(np.shape(lam))
@@ -322,7 +323,7 @@ def region_membership(path: PathDesign, params: Parameters) -> RegionMembership:
     off = np.delete(g, path._edge_columns())  # edges give exactly 1
     margin = (float(off.max()) if off.size else 1.0) - 1.0
     # lambda f^T M^{-1} f = (m - 1) g on the path's design, so edges certify at exactly 0.
-    certificate = _certificate(((path.m - 1) * g,), path.m)
+    certificate = _certificate((path.m - 1) * g, path.m)
     return RegionMembership(path=path, inside=margin <= 0.0, margin=margin, certificate=certificate)
 
 

@@ -239,5 +239,5 @@ def solve(params: Parameters, *, max_iterations: int = MAX_ITERATIONS) -> Solver
             break
 
     # found was evaluated at exactly the weights w, so this is kw_check of the design.
-    certificate = _certificate(found, params.m)
+    certificate = _certificate(found[0], params.m)
     return SolverResult(Design(params.m, w), certificate, iterations, converged=certificate.is_optimal)

@@ -29,8 +29,9 @@ from btdesign.four_alt import (
     full_support_raw,
     saturated_inequality_values,
 )
-from btdesign.graphs import Permutation
 from btdesign.regions import sorted_beta_path
+
+from relabel import Permutation
 
 
 def geometric_params(m: int, pi1: float) -> Parameters:

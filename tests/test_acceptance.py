@@ -27,7 +27,7 @@ from btdesign import (
 from btdesign.cli import ScanAxis, ScanSpec, run_scan
 from btdesign.core import all_pairs, intensity_vector
 from btdesign.four_alt import saturated_inequality_values
-from btdesign.graphs import Permutation, apply_to_params, enumerate_spanning_trees, is_path, q_matrix
+from btdesign.graphs import SupportGraph, enumerate_spanning_trees, is_path
 from btdesign.regions import PathDesign, path_g_values
 
 from helpers import (
@@ -38,6 +38,7 @@ from helpers import (
     random_params,
     sample_in_path_region,
 )
+from relabel import Permutation, apply_to_design, apply_to_params, q_matrix
 
 
 def _report(name: str, ok: bool, elapsed: float, budget: float, detail: str) -> None:
@@ -157,8 +158,6 @@ def test_criterion_4_path_theorem_evidence():
             support = result.design.support()
             if len(support) == m - 1:
                 saturated_hits += 1
-                from btdesign.graphs import SupportGraph
-
                 assert is_path(SupportGraph(m, frozenset(support))), support
                 for p in support:
                     assert abs(result.design.weight(p) - 1.0 / (m - 1)) <= 1e-6
@@ -237,8 +236,6 @@ def test_criterion_7_symmetry_suite():
                     )
 
     worst = 0.0
-    from btdesign.graphs import apply_to_design
-
     for _ in range(20):
         params = random_params(rng, m, scale=4.0)
         design = random_design(rng, m)

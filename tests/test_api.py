@@ -1,6 +1,8 @@
 """The package's public names: an explicit list, so the API cannot grow unnoticed."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,39 +18,41 @@ PUBLIC = {
     "Pair",
     "Parameters",
     "PathDesign",
-    "Permutation",
     "RegionKind",
     "RegionLabel",
     "RegionMembership",
     "SingularMatrixError",
     "SolverResult",
-    "SupportGraph",
     "all_pairs",
-    "apply_to_design",
-    "apply_to_params",
     "classify_m4",
     "claw_infeasibility_sample",
     "claw_infeasibility_scan",
     "d_efficiency",
     "find_optimal_saturated",
     "information_matrix",
-    "is_path",
-    "is_tree",
     "kw_check",
     "log_det",
-    "q_matrix",
     "region_margin",
     "region_membership",
     "regression_vector",
     "search_disjoint_four_point",
     "solve",
-    "support_graph",
 }
 
 
 def test_all_is_the_pinned_set():
     assert len(btdesign.__all__) == len(set(btdesign.__all__))
     assert set(btdesign.__all__) == PUBLIC
+
+
+def test_import_leaves_graphs_unloaded():
+    # The package and its CLI answer without the graph module, which only the benchmark's tests import.
+    src = str(Path(btdesign.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, btdesign, btdesign.cli; print('btdesign.graphs' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_every_public_name_resolves():

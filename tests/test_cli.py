@@ -23,10 +23,7 @@ from btdesign import (
     Pair,
     Parameters,
     PathDesign,
-    Permutation,
     all_pairs,
-    apply_to_design,
-    apply_to_params,
     cli,
     information_matrix,
     kw_check,
@@ -34,11 +31,12 @@ from btdesign import (
     region_membership,
     solve,
 )
-from btdesign.cli import MAX_POINTS, CliError, ScanAxis, ScanSpec, build_parser, main, run_scan
+from btdesign.cli import MAX_ALTERNATIVES, MAX_POINTS, CliError, ScanAxis, ScanSpec, build_parser, main, run_scan
 from btdesign.core import SUPPORT_THRESHOLD
 from btdesign.solver import SolverResult
 
 from helpers import exact_path_derivatives, sample_in_path_region
+from relabel import Permutation, apply_to_design, apply_to_params
 
 
 def run(argv):
@@ -194,6 +192,22 @@ class TestVerify:
         rc, _ = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: weight for (1,3) must be finite and nonnegative")
+
+    def test_pair_named_twice_is_usage_error(self, tmp_path, capsys):
+        # "2-1" names the pair "1-2" names; keeping one of them would leave weights summing to 1.
+        design_file = tmp_path / "twice.json"
+        design_file.write_text('{"m": 3, "weights": {"1-2": 0.3, "2-1": 0.3, "1-3": 0.7}}')
+        rc, out = run(["verify", "--m", "3", "--beta", "0,0", "--design", str(design_file)])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == "error: design weights name the pair 1-2 twice\n"
+
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys):
+        # json.load alone keeps the last of two equal keys.
+        design_file = tmp_path / "repeated.json"
+        design_file.write_text('{"m": 3, "weights": {"1-2": 0.3, "1-2": 0.3, "1-3": 0.7}}')
+        rc, out = run(["verify", "--m", "3", "--beta", "0,0", "--design", str(design_file)])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == f"error: design file {design_file} repeats the key '1-2'\n"
 
     def test_missing_design_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -392,6 +406,16 @@ class TestUnderflow:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m,beta", [(3, "741,1"), (5, "741,1,0.5,-0.5")])
+    def test_subnormal_path_edge_is_reported_without_a_warning(self, m, beta, capsys):
+        # The path edge across the gap of 741 has a subnormal intensity, whose
+        # inverse is inf: g is inf there, and numpy must not warn about it.
+        rc, out = run(["classify", "--m", str(m), f"--beta={beta}"])
+        assert (rc, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "RuntimeWarning" not in err, err
+
     def test_verify_exit_1_with_error_line(self, tmp_path, capsys):
         design_file = tmp_path / "uniform.json"
         pairs = ("1-2", "1-3", "1-4", "2-3", "2-4", "3-4")
@@ -417,9 +441,9 @@ class TestScan:
         # scan holds one grid point at a time.
         spec = ScanSpec(m=4, axes=(ScanAxis((1.0, 0.0, 0.0), -1.0, 1.0, 5),), fixed=(0.0, 0.0, 0.0))
         drawn, seen = [], []
-        grid, scan_row = ScanSpec.grid, cli._scan_row
-        monkeypatch.setattr(ScanSpec, "grid", lambda self: (drawn.append(p) or p for p in grid(self)))
-        monkeypatch.setattr(cli, "_scan_row", lambda point: seen.append(len(drawn)) or scan_row(point))
+        grid, classify = ScanSpec.grid, cli.classify_m4
+        monkeypatch.setattr(ScanSpec, "grid", lambda self, *bounds: (drawn.append(p) or p for p in grid(self, *bounds)))
+        monkeypatch.setattr(cli, "classify_m4", lambda params: seen.append(len(drawn)) or classify(params))
         assert run_scan(spec, io.StringIO(), workers=1) == 5
         assert seen == [1, 2, 3, 4, 5]
 
@@ -786,6 +810,21 @@ class TestUsage:
         assert (rc, out) == (2, "")
         assert capsys.readouterr().err == f"error: need at least two alternatives, got m={m}\n"
 
+    @pytest.mark.parametrize("command", ["optimize", "verify", "classify"])
+    def test_more_alternatives_than_the_bound_is_usage_error(self, command, capsys, tmp_path):
+        # Refused before beta is read, so before any pair table is built.
+        design_file = tmp_path / "design.json"
+        design_file.write_text(json.dumps({"m": 2, "weights": {"1-2": 1.0}}))
+        extra = ["--design", str(design_file)] if command == "verify" else []
+        m = MAX_ALTERNATIVES + 1
+        rc, out = run([command, "--m", str(m), "--beta=0", *extra])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == f"error: at most {MAX_ALTERNATIVES} alternatives, got m={m}\n"
+
+    def test_the_bound_itself_is_read(self):
+        params = cli.parse_beta(",".join(["0"] * (MAX_ALTERNATIVES - 1)), MAX_ALTERNATIVES)
+        assert params.m == MAX_ALTERNATIVES
+
     def test_usage_error_leaves_the_parser_reusable(self):
         # The parser is built once per process and shared by every call.
         build_parser.cache_clear()
@@ -887,7 +926,7 @@ class TestOneTolerance:
 # Anything a user might type for a number: huge, tiny, non-finite, or not a number at all.
 _ANY_NUMBER = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.sampled_from(["", "x", "1e-320", "800", "-0"]),
+    st.sampled_from(["", "x", "1e-320", "741", "800", "-0"]),
 )
 _ANY_JSON = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),

@@ -40,7 +40,6 @@ from btdesign.four_alt import (
     full_support_raw,
     saturated_inequality_values,
 )
-from btdesign.graphs import Permutation, apply_to_params
 from btdesign.optimality import KW_TOLERANCE, KwCertificate, _certificate
 from btdesign.regions import PathDesign, sorted_beta_path
 
@@ -61,6 +60,7 @@ from helpers import (
     tied_m4_points,
     uniform_m4_points,
 )
+from relabel import Permutation, apply_to_params
 
 
 def random_lambda_tables(rng: np.random.Generator, n: int) -> list:
@@ -455,7 +455,7 @@ class TestStructuredForms:
             total = sum(numerators)
             first = 6 - len(numerators)
             w = [Fraction(0)] * first + [n / total for n in numerators]
-            (values,) = four_alt._kirchhoff_values(w, table)
+            values = four_alt._kirchhoff_values(w, table)
             assert values[first:].tolist() == [3.0] * len(numerators), table
 
     def test_five_point_slack_is_the_full_support_numerator_of_the_missing_pair(self):
@@ -695,8 +695,8 @@ class TestClassify:
     )
     def test_failed_certificate_names_the_candidate(self, t, what, monkeypatch):
         # A certificate that reports a violation far above the tolerance, in both passes.
-        def violated(found, m):
-            return KwCertificate(found[0] - (m - 1), 0.5, False)
+        def violated(values, m):
+            return KwCertificate(values - (m - 1), 0.5, False)
 
         monkeypatch.setattr(four_alt, "_certificate", violated)
         params = line_params(t)
@@ -708,11 +708,11 @@ class TestClassify:
         # The float pass's path certificate fails; the Fraction pass certifies.
         calls = []
 
-        def violated_once(found, m):
+        def violated_once(values, m):
             calls.append(m)
             if len(calls) == 1:
-                return KwCertificate(found[0] - (m - 1), 0.5, False)
-            return _certificate(found, m)
+                return KwCertificate(values - (m - 1), 0.5, False)
+            return _certificate(values, m)
 
         monkeypatch.setattr(four_alt, "_certificate", violated_once)
         label = classify_m4(line_params(3.5))
@@ -832,7 +832,7 @@ class TestSortedPathCandidates:
                 lam = params.intensities.tolist()
                 exact = exact_path_derivatives(row.path, params)
                 for weights, values in ((w, lam), ([Fraction(x) for x in w], [Fraction(x) for x in lam])):
-                    (found,) = four_alt._kirchhoff_values(weights, values)
+                    found = four_alt._kirchhoff_values(weights, values)
                     assert max(abs(x - 3 - y) for x, y in zip(found.tolist(), exact)) <= 1e-14, params.beta
 
     @given(st.one_of(uniform_m4_points(), tied_m4_points(), _tied_two_step_gaps()))
@@ -1002,7 +1002,7 @@ class TestKirchhoffKernel:
     def test_matches_the_fraction_oracle_to_a_few_ulps(self):
         # |beta| <= 100: M's condition number reaches far past 1 / eps.
         for w, lam in random_kernel_cases(np.random.default_rng(193), 400, scale=100.0):
-            (found,) = four_alt._kirchhoff_values(w, lam)
+            found = four_alt._kirchhoff_values(w, lam)
             exact = fraction_derivatives(w, lam)
             for x, y in zip(found.tolist(), exact):
                 assert abs(Fraction(x) - y) <= Fraction(1, 10**13) * y, (w, lam)
@@ -1010,7 +1010,7 @@ class TestKirchhoffKernel:
     def test_matches_core_derivatives_where_m_is_well_conditioned(self):
         F = regression_matrix(4)
         for w, lam in random_kernel_cases(np.random.default_rng(197), 400, scale=6.0):
-            (found,) = four_alt._kirchhoff_values(w, lam)
+            found = four_alt._kirchhoff_values(w, lam)
             values = _derivatives(np.array(w), np.array(lam), F)[0]
             assert np.all(np.abs(found - values) <= 1e-12 * values), (w, lam)
 
@@ -1031,18 +1031,18 @@ class TestKirchhoffKernel:
         # = 1/4 and the rest 1e-160, T_p sums products of two c of about
         # 2e-161, subnormal, and the Fraction pass still evaluates them.
         w = [1 / 6] * 6
-        (found,) = four_alt._kirchhoff_values(w, [1e-105] * 6)
+        found = four_alt._kirchhoff_values(w, [1e-105] * 6)
         assert found.tolist() == pytest.approx([3.0] * 6, rel=1e-15)
         lam = [0.25] + [1e-160] * 5
         assert four_alt._kirchhoff_values(w, lam) is None
-        (found,) = four_alt._kirchhoff_values([Fraction(x) for x in w], [Fraction(x) for x in lam])
+        found = four_alt._kirchhoff_values([Fraction(x) for x in w], [Fraction(x) for x in lam])
         assert found.tolist() == [float(x) for x in fraction_derivatives(w, lam)]
 
     def test_a_power_of_two_scale_leaves_the_values_bitwise(self):
         for w, lam in random_kernel_cases(np.random.default_rng(199), 200, scale=8.0):
-            (found,) = four_alt._kirchhoff_values(w, lam)
+            found = four_alt._kirchhoff_values(w, lam)
             for e in (-600, -40, 3):  # at 2^-600, T would underflow unscaled
-                (scaled,) = four_alt._kirchhoff_values(w, [math.ldexp(x, e) for x in lam])
+                scaled = four_alt._kirchhoff_values(w, [math.ldexp(x, e) for x in lam])
                 assert scaled.tobytes() == found.tobytes(), (w, lam, e)
 
 

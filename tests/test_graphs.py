@@ -1,29 +1,20 @@
-"""Graph predicates, the path-enumeration oracle, and the relabeling symmetry action."""
+"""Graph predicates, the path-enumeration oracle, and the relabeling symmetry action.
+
+The relabeling action lives in the tests' relabel module, where the
+equivariance tests use it as their oracle; its own tests are here.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from btdesign import (
-    Design,
-    Pair,
-    SupportGraph,
-    apply_to_design,
-    apply_to_params,
-    information_matrix,
-    is_path,
-    is_tree,
-    kw_check,
-    log_det,
-    q_matrix,
-    solve,
-    support_graph,
-)
-from btdesign.graphs import Permutation, enumerate_spanning_trees
+from btdesign import Design, Pair, information_matrix, kw_check, log_det, solve
+from btdesign.graphs import SupportGraph, enumerate_spanning_trees, is_path, is_tree
 from btdesign.regions import PathDesign
 
 from helpers import ordered_regression_vector, path_orders, random_design, random_params, random_permutation
+from relabel import Permutation, apply_to_design, apply_to_params, q_matrix, support_graph
 
 
 def path_graphs(m: int) -> list[SupportGraph]:

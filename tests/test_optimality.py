@@ -12,8 +12,6 @@ from btdesign import (
     Parameters,
     SingularMatrixError,
     all_pairs,
-    apply_to_design,
-    apply_to_params,
     d_efficiency,
     information_matrix,
     kw_check,
@@ -34,6 +32,7 @@ from helpers import (
     random_params,
     random_permutation,
 )
+from relabel import apply_to_design, apply_to_params
 
 
 def directional_derivative(design: Design, params: Parameters, pair: Pair) -> float:

@@ -12,7 +12,6 @@ from btdesign import (
     Design,
     Pair,
     Parameters,
-    apply_to_params,
     cli,
     find_optimal_saturated,
     kw_check,
@@ -21,7 +20,7 @@ from btdesign import (
 )
 from btdesign.four_alt import saturated_inequality_values
 from btdesign.core import _derivatives, all_pairs, intensity_vector, regression_matrix
-from btdesign.graphs import enumerate_spanning_trees, is_path, support_graph
+from btdesign.graphs import enumerate_spanning_trees, is_path
 from btdesign.regions import (
     PathDesign,
     _cactus_weights,
@@ -42,6 +41,7 @@ from helpers import (
     region_margin_by_direct_sums,
     sample_in_path_region,
 )
+from relabel import apply_to_params, support_graph
 
 
 class TestPathDesign:
