@@ -100,6 +100,13 @@ def design_to_dict(design: Design) -> dict:
     return {"m": design.m, "weights": {k: x for k, x in zip(_pair_keys(design.m), design.w.tolist()) if x != 0.0}}
 
 
+def _json_int(value, what: str) -> int:
+    """value when it is a JSON integer; a float such as 4.0 or 4.9, a bool or a string such as "4" is a usage error."""
+    if type(value) is not int:
+        raise CliError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def design_from_dict(data: dict, m: int) -> Design:
     """The design a JSON object describes; it must be a design for m alternatives.
 
@@ -107,7 +114,7 @@ def design_from_dict(data: dict, m: int) -> Design:
     is a usage error, not an attempt to list its pairs.
     """
     try:
-        given = int(data["m"])
+        given = _json_int(data["m"], 'design "m"')
         raw = {}
         for k, v in data["weights"].items():
             pair = Pair.from_key(k)
@@ -260,7 +267,7 @@ class ScanSpec:
 
 def scan_spec_from_dict(data: dict) -> ScanSpec:
     try:
-        m = int(data["m"])
+        m = _json_int(data["m"], 'scan spec "m"')
         if m != 4:
             raise CliError("scan classification is closed-form for m=4 only")
         axes = tuple(
@@ -268,7 +275,7 @@ def scan_spec_from_dict(data: dict) -> ScanSpec:
                 direction=tuple(float(x) for x in ax["direction"]),
                 start=float(ax["range"][0]),
                 stop=float(ax["range"][1]),
-                count=int(ax["count"]),
+                count=_json_int(ax["count"], 'axis "count"'),
             )
             for ax in data["axes"]
         )

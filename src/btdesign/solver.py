@@ -31,7 +31,11 @@ turn and adopts the first that ranks higher than w:
 Each step runs one Newton finish on its trial's support
 (_newton_on_support), which replaces the trial unless it ranks lower (a
 finish that meets a singular M or KKT system keeps the trial).  A round
-that adopts none of its designs ends the loop, keeping w.
+that adopts none of its designs ends the loop, keeping w.  One Newton step
+costs one evaluation and one bordered KKT solve; a cut-back solves the
+bordered system once more, one pair smaller, and factors nothing.  Each
+evaluated design is ranked once: certified from its own values, and by log
+det, read from its factor L, only when a comparison needs it.
 
 The guard and the stop keep the loop from cycling: a finish's cut-back can
 drop the pair the step just added, and the same point would return.  A pair
@@ -56,6 +60,7 @@ max_iterations has failed that many of them, having stepped once fewer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +69,7 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
     Parameters,
     SingularMatrixError,
     _derivatives,
+    _pair_columns,
     cholesky_pivots,
     regression_matrix,
 )
@@ -78,6 +84,12 @@ _NEWTON_STEP_TOL = 1e-13
 MAX_ITERATIONS = 100_000
 
 
+@lru_cache(maxsize=None)
+def _column_rows(m: int) -> list[list[int]]:
+    """core._pair_columns(m) as nested lists, for indexing by Python ints."""
+    return _pair_columns(m).tolist()
+
+
 @dataclass(frozen=True)
 class SolverResult:
     design: Design
@@ -89,8 +101,10 @@ class SolverResult:
 def _fedorov_wynn_step(w: np.ndarray, d: np.ndarray, k: int, tolerance: float) -> np.ndarray:
     """The round's trial: Fedorov-Wynn steps toward the (at most k) largest violators of k + tolerance."""
     top = np.argsort(d, kind="stable")[-k:]
-    top = top[d[top] - k > tolerance]
-    a = (d[top] - k) / (k * (d[top] - 1.0))
+    dt = d[top]
+    violating = dt - k > tolerance
+    top, dt = top[violating], dt[violating]
+    a = (dt - k) / (k * (dt - 1.0))
     a *= 0.5 / max(a.sum(), 0.5)
     trial = (1.0 - a.sum()) * w
     trial[top] += a
@@ -115,64 +129,83 @@ def _newton_on_support(
     step can drop several pairs.  On k pairs log det is sum log w + const,
     so the optimum is exactly 1/k each.
 
+    The bordered system lives in one array per support: a step overwrites
+    its Hessian block in place, and a cut-back shrinks it, the gradient,
+    the weights and the Hessian's factor lambda_i lambda_j by one pair.
+
     Returns (trial, found) with found bitwise _derivatives(trial, lam, F):
     a finish whose cut-free step is at most _NEWTON_STEP_TOL returns the
     point of its last model with that model's evaluation, one that ends on
     k pairs or runs out of steps evaluates its result once.  Returns None
     when M or the KKT matrix is singular.
     """
-    d, Y = found[:2]
-    support = np.flatnonzero(live)
+    d, Y, _ = found
+    support = live.nonzero()[0]
     n = len(support)
-    v = w[support]
     trial = w
-    for _ in range(_NEWTON_STEPS):
-        if n == k:
-            break
-        ls = lam[support]
-        Ys = Y[:, support]
-        # kkt [s; mu] = rhs is the model's Newton system; rhs[:n] is minus its gradient.
+    if n > k:
+        v = w[support]
+        # kkt [s; -mu] = rhs is the model's Newton system with the Hessian's
+        # sign flipped: kkt[:n, :n] = lambda_i lambda_j (f_i^T M^{-1} f_j)^2
+        # and rhs[:n] = d, the gradient.  block and grad view those parts.
         kkt = np.ones((n + 1, n + 1))
         kkt[n, n] = 0.0
-        kkt[:n, :n] = -(ls[:, None] * ls) * (Ys.T @ Ys) ** 2
         rhs = np.zeros(n + 1)
-        rhs[:n] = -d[support]
-        cut = False
-        while n > k:
-            try:
-                step = np.linalg.solve(kkt, rhs)[:n]
-            except np.linalg.LinAlgError:
-                return None
-            if not (v + step <= 0.0).any():
+        block, grad = kkt[:n, :n], rhs[:n]
+        ls = lam[support]
+        scale = ls[:, None] * ls
+        # On arrays this small, np.add.reduce and np.maximum.reduce skip the
+        # Python-level dispatch of ndarray.sum and .max; the values are the same.
+        for _ in range(_NEWTON_STEPS):
+            Ys = Y.take(support, 1)
+            H = Ys.T.dot(Ys)
+            H *= H
+            H *= scale
+            block[...] = H
+            d.take(support, out=grad)
+            cut = False
+            while True:
+                try:
+                    step = np.linalg.solve(kkt, rhs)[:n]
+                except np.linalg.LinAlgError:
+                    return None
+                moved = v + step
+                if not np.count_nonzero(moved <= 0.0):
+                    break
+                # Move to where the first weight reaches zero, then drop that pair.
+                reach = np.where(step < 0.0, v / np.maximum(-step, 1e-300), np.inf)
+                j = reach.argmin()
+                keep = np.arange(n)
+                keep[j:] += 1
+                support = support.take(keep[:-1])
+                if n == k + 1:  # k pairs remain, and their optimum is known
+                    n = k
+                    break
+                t = reach[j]
+                v = v + t * step
+                grad -= t * (block @ step)
+                kkt, rhs = kkt.take(keep, 0).take(keep, 1), rhs.take(keep)
+                keep = keep[:-1]
+                v, scale = v.take(keep), scale.take(keep, 0).take(keep, 1)
+                v /= np.add.reduce(v)
+                n -= 1
+                block, grad = kkt[:n, :n], rhs[:n]
+                cut = True
+            if n == k:
                 break
-            # Move to where the first weight reaches zero, then drop that pair.
-            reach = np.where(step < 0.0, v / np.maximum(-step, 1e-300), np.inf)
-            j = np.argmin(reach)
-            v = v + reach[j] * step
-            rhs[:n] -= reach[j] * (kkt[:n, :n] @ step)
-            keep = np.arange(n)
-            keep[j:] += 1
-            kkt, rhs = kkt.take(keep, 0).take(keep, 1), rhs.take(keep)
-            keep = keep[:-1]
-            support, v = support.take(keep), v.take(keep)
-            v /= v.sum()
-            n -= 1
-            cut = True
-        else:  # k pairs remain
-            break
-        # A step that was cut moved further than its last piece shows.
-        if not cut and np.abs(step).max() <= _NEWTON_STEP_TOL:
+            # A step that was cut moved further than its last piece shows.
+            if not cut and np.maximum.reduce(np.abs(step)) <= _NEWTON_STEP_TOL:
+                return trial, found
+            v = moved
+            v /= np.add.reduce(v)
+            trial = np.zeros(len(w))
+            trial[support] = v
+            found = _derivatives(trial, lam, F)
+            if found is None:
+                return None
+            d, Y, _ = found
+        else:  # out of steps: found was evaluated at trial
             return trial, found
-        v = v + step
-        v /= v.sum()
-        trial = np.zeros_like(w)
-        trial[support] = v
-        found = _derivatives(trial, lam, F)
-        if found is None:
-            return None
-        d, Y = found[:2]
-    if n > k:  # out of steps: found was evaluated at trial
-        return trial, found
     v = np.full(k, 1.0 / k)
     trial = np.zeros_like(w)
     trial[support] = v / v.sum()
@@ -189,6 +222,32 @@ def _single_step(w: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
     return trial
 
 
+class _Tried:
+    """A design the loop evaluated: weights w, found = core._derivatives at w, and its rank.
+
+    Designs rank certified first, then by log det, which is read from the
+    factor L when two designs first need it and kept.
+    """
+
+    __slots__ = ("w", "found", "certified", "_log_det")
+
+    def __init__(self, w: np.ndarray, found: tuple, k: int) -> None:
+        self.w, self.found = w, found
+        self.certified = found[0].max() - k <= KW_TOLERANCE
+        self._log_det = None
+
+    def log_det(self) -> float:
+        if self._log_det is None:
+            self._log_det = 2.0 * float(np.log(self.found[2].diagonal()).sum())
+        return self._log_det
+
+    def above(self, other: "_Tried", *, ties: bool = False) -> bool:
+        """Whether this design ranks higher than other, or as high when ties."""
+        if self.certified != other.certified:
+            return self.certified
+        return self.log_det() >= other.log_det() if ties else self.log_det() > other.log_det()
+
+
 def solve(params: Parameters, *, max_iterations: int = MAX_ITERATIONS) -> SolverResult:
     """Find a locally D-optimal design for the given parameter point in at most max_iterations (>= 1) rounds.
 
@@ -197,47 +256,51 @@ def solve(params: Parameters, *, max_iterations: int = MAX_ITERATIONS) -> Solver
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    k = params.m - 1
-    F = regression_matrix(params.m)
+    m, k = params.m, params.m - 1
+    F = regression_matrix(m)
     lam = params.intensities
     path = sorted_beta_path(params)
     w = np.zeros(len(F))
-    w[path._edge_columns()] = 1.0 / k
+    columns = _column_rows(m)
+    w[[columns[a - 1][b - 1] for a, b in zip(path.order, path.order[1:])]] = 1.0 / k
     found = _derivatives(w, lam, F)
     if found is None:
         raise SingularMatrixError("information matrix is singular after 0 iterations")
+    held = _Tried(w, found, k)
 
-    def rank(found):  # certified first, then by log det, read from the factor L
-        return found[0].max() - k <= KW_TOLERANCE, 2.0 * float(np.log(found[2].diagonal()).sum())
+    # Each returns the _Tried design, or None when its M is singular.
+    def exact(d):  # round 1's design on the path plus its violators, where that support is a cactus
+        cactus = _cactus_weights(path, lam, (d - k > KW_TOLERANCE).nonzero()[0].tolist())
+        stepped = None if cactus is None else _derivatives(cactus, lam, F)
+        return None if stepped is None else _Tried(cactus, stepped, k)
 
-    def finished(trial):  # the trial and its evaluation, or their Newton finish unless it ranks lower
+    def finished(trial):  # the trial, or its Newton finish unless that ranks lower
         stepped = _derivatives(trial, lam, F)
         if stepped is None:
-            return trial, None
+            return None
+        tried = _Tried(trial, stepped, k)
         finish = _newton_on_support(trial, lam, F, k, trial > 0.0, stepped)
-        if finish is not None and rank(finish[1]) >= rank(stepped):
-            return finish
-        return trial, stepped
+        if finish is None or finish[1] is stepped:  # none, or the trial itself
+            return tried
+        finish = _Tried(*finish, k)
+        return finish if finish.above(tried, ties=True) else tried
 
-    def trials(first, w, d):  # the round's designs, in the order they are tried
-        if first:
-            cactus = _cactus_weights(path, lam, np.flatnonzero(d - k > KW_TOLERANCE).tolist())
-            if cactus is not None:
-                yield cactus, _derivatives(cactus, lam, F)
-        yield finished(_fedorov_wynn_step(w, d, k, KW_TOLERANCE))
-        yield finished(_single_step(w, d, k))
+    def improves(tried):
+        return tried is not None and tried.above(held)
 
     for iterations in range(1, max_iterations + 1):
-        held = rank(found)
-        if held[0] or iterations == max_iterations:
+        if held.certified or iterations == max_iterations:
             break
-        for trial, stepped in trials(iterations == 1, w, found[0]):
-            if stepped is not None and rank(stepped) > held:
-                w, found = trial, stepped
-                break
-        else:
+        d = held.found[0]
+        tried = exact(d) if iterations == 1 else None
+        if not improves(tried):
+            tried = finished(_fedorov_wynn_step(held.w, d, k, KW_TOLERANCE))
+        if not improves(tried):
+            tried = finished(_single_step(held.w, d, k))
+        if not improves(tried):
             break
+        held = tried
 
-    # found was evaluated at exactly the weights w, so this is kw_check of the design.
-    certificate = _certificate(found[0], params.m)
-    return SolverResult(Design(params.m, w), certificate, iterations, converged=certificate.is_optimal)
+    # held.found was evaluated at exactly the weights held.w, so this is kw_check of the design.
+    certificate = _certificate(held.found[0], m)
+    return SolverResult(Design(m, held.w), certificate, iterations, converged=certificate.is_optimal)

@@ -97,6 +97,24 @@ def count_derivative_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def count_linalg_calls(monkeypatch) -> list[int]:
+    """Count calls of every numpy.linalg function from here on, in a one-item list."""
+    calls = [0]
+
+    def counting(function):
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    for name in np.linalg.__all__:
+        function = getattr(np.linalg, name)
+        if callable(function) and not isinstance(function, type):
+            monkeypatch.setattr(np.linalg, name, counting(function))
+    return calls
+
+
 def count_factorizations(monkeypatch) -> list[int]:
     """Count calls of cholesky_pivots from core, solver and optimality from here on, in a one-item list."""
     calls = [0]

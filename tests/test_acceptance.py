@@ -9,6 +9,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from btdesign import (
     Design,
@@ -144,6 +145,7 @@ def test_criterion_3_saturated_region_certification():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_path_theorem_evidence():
     t0 = time.time()
     rng = np.random.default_rng(425)
@@ -291,6 +293,7 @@ def test_criterion_9_disjoint_orbit_search():
     )
 
 
+@pytest.mark.slow
 def test_region_figure_scan_completes_and_respects_symmetry():
     # The qualitative region figures are reproduced as a data grid: the scan
     # must classify every point (no failures), and the partition must be

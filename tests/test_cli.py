@@ -222,6 +222,15 @@ class TestVerify:
         rc, _ = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
         assert rc == 2
 
+    @pytest.mark.parametrize("given", [4.9, 4.0, True, "4"], ids=["4.9", "4.0", "true", "string"])
+    def test_design_m_must_be_a_json_integer(self, tmp_path, capsys, given):
+        # int() truncated 4.9 to 4, so this file verified as a design for m = 4.
+        design_file = tmp_path / "fractional.json"
+        design_file.write_text(json.dumps({"m": given, "weights": {"1-2": 0.5, "2-3": 0.25, "3-4": 0.25}}))
+        rc, out = run(["verify", "--m", "4", "--beta", "0,0,0", "--design", str(design_file)])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == f'error: design "m" must be a JSON integer, got {json.dumps(given)}\n'
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -579,6 +588,24 @@ class TestScan:
         spec_file.write_text(json.dumps({"m": 4, "axes": []}))
         rc, _ = run(["scan", "--spec", str(spec_file)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "field, given",
+        [("m", 4.5), ("m", 4.0), ("m", True), ("m", "4"), ("count", 2.9), ("count", 3.0), ("count", True), ("count", "3")],
+    )
+    def test_spec_m_and_count_must_be_json_integers(self, tmp_path, capsys, field, given):
+        # int() truncated them: "m": 4.5 with "count": 2.9 scanned 2 points at m = 4 and exited 0.
+        spec = {"m": 4, "axes": [{"direction": [1, 0, 0], "range": [-1, 1], "count": 3}]}
+        if field == "m":
+            spec["m"] = given
+        else:
+            spec["axes"][0]["count"] = given
+        spec_file = tmp_path / "fractional.json"
+        spec_file.write_text(json.dumps(spec))
+        rc, out = run(["scan", "--spec", str(spec_file), "--workers", "1"])
+        assert (rc, out) == (2, "")
+        what = 'scan spec "m"' if field == "m" else 'axis "count"'
+        assert capsys.readouterr().err == f"error: {what} must be a JSON integer, got {json.dumps(given)}\n"
 
     def test_small_parameters_are_full_support(self, tmp_path):
         # Near the origin the optimal weights stay close to uniform, so the

@@ -1,5 +1,8 @@
 """Active-set solver: path start, round 1's cactus trial, Fedorov-Wynn rounds and their retry, Newton finishes, the log-det guard."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from btdesign.solver import MAX_ITERATIONS, _fedorov_wynn_step, _newton_on_suppo
 from helpers import (
     count_derivative_calls,
     count_factorizations,
+    count_linalg_calls,
     geometric_params,
     random_params,
     sample_in_path_region,
@@ -251,6 +255,21 @@ class TestSolve:
         assert all(solve(params).converged for params in points)
         assert calls[0] / len(points) < bound
 
+    @pytest.mark.parametrize("m, parent_calls", [(4, 392), (5, 641), (6, 1214), (7, 1844), (8, 2176)])
+    def test_linalg_calls_per_solve(self, m, parent_calls, monkeypatch):
+        # Cost without a timer, on test_derivative_evaluations_per_solve's
+        # points: every numpy.linalg call, that is one Cholesky factor and one
+        # triangular solve per evaluation and one KKT solve per Newton step
+        # and per cut-back.  The solver before its Newton finish was rewritten
+        # made parent_calls of them here (3.92 / 6.41 / 12.14 / 18.44 / 21.76
+        # per solve); a cut-back that solved again or factored would add more.
+        rng = np.random.default_rng(263 + m)
+        points = [Parameters(m, tuple(rng.uniform(-6.0, 6.0, m - 1))) for _ in range(100)]
+        calls = count_linalg_calls(monkeypatch)
+        for params in points:
+            solve(params)
+        assert 0 < calls[0] <= parent_calls
+
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_one_factorization_per_evaluation(self, m, monkeypatch):
         # The log-det guard reads log det from the factor each evaluation
@@ -378,6 +397,57 @@ class TestSolve:
             w[np.flatnonzero(w == 0.0)[0]] = 0.1
             checked(w, lam, F, m - 1, w > 0.0, _derivatives(w, lam, F))
         assert ends["converged"] > 0 and ends["k pairs"] > 0, ends
+
+
+REFERENCE = Path(__file__).parent / "data" / "solve_reference.json"
+
+
+class TestReference:
+    """solve against answers recorded from the solver before its Newton finish and round loop were rewritten.
+
+    The file holds 40 points per m = 4..8 (beta uniform in [-6, 6], from
+    default_rng(4000 + m)) and TestRetry's draws_of points at m = 20 and 30,
+    where the scaled step stalls and the largest violator's step runs.
+    Each record keeps the support, the rounds, converged, and the nonzero
+    weights with their all_pairs columns.  The m = 30 solves take about
+    0.7 s each, so the stalled draws are a slow test.
+    """
+
+    @staticmethod
+    def check(record) -> None:
+        result = solve(Parameters(record["m"], tuple(record["beta"])))
+        where = record["source"], record["beta"]
+        assert [p.key() for p in result.design.support()] == record["support"], where
+        assert (result.iterations, result.converged) == (record["iterations"], record["converged"]), where
+        expected = np.zeros(len(result.design.w))
+        expected[record["columns"]] = record["weights"]
+        assert np.abs(result.design.w - expected).max() <= 1e-12, where
+
+    def test_points_are_the_documented_draws(self):
+        data = json.loads(REFERENCE.read_text())
+        seeded = {m: np.random.default_rng(4000 + m) for m in range(4, 9)}
+        for record in data["solves"]:
+            m = record["m"]
+            if record["source"] == "seeded":
+                expected = seeded[m].uniform(-6.0, 6.0, m - 1).tolist()
+            else:
+                i = int(record["source"].split("[")[-1].rstrip("]"))
+                assert record["source"] == f"draws_of({m})[{i}]" and i in data["stalled_draws"][str(m)]
+                expected = list(draws_of(m, i + 1)[i].beta)
+            assert record["beta"] == expected, record["source"]
+        assert [sum(r["m"] == m for r in data["solves"]) for m in range(4, 9)] == [40] * 5
+        assert sorted(data["stalled_draws"]) == ["20", "30"]
+
+    def test_seeded_solves_match_the_reference(self):
+        for record in json.loads(REFERENCE.read_text())["solves"]:
+            if record["source"] == "seeded":
+                self.check(record)
+
+    @pytest.mark.slow
+    def test_stalled_solves_match_the_reference(self):
+        for record in json.loads(REFERENCE.read_text())["solves"]:
+            if record["source"] != "seeded":
+                self.check(record)
 
 
 class TestRetry:
