@@ -23,8 +23,6 @@ from .four_alt import (
     RegionKind,
     RegionLabel,
     classify_m4,
-    claw_infeasibility_sample,
-    claw_infeasibility_scan,
     region_margin,
     search_disjoint_four_point,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "SolverResult",
     "all_pairs",
     "classify_m4",
-    "claw_infeasibility_sample",
-    "claw_infeasibility_scan",
     "d_efficiency",
     "find_optimal_saturated",
     "information_matrix",

@@ -26,8 +26,6 @@ from .four_alt import (
     RegionKind,
     RegionLabel,
     classify_m4,
-    claw_infeasibility_sample,
-    claw_infeasibility_scan,
     region_margin,
     search_disjoint_four_point,
 )
@@ -41,14 +39,14 @@ EXIT_USAGE = 2
 
 # The parameter line used by the efficiency study: beta = t * (1, 1/2, 5/4).
 DEFAULT_EFFICIENCY_LINE = (1.0, 0.5, 1.25)
-# The most points, samples or starts one command evaluates: scan grid size,
-# efficiency steps, claw grid points cubed, claw samples, disjoint starts.
-# It admits every default (the claw grid's 100^3 is the largest) and the
-# 51^3 figure grid.  At the bound search-disjoint4 peaks about 7 MB above
-# the 37 MB of the imports (it draws and solves the points in blocks).  A
-# scan draws its points one at a time and holds the CSV text, about 65
-# bytes per point; in a parallel scan the parent holds that text and each
-# worker holds the rows of the one index range it is scanning.
+# The most points or starts one command evaluates: scan grid size,
+# efficiency steps, disjoint starts.  It admits every default (the 100 000
+# disjoint starts are the largest) and the 51^3 figure grid.  At the bound
+# search-disjoint4 peaks about 7 MB above the 37 MB of the imports (it
+# draws and solves the points in blocks).  A scan draws its points one at
+# a time and holds the CSV text, about 65 bytes per point; in a parallel
+# scan the parent holds that text and each worker holds the rows of the one
+# index range it is scanning.
 MAX_POINTS = 1_000_000
 # The most alternatives a point command reads.  Every command builds the
 # dense pairs-by-(m - 1) regression matrix, O(m^3) memory, before it can
@@ -445,22 +443,6 @@ def cmd_efficiency(args: argparse.Namespace, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_claw_scan(args: argparse.Namespace, stdout: TextIO) -> int:
-    if not (1 <= args.grid_points**3 <= MAX_POINTS and 1 <= args.samples <= MAX_POINTS):
-        raise CliError(f"--grid-points cubed and --samples must be between 1 and {MAX_POINTS}")
-    if args.seed < 0:
-        raise CliError("--seed must be nonnegative")
-    # The claw slacks are cubic in pi: past 1e100 they overflow, below 1e-100 they underflow to 0.
-    if not 1e-100 <= args.lower <= args.upper <= 1e100:
-        raise CliError("need 1e-100 <= --lower <= --upper <= 1e100")
-    grid = claw_infeasibility_scan(points_per_axis=args.grid_points, lower=args.lower, upper=args.upper)
-    sample = claw_infeasibility_sample(n_samples=args.samples, seed=args.seed, lower=args.lower, upper=args.upper)
-    report = {"grid": asdict(grid), "random": asdict(sample)}
-    emit_json(report, stdout)
-    feasible = grid.feasible_count + sample.feasible_count
-    return EXIT_OK if feasible == 0 else EXIT_NOT_OPTIMAL
-
-
 def cmd_search_disjoint4(args: argparse.Namespace, stdout: TextIO) -> int:
     if not 1 <= args.starts <= MAX_POINTS:
         raise CliError(f"--starts must be between 1 and {MAX_POINTS}")
@@ -525,14 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=49)
     p.add_argument("--output", type=str, default=None, help="CSV output file (default stdout)")
     p.set_defaults(func=cmd_efficiency)
-
-    p = sub.add_parser("claw-scan", help="scan the claw design's (empty) feasibility region")
-    p.add_argument("--grid-points", type=int, default=100, help="grid points per axis")
-    p.add_argument("--samples", type=int, default=100_000, help="random samples")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lower", type=float, default=1e-3)
-    p.add_argument("--upper", type=float, default=1e3)
-    p.set_defaults(func=cmd_claw_scan)
 
     p = sub.add_parser("search-disjoint4", help="solve the disjoint-orbit four-point support exactly at random points")
     p.add_argument("--starts", type=int, default=100_000, help="parameter points drawn")

@@ -1,8 +1,9 @@
 """Optimality regions of saturated path designs, for any number of alternatives.
 
 An optimal saturated design puts weight 1/(m-1) on each edge of a labeled
-Hamiltonian path.  For the canonically labeled path 1-2-...-m its region of
-optimality in parameter space is cut out by
+Hamiltonian path (the path theorem, proven below).  For the canonically
+labeled path 1-2-...-m its region of optimality in parameter space is cut
+out by
 
     g(i, j) = lambda_ij * sum_{k=i}^{j-1} 1 / lambda_{k,k+1}  <=  1
 
@@ -37,6 +38,28 @@ such a point tests as on the boundary of every tied order, and the stable
 sort picks one of them.  At m = 4, classify_m4 therefore never runs the
 path test at a tied point.
 
+The path theorem.  Every saturated D-optimal design is the design of the
+sorted path.  Write k = m - 1.
+
+* A saturated design has k support pairs, and M is nonsingular only when
+  they form a spanning tree T.  Then det M = prod_{e in T} w_e lambda_e,
+  because T's incidence matrix grounded at the control is unimodular, so
+  a saturated optimum is a spanning tree with weight 1/k on each edge.
+* On that design M is T's Laplacian grounded at the control, with edge
+  conductances lambda_e / k.  So d_ab = lambda_ab f^T M^{-1} f, which the
+  equivalence theorem bounds by k, is lambda_ab times the effective
+  resistance between a and b (Ghosh, Boyd & Saberi 2008).  On a tree that
+  is the sum of k / lambda_e along T's path from a to b, so
+  d_ab - k = k (g(a, b) - 1), where g sums 1/lambda_e along that path (the
+  tree identity).  The design is optimal exactly when every g <= 1.
+* (i) and (ii) read g on two consecutive edges alone, so they hold in any
+  tree.  Let a vertex v of T have three neighbours whose betas are
+  x <= y <= z.  By (i), beta_v lies in [x, y], [x, z] and [y, z], which
+  meet only at y: v ties with a neighbour u.  v has another neighbour c,
+  and (ii) gives g(c, u) > 1.
+* So no optimal tree has a vertex of degree 3 or more: it is a path, and
+  by (i) and (ii) the sorted one.
+
 Evaluation.  With the path's edges numbered k = 0..m-2 in visiting order,
 the sum in g(i, j) runs over the edges between the positions a < b of i and
 j.  All of them come from one upper-triangular array of row-wise cumulative
@@ -48,15 +71,11 @@ huge, and the difference of two huge numbers loses the small terms between
 them.  At m = 4, beta = (100, 2, 1), that form gives margin -0.63 ("inside")
 where the true margin is +0.068.
 
-Certificate.  On the path's design, weight 1/(m-1) on each edge, M is the
-Laplacian of the path grounded at the control, with edge conductances
-lambda_k / (m-1).  So lambda_ij f^T M^{-1} f is lambda_ij times the
-effective resistance between i and j (Ghosh, Boyd & Saberi 2008), and on a
-tree that resistance is the sum of (m-1) / lambda_k along the path between
-them: the equivalence-theorem derivative toward (i, j) is exactly
-(m-1)(g(i, j) - 1).  region_membership builds the design's certificate from
-the same g it tests, with no factorization of M: edges read exactly 0, and
-the certificate is never singular.  At m = 4, classify_m4 certifies the
+Certificate.  By the tree identity, the equivalence-theorem derivative of
+the path's design toward (i, j) is exactly (m-1)(g(i, j) - 1).
+region_membership builds the design's certificate from the same g it
+tests, with no factorization of M: edges read exactly 0, and the
+certificate is never singular.  At m = 4, classify_m4 certifies the
 same path, and its closed forms, by four_alt's matrix-tree kernel, which
 on a tree reduces to this sum.  kw_check, solve and the CLI's verify and
 optimize still factor M, so they remain an independent check of this
@@ -208,16 +227,25 @@ def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
     """g(i, j) of the path for every pair, from (..., P) intensities in all_pairs order.
 
     Returns an array of lam's shape; edges give exactly 1.  See the module
-    docstring for why the sums are accumulated row by row.
+    docstring for why the sums are accumulated row by row.  An edge
+    intensity below the normal floats has no finite inverse; then each term
+    is taken as the ratio lambda_ij / lambda_k, which stays finite while
+    lambda_ij is small too.
     """
     column = _pair_columns(path.m)
     upper, a, b = _path_tables(path.m)
     vertex = np.asarray(path.order) - 1  # vertex at each path position, 0-based
-    with np.errstate(over="ignore"):  # a subnormal edge intensity has no finite inverse: inf is meant
-        inverse = 1.0 / lam[..., path._edge_columns()]
-    S = np.cumsum(np.where(upper, inverse[..., None, :], 0.0), axis=-1)
+    edge = lam[..., path._edge_columns()]
     pairs = column[vertex[a], vertex[b]]
     g = np.ones(np.shape(lam))
+    with np.errstate(over="ignore"):  # a value past the largest float is inf, as meant
+        inverse = 1.0 / edge
+        if np.isinf(inverse).any():
+            k = np.arange(path.m - 1)
+            between = (a[:, None] <= k) & (k < b[:, None])  # the edges between each pair's ends
+            g[..., pairs] = np.where(between, lam[..., pairs, None] / edge[..., None, :], 0.0).sum(axis=-1)
+            return g
+    S = np.cumsum(np.where(upper, inverse[..., None, :], 0.0), axis=-1)
     g[..., pairs] = lam[..., pairs] * S[..., a, b - 1]
     return g
 

@@ -16,8 +16,6 @@ from btdesign import (
     Parameters,
     RegionKind,
     classify_m4,
-    claw_infeasibility_sample,
-    claw_infeasibility_scan,
     d_efficiency,
     information_matrix,
     kw_check,
@@ -31,6 +29,7 @@ from btdesign.four_alt import saturated_inequality_values
 from btdesign.graphs import SupportGraph, enumerate_spanning_trees, is_path
 from btdesign.regions import PathDesign, path_g_values
 
+from claw import claw_infeasibility_sample, claw_infeasibility_scan
 from helpers import (
     line_params,
     ordered_regression_vector,

@@ -25,8 +25,6 @@ PUBLIC = {
     "SolverResult",
     "all_pairs",
     "classify_m4",
-    "claw_infeasibility_sample",
-    "claw_infeasibility_scan",
     "d_efficiency",
     "find_optimal_saturated",
     "information_matrix",

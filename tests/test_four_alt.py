@@ -17,8 +17,6 @@ from btdesign import (
     Parameters,
     RegionKind,
     classify_m4,
-    claw_infeasibility_sample,
-    claw_infeasibility_scan,
     kw_check,
     information_matrix,
     log_det,
@@ -43,6 +41,7 @@ from btdesign.four_alt import (
 from btdesign.optimality import KW_TOLERANCE, KwCertificate, _certificate
 from btdesign.regions import PathDesign, sorted_beta_path
 
+from claw import _claw_min_slack, claw_infeasibility_sample, claw_infeasibility_scan
 from helpers import (
     classify_by_pattern_search,
     classify_largest_support_first,
@@ -470,8 +469,6 @@ class TestStructuredForms:
 class TestClaw:
     def test_equal_preferences_violate_first_inequality(self):
         # At pi = (1,1,1) the first inequality asks 4 <= 0.
-        from btdesign.four_alt import _claw_min_slack
-
         s = _claw_min_slack(np.array([1.0]), np.array([1.0]), np.array([1.0]))
         assert s[0] == -4.0
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from btdesign.four_alt import _claw_min_slack
+from btdesign import four_alt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,5 +43,6 @@ def test_a_failing_property_test_ends_only_itself(tmp_path):
 
 def test_a_runtime_warning_from_program_code_is_an_error():
     inf = np.array([np.inf])
-    with pytest.raises(RuntimeWarning, match="invalid value"):
-        _claw_min_slack(inf, inf, inf)
+    with pytest.raises(RuntimeWarning, match="invalid value") as raised:
+        four_alt._triangle(inf, inf, inf)  # inf - inf
+    assert Path(raised.traceback[-1].path) == Path(four_alt.__file__)

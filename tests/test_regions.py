@@ -1,6 +1,7 @@
 """Saturated path regions: the g inequalities and membership scans."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from btdesign import (
     solve,
 )
 from btdesign.four_alt import saturated_inequality_values
-from btdesign.core import _derivatives, all_pairs, intensity_vector, regression_matrix
+from btdesign.core import _derivatives, _pair_columns, all_pairs, intensity_vector, regression_matrix
 from btdesign.graphs import enumerate_spanning_trees, is_path
 from btdesign.regions import (
     PathDesign,
@@ -336,6 +337,18 @@ class TestRegionPrecision:
         assert region_margin_by_direct_sums(path, params) > 0.0
         self.assert_agrees(path, params)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [(741.0, 1.0), (741.0, 1.0, 0.5, -0.5), (0.5, 742.0, 1.5, 1.0, -0.5)])
+    def test_subnormal_edge(self, beta):
+        # The edge across the gap past 740 has a subnormal intensity, whose
+        # inverse is inf; every g is still a finite sum of ratios.
+        params = Parameters(len(beta) + 1, beta)
+        path = sorted_beta_path(params)
+        g = path_g_values(path, params.intensities)
+        want = [float(1 + d / (params.m - 1)) for d in exact_path_derivatives(path, params)]
+        assert np.isfinite(g).all()
+        assert g.tolist() == pytest.approx(want, rel=1e-14)
+
     # Gaps up to 100 give edges with tiny intensities, whose reciprocals dwarf
     # the later terms of a sum taken along the path.
     @given(_points(st.floats(0.0, 100.0), 8), st.randoms(use_true_random=False))
@@ -345,6 +358,65 @@ class TestRegionPrecision:
         order = list(range(1, params.m + 1))
         rnd.shuffle(order)
         self.assert_agrees(PathDesign(tuple(order)), params)
+
+
+def _tree_from_prufer(seq: list[int], m: int) -> dict[int, list[int]]:
+    """Neighbours of each vertex of the labeled tree on 1..m whose Prufer sequence is seq."""
+    degree = [1] * (m + 1)
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(1, m + 1) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(1, m + 1) if degree[u] == 1))
+    around: dict[int, list[int]] = {}
+    for u, v in edges:
+        around.setdefault(u, []).append(v)
+        around.setdefault(v, []).append(u)
+    return around
+
+
+@st.composite
+def _non_path_trees(draw, m: int) -> tuple[dict[int, list[int]], Parameters]:
+    """A spanning tree with a vertex of degree 3 or more, and beta on a lattice with ties and gaps up to 300."""
+    # A tree is a path exactly when its Prufer sequence repeats no vertex.
+    seq = draw(st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2).filter(lambda s: len(set(s)) < len(s)))
+    step = draw(st.sampled_from([0.25, 1.0, 7.5, 37.5]))
+    beta = tuple(step * n for n in draw(st.lists(st.integers(-4, 4), min_size=m - 1, max_size=m - 1)))
+    return _tree_from_prufer(seq, m), Parameters(m, beta)
+
+
+class TestPathTheoremStep:
+    """The step of the path theorem (regions docstring): a vertex of degree 3 or more rules a tree out."""
+
+    @staticmethod
+    def witness(around: dict[int, list[int]], beta_full: tuple[float, ...]) -> tuple[int, int, int]:
+        """A two-edge path x-v-y, deg v >= 3, with g(x, y) > 1 by (i) or (ii), in exact float comparisons."""
+        b = [0.0, *beta_full]  # b[v] is the beta of alternative v
+        for v, nbrs in around.items():
+            if len(nbrs) < 3:
+                continue
+            for x, y in itertools.combinations(nbrs, 2):
+                if not min(b[x], b[y]) <= b[v] <= max(b[x], b[y]):  # (i)
+                    return x, v, y
+            for x, y in itertools.permutations(nbrs, 2):
+                if b[v] == b[y]:  # (ii), with c = x and the tie v = y
+                    return x, v, y
+        raise AssertionError(f"no witness in {around} at {beta_full}")
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_vertex_of_degree_three_has_a_witness_with_g_above_one(self, m, data):
+        around, params = data.draw(_non_path_trees(m))
+        x, v, y = self.witness(around, (*params.beta, 0.0))
+        column = _pair_columns(m)
+        lam = [Fraction(float(params.intensities[column[i - 1, j - 1]])) for i, j in ((x, y), (x, v), (v, y))]
+        # In floats 1 + 4 lambda rounds to 1 past gaps of about 37; in Q it stays above 1.
+        assert lam[0] * (1 / lam[1] + 1 / lam[2]) > 1
 
 
 class TestCactusWeights:
