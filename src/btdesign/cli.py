@@ -105,6 +105,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_number(value, what: str) -> float:
+    """value as a float when it is a JSON number; a bool or a string such as "0.5" is a usage error."""
+    if type(value) not in (int, float):
+        raise CliError(f"{what} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
 def design_from_dict(data: dict, m: int) -> Design:
     """The design a JSON object describes; it must be a design for m alternatives.
 
@@ -118,7 +125,7 @@ def design_from_dict(data: dict, m: int) -> Design:
             pair = Pair.from_key(k)
             if pair in raw:
                 raise CliError(f"design weights name the pair {pair.key()} twice")
-            raw[pair] = float(v)
+            raw[pair] = _json_number(v, f"design weight {json.dumps(k)}")
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CliError(f"malformed design object: {exc}") from None
     if given != m:
@@ -270,14 +277,14 @@ def scan_spec_from_dict(data: dict) -> ScanSpec:
             raise CliError("scan classification is closed-form for m=4 only")
         axes = tuple(
             ScanAxis(
-                direction=tuple(float(x) for x in ax["direction"]),
-                start=float(ax["range"][0]),
-                stop=float(ax["range"][1]),
+                direction=tuple(_json_number(x, 'axis "direction" entry') for x in ax["direction"]),
+                start=_json_number(ax["range"][0], 'axis "range" entry'),
+                stop=_json_number(ax["range"][1], 'axis "range" entry'),
                 count=_json_int(ax["count"], 'axis "count"'),
             )
             for ax in data["axes"]
         )
-        fixed = tuple(float(x) for x in data.get("fixed", (0.0, 0.0, 0.0)))
+        fixed = tuple(_json_number(x, 'scan spec "fixed" entry') for x in data.get("fixed", (0.0, 0.0, 0.0)))
         return ScanSpec(m=m, axes=axes, fixed=fixed)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise CliError(f"malformed scan spec: {exc}") from None

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -117,22 +117,26 @@ class Parameters:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError(f"need at least two alternatives, got m={self.m}")
-        beta = tuple(float(b) for b in self.beta)
+        beta = tuple(map(float, self.beta))
         if len(beta) != self.m - 1:
             raise ValueError(f"expected {self.m - 1} parameters for m={self.m}, got {len(beta)}")
-        if not all(math.isfinite(b) for b in beta):
+        if not all(map(math.isfinite, beta)):
             raise ValueError(f"parameters must be finite, got {beta}")
         object.__setattr__(self, "beta", beta)
 
-    @cached_property
+    @property
     def intensities(self) -> np.ndarray:
-        """Read-only :func:`intensity_vector` of beta, computed on first use.
+        """Read-only :func:`intensity_vector` of beta, computed on first use, kept outside the fields.
 
-        A point past the certifiable range still constructs; every access
-        then raises IntensityUnderflowError, since a raise caches nothing.
+        Not a functools.cached_property, which locks on first use before
+        Python 3.12.  A point past the certifiable range still constructs;
+        every access then raises IntensityUnderflowError.
         """
-        lam = intensity_vector(self.beta)
-        lam.setflags(write=False)
+        lam = self.__dict__.get("_intensities")
+        if lam is None:
+            lam = intensity_vector(self.beta)
+            lam.setflags(write=False)
+            self.__dict__["_intensities"] = lam
         return lam
 
     def __reduce__(self):  # pickle (m, beta) only; the copy recomputes its intensities
@@ -212,10 +216,9 @@ class Design:
             values = np.array(self.w, dtype=float)
             if values.shape != (n,):
                 raise ValueError(f"expected {n} weights for m={m}, got shape {values.shape}")
-        bad = np.flatnonzero(~np.isfinite(values) | (values < 0.0)).tolist()
-        if bad:
-            pair = (pairs or all_pairs(m))[bad[0]]
-            raise ValueError(f"weight for {pair} must be finite and nonnegative, got {values[bad[0]]}")
+        if np.count_nonzero((values >= 0.0) & (values < math.inf)) < len(values):  # NaN fails both
+            k = int(np.flatnonzero(~(values >= 0.0) | (values == math.inf))[0])
+            raise ValueError(f"weight for {(pairs or all_pairs(m))[k]} must be finite and nonnegative, got {values[k]}")
         total = math.fsum(values.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")

@@ -50,9 +50,9 @@ Classification needs one candidate per kind.  Let a-b-c-d be the path that
 visits the alternatives in descending order of beta (sorted_beta_path; its
 reversal names the same candidates).  Everything below but the region
 polynomials depends only on which of the 24 orders beta has, so each order's
-path, path design, missing pairs and relabelings are built once, at import,
-from the same rules (_SORTED_ORDERS); a call sorts beta and reads its row,
-and its labels are the ones the rule gives.  The candidates are
+path, path design, missing pairs and the columns each candidate reads are
+built once, at import, from the same rules (_SORTED_ORDERS); a call sorts
+beta, reads its row and relabels nothing.  The candidates are
 
 1. full support;
 2. the five-point design missing the end pair (a, d);
@@ -64,11 +64,11 @@ Every candidate keeps the path's three edges; the kinds differ only in which
 of the other three pairs they drop.  classify_m4 first evaluates the path's
 three region polynomials, the cheapest test of the four, unless two betas
 tie: a tie lies in no path region (regions docstring, (ii)).  If they are
-all <= 0, it tests 3.; if 3. fails, it tries 4. alone, and neither closed
-form of 1. or 2. is evaluated.  Otherwise it tries 1., 2. and 3., in that
-order: largest support first.  4. is never tried after 3.: where the
-polynomials pass and 3. passes too, 3. is certified or fails, and either
-ends the search.
+all <= 0, it tests 3.; if 3. fails, it takes 4., and neither closed form of
+1. or 2. is evaluated.  If 3. passes, or the polynomials do not all pass, it
+tries 1., 2. and 3., in that order, without evaluating 3. twice: largest
+support first.  Only the first candidate that passes builds a Design and is
+certified, which returns its label or raises; so 4. is never tried after 3.
 
 What is proven.  The regions module docstring proves that no path other
 than a-b-c-d can hold beta in its region.  Ties never change the answer:
@@ -139,10 +139,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -164,9 +165,6 @@ Scalar = Union[float, np.ndarray, Fraction]
 Intensities = Sequence[Scalar]
 
 _PAIRS4 = (Pair(1, 2), Pair(1, 3), Pair(1, 4), Pair(2, 3), Pair(2, 4), Pair(3, 4))
-# The saturated inequality system below is written for the path 3-1-2-4:
-# reference vertex v sits at position _SATURATED_POSITIONS[v - 1] of the path.
-_SATURATED_POSITIONS = (1, 2, 0, 3)
 
 # Each relabeling tau of the vertices (reference vertex a -> tau[a - 1]) as a
 # tuple of columns: the k-th reference pair (a, b) reads the intensity of
@@ -216,33 +214,40 @@ class RegionLabel:
     path: PathDesign | None = None
 
 
-def _intensities(params: Parameters) -> list[float]:
-    # Python floats: the closed forms below run about 40 % slower on numpy scalars.
-    return params.intensities.tolist()
+class _Candidate(NamedTuple):
+    """A closed form's missing pairs, the all_pairs column of each reference pair, and the reader of those columns."""
+
+    missing: tuple[Pair, ...]
+    columns: tuple[int, ...]
+    take: Callable
 
 
-def _closed_form_design(raw: Callable, tau: tuple[int, ...], lam: Intensities) -> Design | None:
-    """The design N / sum(N) of one closed-form kind; None outside its region.
+def _candidate(missing: tuple[Pair, ...], tau: tuple[int, ...]) -> _Candidate:
+    """The candidate whose representative is relabeled by tau, which carries reference vertex a to tau[a - 1]."""
+    return _Candidate(missing, _COLUMNS[tau], operator.itemgetter(*_COLUMNS[tau]))
 
-    Relabels the intensities by tau and evaluates the representative's
-    numerators N and slacks with raw, one of the three *_raw functions below.
-    Inside means every numerator is nonzero with one common sign and every
-    slack is nonnegative, where a float slack of exactly 0.0 raises
-    _CancelledSlack.  The numerators belong to the last pairs of the
-    reference order, carried by tau.
+
+def _closed_form(raw: Callable, lam: Intensities, candidate: _Candidate) -> list[float] | None:
+    """The weights N / sum(N) of one closed-form candidate in all_pairs order; None outside its region.
+
+    raw, one of the three *_raw functions below, evaluates the
+    representative's numerators N and slacks on the intensities lam, read
+    in reference labels by the candidate; the numerators belong to the last
+    reference pairs.  Inside means every numerator is nonzero with one
+    common sign and every slack is nonnegative, where a float slack of
+    exactly 0.0 raises _CancelledSlack.  The polynomials of positive finite
+    intensities are never NaN, so min and max decide the signs.
     """
-    columns = _COLUMNS[tau]
-    numerators, slacks = raw([lam[c] for c in columns])
-    if not (all(n > 0 for n in numerators) or all(n < 0 for n in numerators)):
-        return None
-    if not all(s >= 0 for s in slacks):
+    numerators, slacks = raw(candidate.take(lam))
+    if not (min(numerators) > 0 or max(numerators) < 0) or (slacks and min(slacks) < 0):
         return None
     if 0.0 in slacks and not isinstance(lam[0], Fraction):
         raise _CancelledSlack
     total = sum(numerators)
-    w = np.zeros(6)
-    w[list(columns[6 - len(numerators):])] = [float(n / total) for n in numerators]
-    return Design(4, w)
+    w = [0.0] * 6
+    for c, n in zip(candidate.columns[6 - len(numerators):], numerators):
+        w[c] = float(n / total)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +269,7 @@ def saturated_inequality_values(path: PathDesign, lam: Intensities) -> tuple[Sca
     """
     if path.m != 4:
         raise ValueError(f"the polynomial system is specific to m=4, got m={path.m}")
-    tau = tuple(path.order[k] for k in _SATURATED_POSITIONS)
-    l12, l13, l14, l23, l24, l34 = (lam[c] for c in _COLUMNS[tau])
+    l12, l13, l14, l23, l24, l34 = _SATURATED_TAKE[path.order](lam)
     v1 = l14 * (l12 + l24) - l12 * l24
     v2 = l23 * (l12 + l13) - l12 * l13
     v3 = l34 * (l12 * l24 + l12 * l13 + l13 * l24) - l12 * l13 * l24
@@ -303,20 +307,23 @@ def _five_point_tau(missing: Pair) -> tuple[int, ...]:
     return (missing.i, missing.j, *sorted({1, 2, 3, 4} - {missing.i, missing.j}))
 
 
-# The full-support numerator of w_ij reads the intensities relabeled as for the five-point design missing (i, j).
-_FULL_COLUMNS = tuple(_COLUMNS[_five_point_tau(p)] for p in _PAIRS4)
-
-
 def full_support_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], tuple[()]]:
     """The six weight numerators and no slacks.
 
     lam and the numerators are both in all_pairs(4) order; the numerator of
-    w_ij is p times the bracket of _full_bracket.  Each weight is its
-    numerator over their sum, and the point is in the full-support region
-    exactly when all six share one strict sign.
+    w_ij is p times the bracket of _full_bracket, which reads the
+    intensities relabeled as for the five-point design missing (i, j).  Each
+    weight is its numerator over their sum, and the point is in the
+    full-support region exactly when all six share one strict sign.
     """
-    brackets = (_full_bracket(*map(lam.__getitem__, columns)) for columns in _FULL_COLUMNS)
-    return tuple(p * bracket for p, bracket in brackets), ()
+    l12, l13, l14, l23, l24, l34 = lam
+    p12, b12 = _full_bracket(l12, l13, l14, l23, l24, l34)
+    p13, b13 = _full_bracket(l13, l12, l14, l23, l34, l24)
+    p14, b14 = _full_bracket(l14, l12, l13, l24, l34, l23)
+    p23, b23 = _full_bracket(l23, l12, l24, l13, l34, l14)
+    p24, b24 = _full_bracket(l24, l12, l23, l14, l34, l13)
+    p34, b34 = _full_bracket(l34, l13, l23, l14, l24, l12)
+    return (p12 * b12, p13 * b13, p14 * b14, p23 * b23, p24 * b24, p34 * b34), ()
 
 
 def five_point_raw(lam: Intensities) -> tuple[tuple[Scalar, ...], tuple[Scalar]]:
@@ -378,27 +385,25 @@ def _four_point_tau(missing1: Pair, missing2: Pair) -> tuple[int, ...]:
 class _SortedOrder:
     """The candidates of one descending order of (*beta, 0), the sorted path a-b-c-d.
 
-    Each closed-form candidate is (missing pairs, tau): five_point misses
-    (a, d), and four_ac or four_bd misses (a, d) and the wider two-step pair,
-    (a, c) or (b, d).  positions holds the 0-based a, b, c, d that decide
-    which of the two is wider.  design is the path's equal-weight design,
-    shared by every call and read-only.
+    five_point misses (a, d), and four_ac or four_bd misses (a, d) and the
+    wider two-step pair, (a, c) or (b, d).  positions holds the 0-based a, b,
+    c, d that decide which of the two is wider.  design is the path's
+    equal-weight design, shared by every call and read-only, and weights its
+    w as floats.
     """
 
-    __slots__ = ("path", "design", "positions", "five_point", "four_ac", "four_bd")
+    __slots__ = ("path", "design", "weights", "positions", "five_point", "four_ac", "four_bd")
 
     def __init__(self, order: tuple[int, ...]) -> None:
         self.path = PathDesign(tuple(v + 1 for v in order))
         self.design = self.path.design()
+        self.weights = self.design.w.tolist()
         a, b, c, d = self.path.order
         self.positions = (a - 1, b - 1, c - 1, d - 1)
         end = Pair(a, d)
-        self.five_point = (end,), _five_point_tau(end)
-        four_point = []
-        for wider in (Pair(a, c), Pair(b, d)):
-            missing = tuple(sorted((end, wider)))
-            four_point.append((missing, _four_point_tau(*missing)))
-        self.four_ac, self.four_bd = four_point
+        self.five_point = _candidate((end,), _five_point_tau(end))
+        missing = [tuple(sorted((end, wider))) for wider in (Pair(a, c), Pair(b, d))]
+        self.four_ac, self.four_bd = (_candidate(pairs, _four_point_tau(*pairs)) for pairs in missing)
 
 
 def _sorted_orders() -> dict[tuple[int, ...], _SortedOrder]:
@@ -414,6 +419,13 @@ def _sorted_orders() -> dict[tuple[int, ...], _SortedOrder]:
 
 
 _SORTED_ORDERS = _sorted_orders()
+# Each path's reader of its intensities relabeled onto the path 3-1-2-4 of the
+# saturated system, where reference vertex v sits at position (1, 2, 0, 3)[v - 1].
+_SATURATED_TAKE = {
+    row.path.order: operator.itemgetter(*_COLUMNS[tuple(row.path.order[k] for k in (1, 2, 0, 3))])
+    for row in _SORTED_ORDERS.values()
+}
+_FULL_SUPPORT = _candidate((), (1, 2, 3, 4))
 
 
 def _describe(kind: RegionKind, missing: tuple[Pair, ...], path: PathDesign | None) -> str:
@@ -465,67 +477,59 @@ def _kirchhoff_values(w: Sequence[Scalar], lam: Intensities) -> np.ndarray | Non
     return np.array(values, dtype=float)
 
 
-def _certify(values: np.ndarray | None, params: Parameters, what: Callable[[], str]) -> KwCertificate:
-    """The candidate's certificate from its _kirchhoff_values; ConsistencyError when it fails.
+def _label(params: Parameters, lam: Intensities, kind: RegionKind, w: list[float],
+           missing: tuple[Pair, ...] = (), row: _SortedOrder | None = None) -> RegionLabel:
+    """The candidate's label, certified by _kirchhoff_values; ConsistencyError when the certificate fails.
 
-    what names the candidate; it is called only when the certificate fails.
+    w holds the candidate's float weights, certified as Fractions on
+    Fraction intensities.  A saturated label takes its path and shared
+    design from row; any other builds its Design before it is certified.
     """
-    cert = _certificate(values, params.m)
-    if cert.is_optimal:
-        return cert
-    raise ConsistencyError(
-        f"{what()} claimed optimality at beta={params.beta} but the certificate "
-        f"shows violation {cert.max_violation:.3e}"
-    )
+    design = Design(4, w) if row is None else row.design
+    path = None if row is None else row.path
+    cert = _certificate(_kirchhoff_values([Fraction(x) for x in w] if isinstance(lam[0], Fraction) else w, lam), 4)
+    if not cert.is_optimal:
+        raise ConsistencyError(
+            f"{_describe(kind, missing, path)} claimed optimality at beta={params.beta} but the certificate "
+            f"shows violation {cert.max_violation:.3e}"
+        )
+    return RegionLabel(kind, design, cert, missing, path)
 
 
-def _candidates(
-    params: Parameters, lam: Intensities
-) -> Iterator[tuple[RegionKind, Design | None, tuple[Pair, ...], PathDesign | None]]:
-    """The one candidate of each kind, in the order of the module docstring, each built when reached.
+def _first_certified(params: Parameters, lam: Intensities) -> RegionLabel | None:
+    """The label of the first candidate inside its region, in the module docstring's order; None when there is none.
 
-    Yields (kind, design or None outside its region, missing pairs, path).
     Inside the path's region, unless the four-point candidate passes too,
-    only the path is yielded; otherwise the order is largest support first,
+    only the path is tried; otherwise the order is largest support first,
     without the path, which could only follow a four-point candidate that
     ends the search.  The module docstring says why this gives the labels of
     largest support first and why no other candidate is needed.  Everything
     but the region polynomials is read from the row of beta's descending
-    order in _SORTED_ORDERS.
+    order in _SORTED_ORDERS, and only the candidate that passes builds a
+    Design.  It is certified by _kirchhoff_values, on floats or, for
+    Fraction intensities, on its weights as Fractions.
     """
     beta = (*params.beta, 0.0)
     row = _SORTED_ORDERS[tuple(_descending_order(beta))]
     a, b, c, d = row.positions
-    four_missing, four_tau = row.four_ac if abs(beta[a] - beta[c]) >= abs(beta[b] - beta[d]) else row.four_bd
+    four = row.four_ac if abs(beta[a] - beta[c]) >= abs(beta[b] - beta[d]) else row.four_bd
     # A tie lies in no path region (regions docstring, (ii)); in floats its
     # test can pass once 1 + 4 lambda rounds to 1, so ties skip it.
-    saturated = len(set(beta)) == 4 and all(v <= 0.0 for v in saturated_inequality_values(row.path, lam))
+    saturated = len(set(beta)) == 4 and max(saturated_inequality_values(row.path, lam)) <= 0.0
     if saturated:
-        four = _closed_form_design(four_point_shared_raw, four_tau, lam)
-        if four is None:
-            yield RegionKind.SATURATED, row.design, (), row.path
-            return
-    yield RegionKind.FULL_SUPPORT, _closed_form_design(full_support_raw, (1, 2, 3, 4), lam), (), None
-    missing, tau = row.five_point
-    yield RegionKind.FIVE_POINT, _closed_form_design(five_point_raw, tau, lam), missing, None
+        four_w = _closed_form(four_point_shared_raw, lam, four)
+        if four_w is None:
+            return _label(params, lam, RegionKind.SATURATED, row.weights, row=row)
+    w = _closed_form(full_support_raw, lam, _FULL_SUPPORT)
+    if w is not None:
+        return _label(params, lam, RegionKind.FULL_SUPPORT, w)
+    w = _closed_form(five_point_raw, lam, row.five_point)
+    if w is not None:
+        return _label(params, lam, RegionKind.FIVE_POINT, w, row.five_point.missing)
     if not saturated:
-        four = _closed_form_design(four_point_shared_raw, four_tau, lam)
-    yield RegionKind.FOUR_POINT_SHARED_VERTEX, four, four_missing, None
-
-
-def _first_certified(params: Parameters, lam: Intensities) -> RegionLabel | None:
-    """The label of the first candidate inside its region; None when there is none.
-
-    The candidate is certified by _kirchhoff_values, on floats or, for
-    Fraction intensities, on its weights as Fractions.
-    """
-    exact = isinstance(lam[0], Fraction)
-    for kind, design, missing, path in _candidates(params, lam):
-        if design is not None:
-            w = design.w.tolist()
-            values = _kirchhoff_values([Fraction(x) for x in w] if exact else w, lam)
-            cert = _certify(values, params, lambda: _describe(kind, missing, path))
-            return RegionLabel(kind, design, cert, missing, path)
+        four_w = _closed_form(four_point_shared_raw, lam, four)
+    if four_w is not None:
+        return _label(params, lam, RegionKind.FOUR_POINT_SHARED_VERTEX, four_w, four.missing)
     return None
 
 
@@ -547,7 +551,7 @@ def classify_m4(params: Parameters) -> RegionLabel:
     """
     if params.m != 4:
         raise ValueError(f"closed-form classification requires m=4, got m={params.m}")
-    lam = _intensities(params)
+    lam = params.intensities.tolist()  # Python floats: the closed forms run about 40 % slower on numpy scalars
     try:
         label = _first_certified(params, lam)
     except (ConsistencyError, _CancelledSlack):

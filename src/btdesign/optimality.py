@@ -11,6 +11,7 @@ every direction and returns the result as a certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -76,8 +77,9 @@ def _certificate(values: np.ndarray | None, m: int) -> KwCertificate:
     """
     if values is None:
         return KwCertificate(np.empty(0), float("inf"), False, singular=True)
-    derivatives = values - (m - 1)
-    max_violation = float(derivatives.max())
+    derivatives = values - float(m - 1)
+    listed = derivatives.tolist()  # max costs a third of ndarray.max but skips a NaN, which sum keeps
+    max_violation = math.nan if math.isnan(sum(listed)) else max(listed)
     return KwCertificate(derivatives, max_violation, max_violation <= KW_TOLERANCE)
 
 

@@ -21,7 +21,8 @@ from btdesign import (
 from btdesign import core, four_alt, optimality, solver
 from btdesign.core import intensity_vector
 from btdesign.four_alt import (
-    _closed_form_design,
+    _candidate,
+    _closed_form,
     _five_point_tau,
     _four_point_tau,
     five_point_raw,
@@ -169,6 +170,12 @@ def count_pair_hashes(monkeypatch) -> list[int]:
     return calls
 
 
+def closed_form_design(raw, tau: tuple[int, ...], lam) -> Design | None:
+    """The design of four_alt._closed_form for the representative relabeled by tau; None outside its region."""
+    w = _closed_form(raw, lam, _candidate((), tau))
+    return None if w is None else Design(4, w)
+
+
 def line_params(t: float) -> Parameters:
     """The m=4 line beta = t * (1, 1/2, 5/4) used in the efficiency study."""
     return Parameters(4, (t, t / 2.0, 5.0 * t / 4.0))
@@ -216,15 +223,15 @@ def classify_by_pattern_search(params: Parameters) -> tuple[RegionKind, tuple[Pa
     through its closed form.  Nothing is certified.
     """
     lam = intensity_vector(params.beta).tolist()
-    design = _closed_form_design(full_support_raw, (1, 2, 3, 4), lam)
+    design = closed_form_design(full_support_raw, (1, 2, 3, 4), lam)
     if design is not None:
         return RegionKind.FULL_SUPPORT, (), design
     for missing in all_pairs(4):
-        design = _closed_form_design(five_point_raw, _five_point_tau(missing), lam)
+        design = closed_form_design(five_point_raw, _five_point_tau(missing), lam)
         if design is not None:
             return RegionKind.FIVE_POINT, (missing,), design
     for missing_pairs in shared_vertex_patterns():
-        design = _closed_form_design(four_point_shared_raw, _four_point_tau(*missing_pairs), lam)
+        design = closed_form_design(four_point_shared_raw, _four_point_tau(*missing_pairs), lam)
         if design is not None:
             return RegionKind.FOUR_POINT_SHARED_VERTEX, missing_pairs, design
     path = sorted_beta_path(params)
@@ -253,7 +260,7 @@ def classify_largest_support_first(params: Parameters) -> tuple[RegionKind, tupl
         (RegionKind.FOUR_POINT_SHARED_VERTEX, four, four_point_shared_raw, _four_point_tau(*four)),
     )
     for kind, missing, raw, tau in candidates:
-        design = _closed_form_design(raw, tau, lam)
+        design = closed_form_design(raw, tau, lam)
         if design is not None:
             return kind, missing, design
     if all(v <= 0.0 for v in saturated_inequality_values(path, lam)):

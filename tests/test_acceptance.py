@@ -4,6 +4,7 @@ Each test prints a PASS/FAIL line with its runtime (visible under
 ``pytest -s``) and enforces the criterion's tolerance and time budget.
 """
 
+import hashlib
 import io
 import itertools
 import time
@@ -292,6 +293,9 @@ def test_criterion_9_disjoint_orbit_search():
     )
 
 
+FIGURE_SCAN_SHA256 = "3971d9614975a17ec2166db54fb5cdabfe4b28adb43e24acab77476a47cf6008"
+
+
 @pytest.mark.slow
 def test_region_figure_scan_completes_and_respects_symmetry():
     # The qualitative region figures are reproduced as a data grid: the scan
@@ -311,6 +315,9 @@ def test_region_figure_scan_completes_and_respects_symmetry():
     assert n_rows == 51**3
     lines = sink.getvalue().strip().splitlines()
     assert len(lines) == n_rows + 1  # header + one row per grid point
+    # Every label, weight and certificate digit, as written before the
+    # single-call rewrite of classify_m4.
+    assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == FIGURE_SCAN_SHA256
 
     # Relabelings that fix the control alternative permute the beta
     # coordinates, hence act on the cube grid by permuting indices: the kind

@@ -232,6 +232,21 @@ class TestVerify:
         assert capsys.readouterr().err == f'error: design "m" must be a JSON integer, got {json.dumps(given)}\n'
 
 
+    @pytest.mark.parametrize(
+        "weights, bad",
+        [({"1-2": "0.5", "2-3": 0.5}, '"1-2"'), ({"1-2": True}, '"1-2"'), ({"1-2": 0.5, "2-3": None}, '"2-3"')],
+        ids=["string", "true", "null"],
+    )
+    def test_design_weights_must_be_json_numbers(self, tmp_path, capsys, weights, bad):
+        # float() read "0.5" as 0.5 and true as 1.0, so these files verified as designs.
+        design_file = tmp_path / "weights.json"
+        design_file.write_text(json.dumps({"m": 3, "weights": weights}))
+        rc, out = run(["verify", "--m", "3", "--beta=0.5,0.2", "--design", str(design_file)])
+        assert (rc, out) == (2, "")
+        given = json.dumps(weights[json.loads(bad)])
+        assert capsys.readouterr().err == f"error: design weight {bad} must be a JSON number, got {given}\n"
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "beta,kind",
@@ -619,6 +634,27 @@ class TestScan:
         assert (rc, out) == (2, "")
         what = 'scan spec "m"' if field == "m" else 'axis "count"'
         assert capsys.readouterr().err == f"error: {what} must be a JSON integer, got {json.dumps(given)}\n"
+
+    @pytest.mark.parametrize(
+        "field, given, what",
+        [
+            ("direction", [True, "0", 0], 'axis "direction" entry'),
+            ("range", ["-1", 1], 'axis "range" entry'),
+            ("fixed", ["0", False, 0], 'scan spec "fixed" entry'),
+        ],
+    )
+    def test_spec_coordinates_must_be_json_numbers(self, tmp_path, capsys, field, given, what):
+        # float() read true as 1.0 and "0" as 0.0, so these specs scanned and wrote rows.
+        spec = {"m": 4, "axes": [{"direction": [1, 0, 0], "range": [-1, 1], "count": 3}], "fixed": [0, 0, 0]}
+        if field == "fixed":
+            spec["fixed"] = given
+        else:
+            spec["axes"][0][field] = given
+        spec_file = tmp_path / "strings.json"
+        spec_file.write_text(json.dumps(spec))
+        rc, out = run(["scan", "--spec", str(spec_file), "--workers", "1"])
+        assert (rc, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {what} must be a JSON number, got {json.dumps(given[0])}\n"
 
     def test_small_parameters_are_full_support(self, tmp_path):
         # Near the origin the optimal weights stay close to uniform, so the

@@ -226,7 +226,33 @@ class TestDesign:
         with pytest.raises(ValueError, match="expected 6 weights"):
             Design(4, np.full((2, 3), 1.0 / 6.0))
 
-    @pytest.mark.parametrize("w", [np.ones(3) / 3, {Pair(1, 2): 0.5}], ids=["array", "mapping"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25], ids=["nan", "inf", "-inf", "negative"])
+    @pytest.mark.parametrize("form", ["array", "mapping"])
+    def test_rejects_a_non_finite_or_negative_weight_naming_the_first(self, bad, form):
+        # Two bad weights: the message names the first in the input's order.
+        pairs = all_pairs(4)
+        values = [0.5, 0.75, bad, 0.0, bad, 0.0]
+        w = np.array(values) if form == "array" else dict(zip(pairs, values))
+        with pytest.raises(ValueError) as excinfo:
+            Design(4, w)
+        assert str(excinfo.value) == f"weight for {pairs[2]} must be finite and nonnegative, got {np.float64(bad)}"
+
+    @pytest.mark.parametrize("form", ["array", "mapping"])
+    def test_accepts_negative_zero_and_subnormal_weights(self, form):
+        tiny = 5e-324
+        values = [0.5, -0.0, tiny, 0.5 - tiny, 0.0, 0.0]
+        w = np.array(values) if form == "array" else dict(zip(all_pairs(4), values))
+        assert Design(4, w).w.tobytes() == np.array(values).tobytes()
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            np.ones(3) / 3,
+            {Pair(1, 2): 0.5},
+            *({Pair(1, 2): 1.0, Pair(3, 4): x} for x in (math.nan, math.inf, -math.inf, -0.5)),
+        ],
+        ids=["array", "mapping", "nan", "inf", "-inf", "negative"],
+    )
     def test_bad_input_is_refused_before_any_pair_table(self, monkeypatch, w):
         # At m = 10**6 a pair table would hold 5e11 entries.
         def small_only(table):
@@ -432,7 +458,33 @@ class TestDerivativeKernel:
         assert values[f14] == pytest.approx(0.25 * 36.0, rel=1e-12)
 
 
+def inner_form_intensities(beta) -> np.ndarray:
+    """intensity_vector's np.inner form without the underflow check: its bitwise reference."""
+    beta = np.asarray(beta, dtype=float)
+    with np.errstate(over="ignore"):
+        z = np.inner(beta, regression_matrix(beta.shape[-1] + 1))
+    a = np.exp(-np.abs(z))
+    return np.minimum(a / (1.0 + a) ** 2, 0.25)
+
+
 class TestIntensityVector:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bitwise_equal_to_the_inner_form(self):
+        # Single points and batches at scales where gaps overflow the floats
+        # (1e308) and where intensities underflow to 0 (800), which must raise.
+        rng = np.random.default_rng(71)
+        for m in (2, 3, 4, 6):
+            for scale in (1.0, 10.0, 40.0, 400.0, 800.0, 1e308):
+                betas = rng.uniform(-1.0, 1.0, size=(64, m - 1)) * scale
+                # A batch, single points as arrays, and single points as the tuples Parameters holds.
+                for beta in (betas, *betas[:8], *map(tuple, betas[8:16].tolist())):
+                    expected = inner_form_intensities(beta)
+                    if np.count_nonzero(expected > 0.0) < expected.size:
+                        with pytest.raises(IntensityUnderflowError):
+                            intensity_vector(beta)
+                    else:
+                        assert intensity_vector(beta).tobytes() == expected.tobytes()
+
     def test_matches_table(self):
         # A batch of points gives each point's table, row by row.
         rng = np.random.default_rng(41)

@@ -1,9 +1,11 @@
 """Closed-form m=4 designs: weight formulas, regions, classifier, scans."""
 
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +26,18 @@ from btdesign import (
     search_disjoint_four_point,
     solve,
 )
-from btdesign.core import IntensityUnderflowError, _derivatives, all_pairs, intensity_vector, regression_matrix
+from btdesign.core import (
+    BtDesignError,
+    IntensityUnderflowError,
+    _derivatives,
+    all_pairs,
+    intensity_vector,
+    regression_matrix,
+)
 from btdesign import four_alt
 from btdesign.four_alt import (
     _COLUMNS,
     _PAIRS4,
-    _closed_form_design,
     _disjoint_design,
     _five_point_tau,
     _four_point_tau,
@@ -45,6 +53,7 @@ from claw import _claw_min_slack, claw_infeasibility_sample, claw_infeasibility_
 from helpers import (
     classify_by_pattern_search,
     classify_largest_support_first,
+    closed_form_design,
     count_closed_form_calls,
     count_constructions,
     count_factorizations,
@@ -263,7 +272,7 @@ class TestSaturatedInequalities:
 class TestFullSupport:
     def test_origin_gives_uniform(self):
         lam = intensity_vector(Parameters(4, (0.0, 0.0, 0.0)).beta).tolist()
-        d = _closed_form_design(full_support_raw, (1, 2, 3, 4), lam)
+        d = closed_form_design(full_support_raw, (1, 2, 3, 4), lam)
         assert d is not None
         for p in all_pairs(4):
             assert d.weight(p) == pytest.approx(1.0 / 6.0, abs=1e-14)
@@ -281,7 +290,7 @@ class TestFullSupport:
 
     def test_small_perturbation_certifies_and_matches_solver(self):
         p = Parameters(4, (0.1, -0.05, 0.02))
-        d = _closed_form_design(full_support_raw, (1, 2, 3, 4), intensity_vector(p.beta).tolist())
+        d = closed_form_design(full_support_raw, (1, 2, 3, 4), intensity_vector(p.beta).tolist())
         assert d is not None
         assert all(0.0 < w < 1.0 / 3.0 for w in d.w.tolist())
         assert kw_check(d, p).max_violation <= 1e-12
@@ -291,14 +300,14 @@ class TestFullSupport:
 
     def test_line_point_outside_six_point_region(self):
         lam = intensity_vector(line_params(2.5).beta).tolist()
-        assert _closed_form_design(full_support_raw, (1, 2, 3, 4), lam) is None
+        assert closed_form_design(full_support_raw, (1, 2, 3, 4), lam) is None
 
 
 class TestFivePoint:
     def test_origin_is_out_of_region(self):
         lam = intensity_vector(Parameters(4, (0.0, 0.0, 0.0)).beta).tolist()
         for missing in all_pairs(4):
-            assert _closed_form_design(five_point_raw, _five_point_tau(missing), lam) is None
+            assert closed_form_design(five_point_raw, _five_point_tau(missing), lam) is None
 
     def test_origin_raw_solution(self):
         # The stationarity system still has a positive solution at the
@@ -321,7 +330,7 @@ class TestFivePoint:
 
     def test_line_point_matches_solver(self):
         p = line_params(1.7)
-        d = _closed_form_design(five_point_raw, _five_point_tau(Pair(3, 4)), intensity_vector(p.beta).tolist())
+        d = closed_form_design(five_point_raw, _five_point_tau(Pair(3, 4)), intensity_vector(p.beta).tolist())
         assert d is not None
         assert d.weight(Pair(3, 4)) == 0.0
         assert kw_check(d, p).max_violation <= 1e-10
@@ -334,7 +343,7 @@ class TestFivePoint:
         in_region = [
             missing
             for missing in all_pairs(4)
-            if _closed_form_design(five_point_raw, _five_point_tau(missing), lam) is not None
+            if closed_form_design(five_point_raw, _five_point_tau(missing), lam) is not None
         ]
         assert in_region == [Pair(3, 4)]
 
@@ -359,7 +368,7 @@ class TestFourPointSharedVertex:
         label = classify_m4(p)
         assert label.kind is RegionKind.FOUR_POINT_SHARED_VERTEX
         lam = intensity_vector(p.beta).tolist()
-        d = _closed_form_design(four_point_shared_raw, _four_point_tau(*label.missing_pairs), lam)
+        d = closed_form_design(four_point_shared_raw, _four_point_tau(*label.missing_pairs), lam)
         assert d is not None
         assert kw_check(d, p).max_violation <= 1e-10
 
@@ -630,7 +639,7 @@ class TestClassify:
         label = classify_m4(p)
         assert label.kind is RegionKind.FIVE_POINT
         lam = intensity_vector(p.beta).tolist()
-        again = _closed_form_design(five_point_raw, _five_point_tau(label.missing_pairs[0]), lam)
+        again = closed_form_design(five_point_raw, _five_point_tau(label.missing_pairs[0]), lam)
         for pair in all_pairs(4):
             assert again.weight(pair) == label.design.weight(pair)
 
@@ -1096,3 +1105,43 @@ class TestTieFamilies:
             if found is not None and kw_check(found[2], params).is_optimal:
                 assert (label.kind, label.missing_pairs) == found[:2], params.beta
         assert codes == TIE_LABELS[direction]
+
+
+M4_REFERENCE = Path(__file__).parent / "data" / "m4_reference.json"
+
+
+class TestReferenceLabels:
+    """classify_m4 against labels recorded before its single-call rewrite, bit for bit.
+
+    The oracles of helpers.py evaluate the closed forms through
+    four_alt._closed_form, so they would move with it; this file does not.
+    It holds 300 points uniform in [-8, 8]^3 (default_rng(3203)), the tie
+    sweep of TestTieFamilies at every other step and at the last, where
+    many points take the Fraction pass and (t, 2t, 3t) underflows, and 100
+    points within one ulp of 25 saturated kind boundaries bisected as in
+    TestPathRegionFirst (default_rng(3209)).
+    """
+
+    def test_points_are_the_documented_draws(self):
+        labels = json.loads(M4_REFERENCE.read_text())["labels"]
+        uniform = [r["beta"] for r in labels if r["source"] == "uniform"]
+        assert uniform == np.random.default_rng(3203).uniform(-8.0, 8.0, size=(300, 3)).tolist()
+        steps = [t for k, t in enumerate(TIE_STEPS) if k % 2 == 0 or t == TIE_STEPS[-1]]
+        ties = [[sign * t * x for x in d] for d in TIE_LABELS for sign in (1.0, -1.0) for t in steps]
+        assert [r["beta"] for r in labels if r["source"] == "tie"] == ties
+        assert sum(r["source"] == "boundary" for r in labels) == 100
+
+    def test_labels_match_bit_for_bit(self):
+        for row in json.loads(M4_REFERENCE.read_text())["labels"]:
+            params = Parameters(4, tuple(row["beta"]))
+            if "error" in row:
+                with pytest.raises(BtDesignError) as excinfo:
+                    classify_m4(params)
+                assert (type(excinfo.value).__name__, str(excinfo.value)) == (row["error"], row["message"])
+                continue
+            label = classify_m4(params)
+            path = None if label.path is None else list(label.path.order)
+            assert label.kind.value == row["kind"], row["beta"]
+            assert ([p.key() for p in label.missing_pairs], path) == (row["missing_pairs"], row["path"]), row["beta"]
+            assert label.design.w.tobytes() == np.array(row["weights"]).tobytes(), row["beta"]
+            assert label.certificate.derivatives.tobytes() == np.array(row["derivatives"]).tobytes(), row["beta"]
