@@ -20,17 +20,17 @@ from .core import (
 from .four_alt import (
     ClassificationError,
     ConsistencyError,
-    RegionKind,
-    RegionLabel,
     classify_m4,
-    region_margin,
     search_disjoint_four_point,
 )
 from .optimality import KW_TOLERANCE, KwCertificate, d_efficiency, kw_check
 from .regions import (
     PathDesign,
+    RegionKind,
+    RegionLabel,
     RegionMembership,
     find_optimal_saturated,
+    region_margin,
     region_membership,
 )
 from .solver import SolverResult, solve

@@ -1,4 +1,4 @@
-"""Command-line surface: optimize, verify, classify, scan, efficiency, scans.
+"""Command-line surface: optimize, verify, classify, scan, efficiency, search-disjoint4.
 
 Single-point commands emit JSON on stdout; grid commands emit CSV (header
 row, RFC 4180 quoting).  Exit codes: 0 for success / verified optimal, 1
@@ -22,16 +22,10 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .core import BtDesignError, Design, Pair, Parameters, all_pairs, information_matrix, log_det
-from .four_alt import (
-    RegionKind,
-    RegionLabel,
-    classify_m4,
-    region_margin,
-    search_disjoint_four_point,
-)
+from .four_alt import classify_m4, search_disjoint_four_point
 from .optimality import KW_TOLERANCE, KwCertificate, d_efficiency, kw_check
-from .regions import find_optimal_saturated
-from .solver import MAX_ITERATIONS, SolverResult, solve
+from .regions import RegionKind, RegionLabel, find_optimal_saturated, region_margin
+from .solver import MAX_ITERATIONS, solve
 
 EXIT_OK = 0
 EXIT_NOT_OPTIMAL = 1
@@ -377,29 +371,28 @@ def cmd_verify(args: argparse.Namespace, stdout: TextIO) -> int:
     return EXIT_OK if cert.is_optimal else EXIT_NOT_OPTIMAL
 
 
-def _answer(params: Parameters) -> tuple[RegionLabel, SolverResult | None]:
+def _answer(params: Parameters) -> RegionLabel:
     """The design at beta with its certificate, from the first route that applies.
 
     The m = 4 closed forms; else the sorted-beta path when beta is in its
     region, certified from the region's own g values; else the solver, whose
-    answer is the unsaturated kind and comes with its SolverResult.
+    answer is the unsaturated kind.
     """
     if params.m == 4:
-        return classify_m4(params), None
-    found = find_optimal_saturated(params)
-    if found is not None:
-        path, membership = found
-        return RegionLabel(RegionKind.SATURATED, path.design(), membership.certificate, path=path), None
-    result = solve(params)
-    return RegionLabel(RegionKind.UNSATURATED, result.design, result.certificate), result
+        return classify_m4(params)
+    label = find_optimal_saturated(params)
+    if label is None:
+        result = solve(params)
+        label = RegionLabel(RegionKind.UNSATURATED, result.design, result.certificate)
+    return label
 
 
 def cmd_classify(args: argparse.Namespace, stdout: TextIO) -> int:
-    label, result = _answer(parse_beta(args.beta, args.m))
+    label = _answer(parse_beta(args.beta, args.m))
     report = label_to_dict(label)
-    if result is not None:
-        report["support"] = [p.key() for p in result.design.support()]
-        report["converged"] = result.converged
+    if label.kind is RegionKind.UNSATURATED:
+        report["support"] = [p.key() for p in label.design.support()]
+        report["converged"] = label.certificate.is_optimal
     emit_json(report, stdout)
     if not label.certificate.is_optimal:
         print(f"error: the {label.kind.value} design is not certified optimal at this point", file=sys.stderr)

@@ -72,7 +72,10 @@ class Pair:
 
     @classmethod
     def from_key(cls, key: str) -> "Pair":
-        a, _, b = key.partition("-")
+        """The pair that "i-j" or "j-i" names, where i and j are runs of ASCII digits."""
+        a, dash, b = key.partition("-")
+        if not (dash and a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+            raise ValueError(f"a pair key is two ASCII numbers joined by '-', got {key!r}")
         return cls(int(a), int(b))
 
     def __repr__(self) -> str:  # compact in test output

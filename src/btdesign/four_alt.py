@@ -141,14 +141,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .core import (
-    SUPPORT_THRESHOLD,
     BtDesignError,
     Design,
     IntensityUnderflowError,
@@ -157,8 +155,8 @@ from .core import (
     _SMALLEST_NORMAL,
     intensity_vector,
 )
-from .optimality import KwCertificate, _certificate, kw_check
-from .regions import PathDesign, _cycle_shares, _descending_order
+from .optimality import _certificate
+from .regions import PathDesign, RegionKind, RegionLabel, _cycle_shares, _descending_order
 
 Scalar = Union[float, np.ndarray, Fraction]
 # Six intensities in _PAIRS4 order: floats, ndarray columns or Fractions.
@@ -188,30 +186,6 @@ class ConsistencyError(BtDesignError):
 
 class _CancelledSlack(Exception):
     """A float slack let a closed form through at exactly 0.0, which may be a negative slack that cancelled."""
-
-
-class RegionKind(Enum):
-    FULL_SUPPORT = "full-support"
-    FIVE_POINT = "five-point"
-    FOUR_POINT_SHARED_VERTEX = "four-point-shared-vertex"
-    SATURATED = "saturated"
-    UNSATURATED = "unsaturated"  # a solver answer off every path region; never from classify_m4
-
-
-@dataclass(frozen=True)
-class RegionLabel:
-    """A classification of a parameter point with its design's certificate.
-
-    missing_pairs lists the unsupported pairs for the five- and four-point
-    kinds; path is set for the saturated kind.  classify_m4 returns only
-    labels whose certificate holds.
-    """
-
-    kind: RegionKind
-    design: Design
-    certificate: KwCertificate
-    missing_pairs: tuple[Pair, ...] = ()
-    path: PathDesign | None = None
 
 
 class _Candidate(NamedTuple):
@@ -563,22 +537,6 @@ def classify_m4(params: Parameters) -> RegionLabel:
     return label
 
 
-def region_margin(label: RegionLabel) -> float:
-    """Slack of the binding region constraint; nonpositive inside the region.
-
-    A design that supports every pair binds on its smallest weight; any other
-    binds on the largest directional derivative toward an unsupported pair.
-    A singular certificate has no derivatives, and its margin is inf.
-    """
-    w = label.design.w
-    if label.kind is RegionKind.FULL_SUPPORT:
-        return -float(w.min())
-    if label.certificate.singular:
-        return math.inf
-    off = label.certificate.derivatives[w <= SUPPORT_THRESHOLD]
-    return float(off.max()) if off.size else -float(w.min())
-
-
 # ---------------------------------------------------------------------------
 # Disjoint-orbit four-point designs: the exact stationary design, and a search
 # ---------------------------------------------------------------------------
@@ -632,9 +590,10 @@ class DisjointSearchReport:
 
     n_starts counts the parameter points drawn, and interior_count those
     with a positive stationary design on the support (a draw whose intensity
-    underflows has none it can evaluate: it counts in n_starts alone); certified_count is how
-    many of those designs had both slacks >= 0 and passed kw_check
-    (expected: zero).  best_slack is the largest min(slack1, slack2) over
+    underflows has none it can evaluate: it counts in n_starts alone);
+    certified_count is how many of those designs had both slacks >= 0 and
+    passed classify_m4's matrix-tree certificate (expected: zero).
+    best_slack is the largest min(slack1, slack2) over
     them, -inf where every one overflows, and best_point the beta and weights
     on (1,3), (1,4), (2,3), (2,4) of the first draw that attains it; it is
     None exactly when interior_count is 0.
@@ -653,7 +612,8 @@ def search_disjoint_four_point(
     """Solve the disjoint-orbit support exactly at points uniform in [-beta_scale, beta_scale]^3.
 
     _disjoint_design gives each point's stationary design and slacks without
-    M; a design whose slacks are both >= 0 is then certified through M.
+    M; a design whose slacks are both >= 0 is then certified, as every
+    classify_m4 answer is, by _kirchhoff_values, which factors nothing.
     """
     rng = np.random.default_rng(seed)
     interior = certified = 0
@@ -674,7 +634,7 @@ def search_disjoint_four_point(
             if best_point is None or slack[top] > best_slack:
                 best_slack, best_point = float(slack[top]), (*beta[top].tolist(), *w[top].tolist())
         for i in np.flatnonzero(slack >= 0.0):  # zero weight on (1,2) and (3,4)
-            certified += kw_check(Design(4, np.pad(w[i], 1)), Parameters(4, tuple(beta[i]))).is_optimal
+            certified += _certificate(_kirchhoff_values(np.pad(w[i], 1).tolist(), lam[i].tolist()), 4).is_optimal
     return DisjointSearchReport(
         n_starts=n_starts,
         interior_count=interior,

@@ -69,7 +69,10 @@ prefix sum c_b - c_a along the path would be as cheap but cancels
 catastrophically: an early edge with a tiny intensity makes every later c
 huge, and the difference of two huge numbers loses the small terms between
 them.  At m = 4, beta = (100, 2, 1), that form gives margin -0.63 ("inside")
-where the true margin is +0.068.
+where the true margin is +0.068.  g has degree 0 in lambda, so where an
+edge intensity is subnormal, and its inverse may be inf, lambda is scaled by
+2**54 first: every 1/lambda is then finite, 1/4 becomes 2**52, and scaling by
+a power of two changes no rounding where nothing under- or overflows.
 
 Certificate.  By the tree identity, the equivalence-theorem derivative of
 the path's design toward (i, j) is exactly (m-1)(g(i, j) - 1).
@@ -79,7 +82,9 @@ certificate is never singular.  At m = 4, classify_m4 certifies the
 same path, and its closed forms, by four_alt's matrix-tree kernel, which
 on a tree reduces to this sum.  kw_check, solve and the CLI's verify and
 optimize still factor M, so they remain an independent check of this
-identity.
+identity.  find_optimal_saturated returns the path, its design and this
+certificate as a RegionLabel; RegionKind, RegionLabel and region_margin, the
+answer types of every classify route, live in this module.
 
 Path plus chords.  Let a support be the path plus chords, pairs at path
 positions a < b with b - a >= 2, whose spans [a, b] share no path edge.
@@ -131,12 +136,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .core import Design, Pair, Parameters, _pair_columns, all_pairs
+from .core import _SMALLEST_NORMAL, SUPPORT_THRESHOLD, Design, Pair, Parameters, _pair_columns, all_pairs
 from .optimality import KwCertificate, _certificate
 
 
@@ -175,6 +181,46 @@ class PathDesign:
     @classmethod
     def canonical(cls, m: int) -> "PathDesign":
         return cls(tuple(range(1, m + 1)))
+
+
+class RegionKind(Enum):
+    FULL_SUPPORT = "full-support"
+    FIVE_POINT = "five-point"
+    FOUR_POINT_SHARED_VERTEX = "four-point-shared-vertex"
+    SATURATED = "saturated"
+    UNSATURATED = "unsaturated"  # a solver answer off every path region; never from classify_m4
+
+
+@dataclass(frozen=True)
+class RegionLabel:
+    """A classification of a parameter point with its design's certificate.
+
+    missing_pairs lists the unsupported pairs for the five- and four-point
+    kinds; path is set for the saturated kind.  classify_m4 returns only
+    labels whose certificate holds.
+    """
+
+    kind: RegionKind
+    design: Design
+    certificate: KwCertificate
+    missing_pairs: tuple[Pair, ...] = ()
+    path: PathDesign | None = None
+
+
+def region_margin(label: RegionLabel) -> float:
+    """Slack of the binding region constraint; nonpositive inside the region.
+
+    A design that supports every pair binds on its smallest weight; any other
+    binds on the largest directional derivative toward an unsupported pair.
+    A singular certificate has no derivatives, and its margin is inf.
+    """
+    w = label.design.w
+    if label.kind is RegionKind.FULL_SUPPORT:
+        return -float(w.min())
+    if label.certificate.singular:
+        return math.inf
+    off = label.certificate.derivatives[w <= SUPPORT_THRESHOLD]
+    return float(off.max()) if off.size else -float(w.min())
 
 
 def _descending_order(beta_full: Sequence[float]) -> list[int]:
@@ -226,27 +272,21 @@ def _path_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def path_g_values(path: PathDesign, lam: np.ndarray) -> np.ndarray:
     """g(i, j) of the path for every pair, from (..., P) intensities in all_pairs order.
 
-    Returns an array of lam's shape; edges give exactly 1.  See the module
-    docstring for why the sums are accumulated row by row.  An edge
-    intensity below the normal floats has no finite inverse; then each term
-    is taken as the ratio lambda_ij / lambda_k, which stays finite while
-    lambda_ij is small too.
+    Returns an array of lam's shape; edges give exactly 1.  The module
+    docstring says why the sums run row by row, and why lambda is scaled by
+    2**54 where an edge intensity is below the normal floats.
     """
     column = _pair_columns(path.m)
     upper, a, b = _path_tables(path.m)
     vertex = np.asarray(path.order) - 1  # vertex at each path position, 0-based
     edge = lam[..., path._edge_columns()]
+    if (edge < _SMALLEST_NORMAL).any():
+        lam, edge = lam * 2.0**54, edge * 2.0**54
     pairs = column[vertex[a], vertex[b]]
     g = np.ones(np.shape(lam))
-    with np.errstate(over="ignore"):  # a value past the largest float is inf, as meant
-        inverse = 1.0 / edge
-        if np.isinf(inverse).any():
-            k = np.arange(path.m - 1)
-            between = (a[:, None] <= k) & (k < b[:, None])  # the edges between each pair's ends
-            g[..., pairs] = np.where(between, lam[..., pairs, None] / edge[..., None, :], 0.0).sum(axis=-1)
-            return g
-    S = np.cumsum(np.where(upper, inverse[..., None, :], 0.0), axis=-1)
-    g[..., pairs] = lam[..., pairs] * S[..., a, b - 1]
+    with np.errstate(over="ignore"):  # off the sorted path a sum can pass the largest float; inf reads as outside
+        S = np.cumsum(np.where(upper, 1.0 / edge[..., None, :], 0.0), axis=-1)
+        g[..., pairs] = lam[..., pairs] * S[..., a, b - 1]
     return g
 
 
@@ -355,8 +395,10 @@ def region_membership(path: PathDesign, params: Parameters) -> RegionMembership:
     return RegionMembership(path=path, inside=margin <= 0.0, margin=margin, certificate=certificate)
 
 
-def find_optimal_saturated(params: Parameters) -> tuple[PathDesign, RegionMembership] | None:
-    """The path whose region contains beta, or None when no region does."""
+def find_optimal_saturated(params: Parameters) -> RegionLabel | None:
+    """The saturated label of the path whose region contains beta, certified by its g; None when no region holds beta."""
     path = sorted_beta_path(params)
     membership = region_membership(path, params)
-    return (path, membership) if membership.inside else None
+    if not membership.inside:
+        return None
+    return RegionLabel(RegionKind.SATURATED, path.design(), membership.certificate, path=path)

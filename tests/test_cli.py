@@ -246,6 +246,18 @@ class TestVerify:
         given = json.dumps(weights[json.loads(bad)])
         assert capsys.readouterr().err == f"error: design weight {bad} must be a JSON number, got {given}\n"
 
+    @pytest.mark.parametrize("key", ["\uff11-2", " 1-2 ", "1_0-2", "1-2-3", "+1-2", "1-", ""],
+                             ids=["fullwidth", "spaces", "underscore", "three", "sign", "half", "empty"])
+    def test_design_key_must_be_two_ascii_numbers(self, tmp_path, capsys, key):
+        # int() read the fullwidth digit and " 1 " as 1, so the first two
+        # files verified as the pair 1-2, and "1_0" as 10.
+        design_file = tmp_path / "keys.json"
+        design_file.write_text(json.dumps({"m": 3, "weights": {key: 0.5, "2-3": 0.5}}))
+        rc, out = run(["verify", "--m", "3", "--beta=0.5,0.2", "--design", str(design_file)])
+        assert (rc, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err, err
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -314,6 +326,68 @@ class TestClassify:
         assert rc == 0
         assert report["kind"] == "unsaturated"
         assert report["converged"] and report["certificate"]["is_optimal"]
+
+
+CLASSIFY_REFERENCE = Path(__file__).parent / "data" / "classify_reference.json"
+
+
+def classify_reference_argvs() -> list[tuple[str, list[str]]]:
+    """The classify calls of tests/data/classify_reference.json, each with its source.
+
+    uniform: beta uniform in [-3, 3], default_rng(5100 + m), 20 points at
+    m = 3, 30 at m = 4 and 20 at each m = 5..8; most m >= 5 points reach the
+    solver.  path: alternatives in random order with consecutive gaps
+    uniform in [2.5, 6], default_rng(5200 + m), 15 points per m = 4..8; all
+    lie in their sorted path's region.  special: a subnormal edge that
+    certifies at m = 3, and the m = 5 point where the solver's start is
+    singular (exit 1).
+    """
+    def argv(m: int, beta) -> list[str]:
+        return ["classify", "--m", str(m), "--beta=" + ",".join(map(repr, beta))]
+
+    out = []
+    for m, n in [(3, 20), (4, 30), (5, 20), (6, 20), (7, 20), (8, 20)]:
+        rng = np.random.default_rng(5100 + m)
+        out += [(f"uniform[{m}]", argv(m, rng.uniform(-3.0, 3.0, m - 1).tolist())) for _ in range(n)]
+    for m in range(4, 9):
+        rng = np.random.default_rng(5200 + m)
+        for _ in range(15):
+            values = np.empty(m)
+            values[rng.permutation(m)] = np.concatenate([[0.0], np.cumsum(rng.uniform(2.5, 6.0, m - 1))])
+            out.append((f"path[{m}]", argv(m, (values[:-1] - values[-1]).tolist())))
+    out += [("special", ["classify", "--m", "3", "--beta=741,1"]),
+            ("special", ["classify", "--m", "5", "--beta=741,1,0.5,-0.5"])]
+    return out
+
+
+class TestClassifyReference:
+    """classify against reports recorded before its answer type moved into regions.
+
+    The closed forms and the path route must match byte for byte.  A solver
+    answer must match kind, support and converged, with weights within
+    1e-12, as test_solver's TestReference checks solve.
+    """
+
+    def test_argvs_are_the_documented_draws(self):
+        reports = json.loads(CLASSIFY_REFERENCE.read_text())["reports"]
+        assert [(r["source"], r["argv"]) for r in reports] == classify_reference_argvs()
+
+    def test_reports_match(self, capsys):
+        reports = json.loads(CLASSIFY_REFERENCE.read_text())["reports"]
+        kinds = set()
+        for record in reports:
+            rc, out = run(record["argv"])
+            assert (rc, capsys.readouterr().err) == (record["exit"], record["stderr"]), record["argv"]
+            if not out or json.loads(out)["kind"] != "unsaturated":
+                assert out == record["stdout"], record["argv"]
+                kinds.add(json.loads(out)["kind"] if out else "error")
+                continue
+            got, want = json.loads(out), json.loads(record["stdout"])
+            assert (got["kind"], got["support"], got["converged"]) == (want["kind"], want["support"], want["converged"])
+            weights = got["design"]["weights"], want["design"]["weights"]
+            assert max(abs(weights[0].get(k, 0.0) - weights[1].get(k, 0.0)) for k in {*weights[0], *weights[1]}) <= 1e-12
+            kinds.add("unsaturated")
+        assert kinds == {"full-support", "five-point", "four-point-shared-vertex", "saturated", "unsaturated", "error"}
 
 
 class TestRunAsModule:
@@ -402,8 +476,8 @@ class TestEquivariance:
         # support need not be unique to float precision; log det is.
         params, sigma = point
         moved = apply_to_params(sigma, params)
-        label, _ = cli._answer(params)
-        moved_label, _ = cli._answer(moved)
+        label = cli._answer(params)
+        moved_label = cli._answer(moved)
         assert moved_label.kind is label.kind, (params.beta, sigma.images)
         assert label.certificate.is_optimal and moved_label.certificate.is_optimal
         relabeled = log_det(information_matrix(apply_to_design(sigma, label.design), moved))

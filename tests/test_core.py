@@ -47,6 +47,7 @@ class TestPair:
 
     def test_key_round_trip(self):
         assert Pair.from_key(Pair(2, 4).key()) == Pair(2, 4)
+        assert Pair.from_key("4-2") == Pair(2, 4)  # either order names the pair
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):

@@ -535,6 +535,21 @@ class TestDisjointFourPoint:
         assert report.interior_count > 0
         assert report.best_slack < 0.0
 
+    def test_search_certifies_by_the_matrix_tree_kernel(self, monkeypatch):
+        # At gaps of 40 the pivot test calls M of the path 3-1-4-2 singular;
+        # classify_m4 certifies that design, and so must the search, on the
+        # cycle's columns and without factoring M.
+        beta = np.array([[1.0, -40.0, 41.0]])
+        params = Parameters(4, tuple(beta[0]))
+        label = classify_m4(params)
+        assert label.kind is RegionKind.SATURATED and label.path == PathDesign((3, 1, 4, 2))
+        assert kw_check(label.design, params).singular
+        monkeypatch.setattr(four_alt, "_evaluable", lambda draws: (beta, params.intensities[None, :]))
+        monkeypatch.setattr(four_alt, "_disjoint_design", lambda lam: (label.design.w[None, 1:5], np.zeros((1, 2))))
+        factorizations = count_factorizations(monkeypatch)
+        assert search_disjoint_four_point(n_starts=1).certified_count == 1
+        assert factorizations == [0]
+
     def test_search_blocks_do_not_change_the_report(self, monkeypatch):
         # 3000 starts make one block by default, and eleven full blocks plus a
         # short one at 256 per block.

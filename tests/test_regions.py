@@ -13,6 +13,7 @@ from btdesign import (
     Design,
     Pair,
     Parameters,
+    RegionKind,
     cli,
     find_optimal_saturated,
     kw_check,
@@ -198,8 +199,8 @@ class TestPathCertificate:
         params = geometric_params(m, 25.0)
         assert find_optimal_saturated(params) is not None
         factorizations = count_factorizations(monkeypatch)
-        label, result = cli._answer(params)
-        assert result is None and label.certificate.is_optimal
+        label = cli._answer(params)
+        assert label.kind is RegionKind.SATURATED and label.certificate.is_optimal
         assert factorizations == [0]
 
 
@@ -207,7 +208,7 @@ class TestFindOptimalSaturated:
     def test_geometric_point_m5(self):
         found = find_optimal_saturated(geometric_params(5, 20.0))
         assert found is not None
-        assert found[0].order == (1, 2, 3, 4, 5)
+        assert found.path.order == (1, 2, 3, 4, 5)
 
     def test_origin_has_none(self):
         assert find_optimal_saturated(Parameters(4, (0.0, 0.0, 0.0))) is None
@@ -215,12 +216,12 @@ class TestFindOptimalSaturated:
     def test_geometric_point_m7(self):
         found = find_optimal_saturated(geometric_params(7, 25.0))
         assert found is not None
-        assert found[0].order == tuple(range(1, 8))
+        assert found.path.order == tuple(range(1, 8))
 
     def test_line_point_past_threshold(self):
         found = find_optimal_saturated(line_params(3.5))
         assert found is not None
-        assert found[0].order == (3, 1, 2, 4)
+        assert found.path.order == (3, 1, 2, 4)
 
     def test_membership_certifies_with_kw(self):
         rng = np.random.default_rng(13)
@@ -297,7 +298,7 @@ class TestSortedPathMatchesEnumeration:
     @settings(max_examples=300, deadline=None)
     def test_sorted_path_is_the_only_candidate(self, params):
         found = find_optimal_saturated(params)
-        assert enumerated_paths_containing(params) == ([] if found is None else [found[0].order])
+        assert enumerated_paths_containing(params) == ([] if found is None else [found.path.order])
         if len(set((*params.beta, 0.0))) < params.m:  # a tie lies in no path region
             assert found is None
 
@@ -348,6 +349,36 @@ class TestRegionPrecision:
         want = [float(1 + d / (params.m - 1)) for d in exact_path_derivatives(path, params)]
         assert np.isfinite(g).all()
         assert g.tolist() == pytest.approx(want, rel=1e-14)
+
+    @staticmethod
+    def subnormal_edge_points() -> list[Parameters]:
+        """The two CLI points with a subnormal edge, and 20 per m = 3..8 with one sorted-path gap in [709, 744].
+
+        The other gaps share what is left of a span of 744, so that no
+        intensity underflows (default_rng(4141)).
+        """
+        points = [Parameters(3, (741.0, 1.0)), Parameters(5, (741.0, 1.0, 0.5, -0.5))]
+        rng = np.random.default_rng(4141)
+        for m in range(3, 9):
+            for _ in range(20):
+                gaps = rng.uniform(0.0, 1.0, m - 1)
+                big = rng.integers(m - 1)
+                gaps[big] = rng.uniform(709.0, 744.0)
+                gaps *= np.where(np.arange(m - 1) == big, 1.0, (744.0 - gaps[big]) / (m - 1))
+                values = np.empty(m)
+                values[rng.permutation(m)] = np.concatenate([[0.0], np.cumsum(gaps)])
+                points.append(Parameters(m, tuple(values[:-1] - values[-1])))
+        return points
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_edge_within_4_ulps_of_exact(self):
+        for params in self.subnormal_edge_points():
+            path = sorted_beta_path(params)
+            assert params.intensities[path._edge_columns()].min() < np.finfo(float).tiny
+            g = path_g_values(path, params.intensities).tolist()
+            exact = [1 + d / (params.m - 1) for d in exact_path_derivatives(path, params)]
+            for got, want in zip(g, exact):
+                assert abs(Fraction(got) - want) <= 4 * Fraction(np.spacing(float(want))), (params.beta, got, want)
 
     # Gaps up to 100 give edges with tiny intensities, whose reciprocals dwarf
     # the later terms of a sum taken along the path.

@@ -155,7 +155,7 @@ class TestSolve:
         for p in support:
             assert result.design.weight(p) == pytest.approx(0.25, abs=1e-9)
         found = find_optimal_saturated(params)
-        assert found is not None and set(found[0].edges()) == set(support)
+        assert found is not None and set(found.path.edges()) == set(support)
 
     def test_converged_implies_certificate(self):
         rng = np.random.default_rng(211)
