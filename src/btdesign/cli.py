@@ -21,9 +21,9 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .core import BtDesignError, Design, Pair, Parameters, all_pairs, information_matrix, log_det
+from .core import BtDesignError, Design, Pair, Parameters, _factor_log_det, all_pairs
 from .four_alt import classify_m4, search_disjoint_four_point
-from .optimality import KW_TOLERANCE, KwCertificate, d_efficiency, kw_check
+from .optimality import KW_TOLERANCE, KwCertificate, _kw_check, d_efficiency
 from .regions import RegionKind, RegionLabel, find_optimal_saturated, region_margin
 from .solver import MAX_ITERATIONS, solve
 
@@ -44,7 +44,7 @@ DEFAULT_EFFICIENCY_LINE = (1.0, 0.5, 1.25)
 MAX_POINTS = 1_000_000
 # The most alternatives a point command reads.  Every command builds the
 # dense pairs-by-(m - 1) regression matrix, O(m^3) memory, before it can
-# refuse a point.  At m = 200 an in-process classify peaks at 99 MB on the
+# refuse a point.  At m = 200 an in-process classify peaks at 71 MB on the
 # path route and at 360 MB when the solver runs (111 s on a 2-core host);
 # at m = 1000 the matrix alone needs about 4 GB.
 MAX_ALTERNATIVES = 200
@@ -346,7 +346,7 @@ def cmd_optimize(args: argparse.Namespace, stdout: TextIO) -> int:
         "beta": list(params.beta),
         "design": design_to_dict(result.design),
         "support": [p.key() for p in result.design.support()],
-        "log_det": log_det(information_matrix(result.design, params)),
+        "log_det": result.log_det,
         "certificate": certificate_to_dict(result.certificate, params.m),
         "iterations": result.iterations,
         "converged": result.converged,
@@ -358,15 +358,15 @@ def cmd_optimize(args: argparse.Namespace, stdout: TextIO) -> int:
 def cmd_verify(args: argparse.Namespace, stdout: TextIO) -> int:
     params = parse_beta(args.beta, args.m)
     design = load_design(args.design, params.m)
-    cert = kw_check(design, params)
+    cert, found = _kw_check(design, params)
     report = {
         "m": params.m,
         "beta": list(params.beta),
         "design": design_to_dict(design),
         "certificate": certificate_to_dict(cert, params.m),
     }
-    if not cert.singular:
-        report["log_det"] = log_det(information_matrix(design, params))
+    if found is not None:  # log det from the factor that certified the design
+        report["log_det"] = _factor_log_det(found[2])
     emit_json(report, stdout)
     return EXIT_OK if cert.is_optimal else EXIT_NOT_OPTIMAL
 
@@ -404,11 +404,14 @@ def _write_csv(text: str, path: str | None, stdout: TextIO) -> None:
     """Write a finished CSV to --output, or to stdout when no file is named.
 
     Callers build the whole text first, so a command that fails midway
-    creates no output file.
+    creates no output file.  A path that cannot be written is a usage error.
     """
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write CSV output {path}: {exc}") from None
     else:
         stdout.write(text)
 

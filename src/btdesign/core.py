@@ -185,10 +185,26 @@ def regression_vector(pair: Pair, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def regression_matrix(m: int) -> np.ndarray:
-    """Stacked regression vectors, one row per pair in all_pairs order."""
-    F = np.array([regression_vector(p, m) for p in all_pairs(m)], dtype=float)
+    """Stacked regression vectors, one row per pair in all_pairs order.
+
+    Built from the pair index: row p holds +1 at its pair's first
+    alternative and -1 at its second unless that is the control.
+    """
+    if m < 2:
+        raise ValueError(f"need at least two alternatives, got m={m}")
+    u, v = np.triu_indices(m, 1)  # row-major upper triangle: all_pairs order
+    rows = np.arange(len(u))
+    F = np.zeros((len(u), m - 1))
+    F[rows, u] = 1.0
+    F[rows[v < m - 1], v[v < m - 1]] = -1.0
     F.setflags(write=False)
     return F
+
+
+@lru_cache(maxsize=None)
+def _regression_rows(pairs: int) -> np.ndarray:
+    """regression_matrix(m) for the m with m(m - 1)/2 pairs: the kernel reads m from its intensities."""
+    return regression_matrix((1 + math.isqrt(1 + 8 * pairs)) // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,11 +273,12 @@ def information_matrix(design: Design, params: Parameters) -> np.ndarray:
     """M(xi, beta) = sum over pairs of w_ij lambda_ij f(i,j) f(i,j)^T, (m-1) x (m-1)."""
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
-    F = regression_matrix(params.m)
-    wl = design.w * params.intensities
-    M = F.T @ (F * wl[:, None])
-    # Rank-one accumulation is symmetric up to rounding; tie it down exactly.
-    return 0.5 * (M + M.T)
+    return _assemble(regression_matrix(params.m), design.w, params.intensities)
+
+
+def _assemble(F: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """M = F^T diag(w lambda) F, the one assembly of the information matrix; a factor reads its lower triangle."""
+    return F.T @ (F * (w * lam)[:, None])
 
 
 def cholesky_pivots(A: np.ndarray) -> np.ndarray | None:
@@ -284,24 +301,28 @@ def cholesky_pivots(A: np.ndarray) -> np.ndarray | None:
     return L
 
 
-def _derivatives(w: np.ndarray, lam: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Directional values d_p = lambda_p f_p^T M^{-1} f_p for every row f_p of F.
+def _derivatives(w: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Directional values d_p = lambda_p f_p^T M^{-1} f_p for every pair p: the one kernel that factors M.
 
-    M = F^T diag(w lambda) F is factored once, M = L L^T; then Y = L^{-1} F^T
-    gives f_p^T M^{-1} f_q = (Y^T Y)_pq, so d is lambda times the column sums
-    of Y**2.  Returns (d, Y, L), or None when M is singular; L also gives
-    log det M, twice the sum of log diag L, to the callers that need it.
+    M = F^T diag(w lambda) F, F = regression_matrix(m), is factored once,
+    M = L L^T; then Y = L^{-1} F^T gives f_p^T M^{-1} f_q = (Y^T Y)_pq, so d
+    is lambda times the column sums of Y**2.  Returns (d, Y, L), or None
+    when M is singular; _factor_log_det(L) is log det M.
     """
-    L = cholesky_pivots(F.T @ (F * (w * lam)[:, None]))
+    F = _regression_rows(len(lam))
+    L = cholesky_pivots(_assemble(F, w, lam))
     if L is None:
         return None
     Y = np.linalg.solve(L, F.T)
     return lam * np.einsum("ij,ij->j", Y, Y), Y, L
 
 
+def _factor_log_det(L: np.ndarray) -> float:
+    """log det L L^T, twice the sum of log diag L: the one reader of log det from a factor."""
+    return 2.0 * float(np.log(L.diagonal()).sum())
+
+
 def log_det(M: np.ndarray) -> float:
     """log det of a symmetric PSD matrix; -inf flags a singular matrix."""
     L = cholesky_pivots(M)
-    if L is None:
-        return float("-inf")
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    return float("-inf") if L is None else _factor_log_det(L)

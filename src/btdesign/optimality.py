@@ -22,10 +22,8 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
     Parameters,
     SingularMatrixError,
     _derivatives,
+    _factor_log_det,
     cholesky_pivots,
-    information_matrix,
-    log_det,
-    regression_matrix,
 )
 
 # Absolute tolerance on directional derivatives for declaring optimality, the
@@ -59,10 +57,15 @@ class KwCertificate:
 
 def kw_check(design: Design, params: Parameters) -> KwCertificate:
     """Evaluate the optimality criterion on every pair and certify the result at KW_TOLERANCE."""
+    return _kw_check(design, params)[0]
+
+
+def _kw_check(design: Design, params: Parameters) -> tuple[KwCertificate, tuple | None]:
+    """kw_check's certificate and the core._derivatives result (d, Y, L) it reads, None when M is singular."""
     if design.m != params.m:
         raise ValueError(f"design has m={design.m} but parameters have m={params.m}")
-    found = _derivatives(design.w, params.intensities, regression_matrix(params.m))
-    return _certificate(None if found is None else found[0], params.m)
+    found = _derivatives(design.w, params.intensities)
+    return _certificate(None if found is None else found[0], params.m), found
 
 
 def _certificate(values: np.ndarray | None, m: int) -> KwCertificate:
@@ -88,10 +91,9 @@ def d_efficiency(design: Design, reference: Design, params: Parameters) -> float
 
     The reference must be nonsingular; a singular design has efficiency 0.
     """
-    ld_ref = log_det(information_matrix(reference, params))
-    if ld_ref == float("-inf"):
+    ref, found = (_kw_check(x, params)[1] for x in (reference, design))
+    if ref is None:
         raise SingularMatrixError("reference design has singular information matrix")
-    ld = log_det(information_matrix(design, params))
-    if ld == float("-inf"):
+    if found is None:
         return 0.0
-    return float(np.exp((ld - ld_ref) / (params.m - 1)))
+    return float(np.exp((_factor_log_det(found[2]) - _factor_log_det(ref[2])) / (params.m - 1)))

@@ -69,9 +69,9 @@ from .core import (  # noqa: F401 - unused cholesky_pivots: bench/tests checks t
     Parameters,
     SingularMatrixError,
     _derivatives,
+    _factor_log_det,
     _pair_columns,
     cholesky_pivots,
-    regression_matrix,
 )
 from .optimality import KW_TOLERANCE, KwCertificate, _certificate
 from .regions import _cactus_weights, sorted_beta_path
@@ -96,6 +96,7 @@ class SolverResult:
     certificate: KwCertificate
     iterations: int
     converged: bool
+    log_det: float  # of the design's information matrix, read from the factor that certified it
 
 
 def _fedorov_wynn_step(w: np.ndarray, d: np.ndarray, k: int, tolerance: float) -> np.ndarray:
@@ -112,7 +113,7 @@ def _fedorov_wynn_step(w: np.ndarray, d: np.ndarray, k: int, tolerance: float) -
 
 
 def _newton_on_support(
-    w: np.ndarray, lam: np.ndarray, F: np.ndarray, k: int, live: np.ndarray, found: tuple
+    w: np.ndarray, lam: np.ndarray, k: int, live: np.ndarray, found: tuple
 ) -> tuple[np.ndarray, tuple] | None:
     """Maximize log det M(w) over weights on the live pairs summing to one.
 
@@ -133,7 +134,7 @@ def _newton_on_support(
     its Hessian block in place, and a cut-back shrinks it, the gradient,
     the weights and the Hessian's factor lambda_i lambda_j by one pair.
 
-    Returns (trial, found) with found bitwise _derivatives(trial, lam, F):
+    Returns (trial, found) with found bitwise _derivatives(trial, lam):
     a finish whose cut-free step is at most _NEWTON_STEP_TOL returns the
     point of its last model with that model's evaluation, one that ends on
     k pairs or runs out of steps evaluates its result once.  Returns None
@@ -200,7 +201,7 @@ def _newton_on_support(
             v /= np.add.reduce(v)
             trial = np.zeros(len(w))
             trial[support] = v
-            found = _derivatives(trial, lam, F)
+            found = _derivatives(trial, lam)
             if found is None:
                 return None
             d, Y, _ = found
@@ -209,7 +210,7 @@ def _newton_on_support(
     v = np.full(k, 1.0 / k)
     trial = np.zeros_like(w)
     trial[support] = v / v.sum()
-    found = _derivatives(trial, lam, F)
+    found = _derivatives(trial, lam)
     return None if found is None else (trial, found)
 
 
@@ -238,7 +239,7 @@ class _Tried:
 
     def log_det(self) -> float:
         if self._log_det is None:
-            self._log_det = 2.0 * float(np.log(self.found[2].diagonal()).sum())
+            self._log_det = _factor_log_det(self.found[2])
         return self._log_det
 
     def above(self, other: "_Tried", *, ties: bool = False) -> bool:
@@ -257,13 +258,12 @@ def solve(params: Parameters, *, max_iterations: int = MAX_ITERATIONS) -> Solver
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     m, k = params.m, params.m - 1
-    F = regression_matrix(m)
     lam = params.intensities
     path = sorted_beta_path(params)
-    w = np.zeros(len(F))
+    w = np.zeros(len(lam))
     columns = _column_rows(m)
     w[[columns[a - 1][b - 1] for a, b in zip(path.order, path.order[1:])]] = 1.0 / k
-    found = _derivatives(w, lam, F)
+    found = _derivatives(w, lam)
     if found is None:
         raise SingularMatrixError("information matrix is singular after 0 iterations")
     held = _Tried(w, found, k)
@@ -271,15 +271,15 @@ def solve(params: Parameters, *, max_iterations: int = MAX_ITERATIONS) -> Solver
     # Each returns the _Tried design, or None when its M is singular.
     def exact(d):  # round 1's design on the path plus its violators, where that support is a cactus
         cactus = _cactus_weights(path, lam, (d - k > KW_TOLERANCE).nonzero()[0].tolist())
-        stepped = None if cactus is None else _derivatives(cactus, lam, F)
+        stepped = None if cactus is None else _derivatives(cactus, lam)
         return None if stepped is None else _Tried(cactus, stepped, k)
 
     def finished(trial):  # the trial, or its Newton finish unless that ranks lower
-        stepped = _derivatives(trial, lam, F)
+        stepped = _derivatives(trial, lam)
         if stepped is None:
             return None
         tried = _Tried(trial, stepped, k)
-        finish = _newton_on_support(trial, lam, F, k, trial > 0.0, stepped)
+        finish = _newton_on_support(trial, lam, k, trial > 0.0, stepped)
         if finish is None or finish[1] is stepped:  # none, or the trial itself
             return tried
         finish = _Tried(*finish, k)
@@ -303,4 +303,4 @@ def solve(params: Parameters, *, max_iterations: int = MAX_ITERATIONS) -> Solver
 
     # held.found was evaluated at exactly the weights held.w, so this is kw_check of the design.
     certificate = _certificate(held.found[0], m)
-    return SolverResult(Design(m, held.w), certificate, iterations, converged=certificate.is_optimal)
+    return SolverResult(Design(m, held.w), certificate, iterations, certificate.is_optimal, held.log_det())

@@ -17,6 +17,7 @@ from btdesign import (
     RegionKind,
     all_pairs,
     region_membership,
+    regression_vector,
 )
 from btdesign import core, four_alt, optimality, solver
 from btdesign.core import intensity_vector
@@ -89,9 +90,9 @@ def count_derivative_calls(monkeypatch) -> list[int]:
     calls = [0]
     original = core._derivatives
 
-    def counted(w, lam, F):
+    def counted(w, lam):
         calls[0] += 1
-        return original(w, lam, F)
+        return original(w, lam)
 
     monkeypatch.setattr(solver, "_derivatives", counted)
     monkeypatch.setattr(optimality, "_derivatives", counted)
@@ -328,6 +329,32 @@ def exact_path_derivatives(path: PathDesign, params: Parameters) -> list[Fractio
         return lam[pair] * sum(1 / lam[Pair(order[k], order[k + 1])] for k in range(a, b))
 
     return [(m - 1) * (g(pair) - 1) for pair in all_pairs(m)]
+
+
+def exact_derivatives(w, lam) -> list[Fraction] | None:
+    """lambda_p f_p^T M^{-1} f_p for every pair, exact over the floats w and lam; None when M is singular.
+
+    The oracle of core._derivatives: M = F^T diag(w lambda) F is summed in
+    Fractions from the integer regression vectors and inverted by
+    Gauss-Jordan elimination.  m is read from the pair count, as the kernel
+    reads it.
+    """
+    m = (1 + math.isqrt(1 + 8 * len(lam))) // 2
+    k = m - 1
+    F = [regression_vector(p, m).tolist() for p in all_pairs(m)]
+    c = [Fraction(float(x)) * Fraction(float(y)) for x, y in zip(w, lam)]
+    # M augmented with the identity; elimination leaves M^{-1} on the right.
+    rows = [[sum(ck * f[r] * f[s] for ck, f in zip(c, F)) for s in range(k)] + [Fraction(int(r == s)) for s in range(k)]
+            for r in range(k)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = [x / rows[col][col] for x in rows[col]]
+        rows = [top if r == col else [x - row[col] * t for x, t in zip(row, top)] for r, row in enumerate(rows)]
+    inverse = [row[k:] for row in rows]
+    return [Fraction(float(y)) * sum(f[r] * f[s] * inverse[r][s] for r in range(k) for s in range(k)) for y, f in zip(lam, F)]
 
 
 def ordered_regression_vector(a: int, b: int, m: int) -> np.ndarray:

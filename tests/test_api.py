@@ -95,3 +95,30 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             found.update((root, path.name) for root in roots if root not in allowed)
     assert found == {}
+
+
+def test_only_core_builds_or_factors_the_information_matrix():
+    # One kernel for M: core._derivatives assembles and factors it, and
+    # every other module reads d and log det from that kernel.  Importing a
+    # name is fine (bench/tests checks that optimality and solver bind
+    # cholesky_pivots); calling it outside core is not, by its bare name or
+    # through the module.  A method of the same name, such as the solver's
+    # cached log det of a design, is not core's function.
+    kernel = {"regression_matrix", "information_matrix", "log_det", "cholesky_pivots"}
+    calls = []
+    for path in sorted(Path(btdesign.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in {"core", "btdesign"}:
+                name = func.attr
+            else:
+                continue
+            if name in kernel:
+                calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []

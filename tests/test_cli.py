@@ -35,7 +35,7 @@ from btdesign.cli import MAX_ALTERNATIVES, MAX_POINTS, CliError, ScanAxis, ScanS
 from btdesign.core import SUPPORT_THRESHOLD
 from btdesign.solver import SolverResult
 
-from helpers import exact_path_derivatives, sample_in_path_region
+from helpers import count_factorizations, exact_path_derivatives, random_design, random_params, sample_in_path_region
 from relabel import Permutation, apply_to_design, apply_to_params
 
 
@@ -311,7 +311,7 @@ class TestClassify:
         path = PathDesign.canonical(5).design()
         certificate = kw_check(path, params)
         assert not certificate.is_optimal
-        monkeypatch.setattr(cli, "solve", lambda params: SolverResult(path, certificate, 0, False))
+        monkeypatch.setattr(cli, "solve", lambda params: SolverResult(path, certificate, 0, False, 0.0))
         rc, report = run_json(["classify", "--m", "5", "--beta", "0,0,0,0"])
         assert rc == 1
         assert report["kind"] == "unsaturated" and report["converged"] is False
@@ -1017,6 +1017,59 @@ class TestUsage:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv", [["efficiency", "--steps", "2"], ["scan", "--workers=1", "--spec={specs}/small.json"]], ids=["efficiency", "scan"]
+    )
+    @pytest.mark.parametrize("target", ["missing/x.csv", "directory"])
+    def test_unwritable_output_is_usage_error(self, argv, target, capsys, tmp_path):
+        specs, out = tmp_path / "specs", tmp_path / "out"
+        specs.mkdir()
+        (out / "directory").mkdir(parents=True)
+        (specs / "small.json").write_text(json.dumps(_SPECS["small"]))
+        path = out / target
+        rc, stdout = run([*(a.format(specs=specs) for a in argv), "--output", str(path)])
+        assert (rc, stdout) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write CSV output {path}:") and err.count("\n") == 1, err
+        assert [p.relative_to(out).as_posix() for p in out.rglob("*")] == ["directory"]
+
+
+class TestOneFactorization:
+    """verify and optimize print the log det of the factor that certified their design, bitwise log_det's."""
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_verify_factors_once(self, m, monkeypatch, tmp_path):
+        rng = np.random.default_rng(600 + m)
+        params = random_params(rng, m, scale=6.0)
+        beta = ",".join(map(repr, params.beta))
+        apart = Design.equal_on(m, [p for p in all_pairs(m) if p.i != 1])  # alternative 1 is never compared
+        for k, design in enumerate((random_design(rng, m), solve(params).design, apart)):
+            design_file = tmp_path / f"design{k}.json"
+            design_file.write_text(json.dumps(cli.design_to_dict(design)))
+            expected = log_det(information_matrix(cli.load_design(str(design_file), m), params))
+            factorizations = count_factorizations(monkeypatch)
+            rc, report = run_json(["verify", "--m", str(m), f"--beta={beta}", "--design", str(design_file)])
+            monkeypatch.undo()
+            assert factorizations[0] == 1
+            if design is apart:
+                assert report["certificate"]["singular"] and "log_det" not in report
+            else:
+                assert report["log_det"] == expected and json.dumps(report["log_det"]) == json.dumps(expected)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_optimize_factors_as_often_as_solve(self, m, monkeypatch):
+        rng = np.random.default_rng(700 + m)
+        for _ in range(3):
+            params = random_params(rng, m, scale=6.0)
+            factorizations = count_factorizations(monkeypatch)
+            expected = log_det(information_matrix(solve(params).design, params))
+            in_solve = factorizations[0] - 1
+            factorizations[0] = 0
+            rc, report = run_json(["optimize", "--m", str(m), "--beta=" + ",".join(map(repr, params.beta))])
+            monkeypatch.undo()
+            assert rc == 0 and factorizations[0] == in_solve > 0
+            assert report["log_det"] == expected and json.dumps(report["log_det"]) == json.dumps(expected)
 
 
 class TestJsonOutput:

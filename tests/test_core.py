@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from btdesign.core import (
     regression_matrix,
 )
 
-from helpers import count_pair_hashes, geometric_params, random_design, random_params
+from helpers import count_pair_hashes, exact_derivatives, geometric_params, random_design, random_params
 
 
 def intensity(z: float) -> float:
@@ -196,6 +197,13 @@ class TestRegressionVector:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             regression_vector(Pair(2, 5), 4)
+
+    def test_regression_matrix_stacks_the_vectors_bitwise(self):
+        for m in range(2, 13):
+            stacked = np.array([regression_vector(p, m) for p in all_pairs(m)], dtype=float)
+            F = regression_matrix(m)
+            assert (F.dtype, F.shape, F.tobytes()) == (stacked.dtype, stacked.shape, stacked.tobytes())
+            assert not F.flags.writeable
 
 
 class TestDesign:
@@ -419,32 +427,54 @@ class TestLogDet:
 class TestDerivativeKernel:
     """_derivatives: d = lambda f^T M^{-1} f and Y = L^{-1} F^T from one factor L of M, returned too."""
 
-    def test_scaled_identity(self):
-        # F = I and w * lambda = 2 give M = 2 I, so M^{-1} f = f / 2.
-        w, lam = np.full(3, 0.5), np.full(3, 4.0)
-        d, Y, L = _derivatives(w, lam, np.eye(3))
-        np.testing.assert_allclose(Y.T @ Y, 0.5 * np.eye(3))
-        np.testing.assert_allclose(d, 2.0 * np.ones(3))
-        np.testing.assert_allclose(L, math.sqrt(2.0) * np.eye(3))
-
-    def test_residual_on_random_spd(self):
+    def test_residual_against_the_inverse(self):
         rng = np.random.default_rng(37)
-        for _ in range(20):
-            F = rng.normal(size=(6, 3))
-            w, lam = rng.dirichlet(np.ones(6)), rng.uniform(0.01, 0.25, 6)
-            M = F.T @ (F * (w * lam)[:, None])
-            d, Y, L = _derivatives(w, lam, F)
-            np.testing.assert_allclose(L @ L.T, M, rtol=1e-12)
-            X = F @ np.linalg.inv(M)  # row p is (M^{-1} f_p)^T
-            G = Y.T @ Y
-            assert np.linalg.norm(G - X @ F.T) <= 1e-10 * np.linalg.norm(G)
-            np.testing.assert_allclose(d, lam * np.diag(G), rtol=1e-13)
+        for m in range(3, 9):
+            F = regression_matrix(m)
+            for _ in range(5):
+                params, design = random_params(rng, m), random_design(rng, m)
+                M = information_matrix(design, params)
+                d, Y, L = _derivatives(design.w, params.intensities)
+                assert np.abs(L @ L.T - M).max() <= 1e-13 * np.abs(M).max()
+                X = F @ np.linalg.inv(M)  # row p is (M^{-1} f_p)^T
+                G = Y.T @ Y
+                assert np.linalg.norm(G - X @ F.T) <= 1e-10 * np.linalg.norm(G)
+                np.testing.assert_allclose(d, params.intensities * np.diag(G), rtol=1e-13)
+
+    def test_log_det_is_read_from_the_kernels_factor(self):
+        # The CLI prints log det from the factor that certified the design:
+        # bitwise the public log_det of the public information_matrix, whose
+        # assembly is exactly symmetric.
+        rng = np.random.default_rng(3)
+        for m in range(3, 13):
+            for _ in range(10):
+                params, design = random_params(rng, m, scale=8.0), random_design(rng, m)
+                M = information_matrix(design, params)
+                assert (M == M.T).all()
+                L = _derivatives(design.w, params.intensities)[2]
+                assert core._factor_log_det(L) == log_det(M)
 
     def test_singular_gives_none(self):
-        assert _derivatives(np.ones(3) / 3, np.ones(3), np.zeros((3, 3))) is None
-        cycle = Design.equal_on(4, [Pair(1, 2), Pair(1, 4), Pair(2, 4)])
-        p = Parameters(4, (0.0, 0.0, 0.0))
-        assert _derivatives(cycle.w, intensity_vector(p.beta), regression_matrix(4)) is None
+        # A support that never compares alternative 1, or never the control m,
+        # leaves an alternative apart from the control, and M singular.
+        for m in range(3, 9):
+            lam = intensity_vector(np.zeros(m - 1))
+            for apart in (lambda p: p.i != 1, lambda p: p.j != m):
+                design = Design.equal_on(m, filter(apart, all_pairs(m)))
+                assert _derivatives(design.w, lam) is None
+                assert log_det(information_matrix(design, Parameters(m, (0.0,) * (m - 1)))) == -math.inf
+
+    def test_matches_the_fraction_oracle(self):
+        # Full-support designs at beta uniform in [-6, 6] stay within 2e-14
+        # of the exact values; far larger |beta| is where they drift.
+        rng = np.random.default_rng(11)
+        for m in (4, 5, 6):
+            for _ in range(25):
+                w = rng.dirichlet(np.ones(m * (m - 1) // 2))
+                lam = intensity_vector(rng.uniform(-6.0, 6.0, m - 1))
+                exact = exact_derivatives(w, lam)
+                for x, y in zip(_derivatives(w, lam)[0].tolist(), exact, strict=True):
+                    assert abs(Fraction(x) - y) <= Fraction(1, 10**12) * y, (m, w, lam)
 
     def test_path_inverse_closed_form(self):
         # Canonical path at the origin: M = (1/12) F^T F with F the path's
@@ -452,7 +482,7 @@ class TestDerivativeKernel:
         # all-ones upper triangle, and f(1,4)^T M^{-1} f(1,4) = 36.
         p = Parameters(4, (0.0, 0.0, 0.0))
         d = Design.equal_on(4, [Pair(1, 2), Pair(2, 3), Pair(3, 4)])
-        values, Y, _ = _derivatives(d.w, intensity_vector(p.beta), regression_matrix(4))
+        values, Y, _ = _derivatives(d.w, intensity_vector(p.beta))
         f14 = all_pairs(4).index(Pair(1, 4))
         F = regression_matrix(4)
         np.testing.assert_allclose(Y.T @ Y[:, f14], F @ [36.0, 24.0, 12.0], rtol=1e-10)

@@ -32,7 +32,6 @@ from btdesign.core import (
     _derivatives,
     all_pairs,
     intensity_vector,
-    regression_matrix,
 )
 from btdesign import four_alt
 from btdesign.four_alt import (
@@ -59,6 +58,7 @@ from helpers import (
     count_factorizations,
     count_fraction_passes,
     count_intensity_calls,
+    exact_derivatives,
     exact_path_derivatives,
     geometric_params,
     line_params,
@@ -977,24 +977,6 @@ class TestPathRegionFirst:
         assert calls == {"full_support_raw": 1, "five_point_raw": 1}
 
 
-def fraction_derivatives(w: list, lam: list) -> list[Fraction] | None:
-    """lambda f^T M^{-1} f for every pair, exact: the test oracle of four_alt._kirchhoff_values.
-
-    M = F^T diag(w lambda) F is summed in Fractions from F's integer rows
-    and inverted as adj(M) / det(M); None when det(M) is 0.
-    """
-    F = regression_matrix(4).astype(int).tolist()
-    c = [Fraction(x) * Fraction(y) for x, y in zip(w, lam)]
-    M = [[sum(ck * f[r] * f[s] for ck, f in zip(c, F)) for s in range(3)] for r in range(3)]
-    # Cofactor (r, s) from rows r + 1, r + 2 and columns s + 1, s + 2 mod 3; M is symmetric.
-    cyclic = ((1, 2), (2, 0), (0, 1))
-    adj = [[M[a][x] * M[b][y] - M[a][y] * M[b][x] for x, y in cyclic] for a, b in cyclic]
-    det = sum(M[0][s] * adj[0][s] for s in range(3))
-    if det == 0:
-        return None
-    return [Fraction(y) * sum(f[r] * f[s] * adj[r][s] for r in range(3) for s in range(3)) / det for y, f in zip(lam, F)]
-
-
 def connected(support: list) -> bool:
     """Whether the pairs of support reach all four vertices, the control included, from vertex 1."""
     reached = {1}
@@ -1024,15 +1006,14 @@ class TestKirchhoffKernel:
         # |beta| <= 100: M's condition number reaches far past 1 / eps.
         for w, lam in random_kernel_cases(np.random.default_rng(193), 400, scale=100.0):
             found = four_alt._kirchhoff_values(w, lam)
-            exact = fraction_derivatives(w, lam)
+            exact = exact_derivatives(w, lam)
             for x, y in zip(found.tolist(), exact):
                 assert abs(Fraction(x) - y) <= Fraction(1, 10**13) * y, (w, lam)
 
     def test_matches_core_derivatives_where_m_is_well_conditioned(self):
-        F = regression_matrix(4)
         for w, lam in random_kernel_cases(np.random.default_rng(197), 400, scale=6.0):
             found = four_alt._kirchhoff_values(w, lam)
-            values = _derivatives(np.array(w), np.array(lam), F)[0]
+            values = _derivatives(np.array(w), np.array(lam))[0]
             assert np.all(np.abs(found - values) <= 1e-12 * values), (w, lam)
 
     def test_none_exactly_when_the_support_is_not_connected(self):
@@ -1057,7 +1038,7 @@ class TestKirchhoffKernel:
         lam = [0.25] + [1e-160] * 5
         assert four_alt._kirchhoff_values(w, lam) is None
         found = four_alt._kirchhoff_values([Fraction(x) for x in w], [Fraction(x) for x in lam])
-        assert found.tolist() == [float(x) for x in fraction_derivatives(w, lam)]
+        assert found.tolist() == [float(x) for x in exact_derivatives(w, lam)]
 
     def test_a_power_of_two_scale_leaves_the_values_bitwise(self):
         for w, lam in random_kernel_cases(np.random.default_rng(199), 200, scale=8.0):

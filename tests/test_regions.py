@@ -21,7 +21,7 @@ from btdesign import (
     solve,
 )
 from btdesign.four_alt import saturated_inequality_values
-from btdesign.core import _derivatives, _pair_columns, all_pairs, intensity_vector, regression_matrix
+from btdesign.core import _derivatives, _pair_columns, all_pairs, intensity_vector
 from btdesign.graphs import enumerate_spanning_trees, is_path
 from btdesign.regions import (
     PathDesign,
@@ -492,18 +492,18 @@ class TestCactusWeights:
         rng = np.random.default_rng(307)
         taken = {m: 0 for m in range(3, 9)}
         for m in taken:
-            F, k = regression_matrix(m), m - 1
+            k = m - 1
             for _ in range(150):
                 params = random_params(rng, m, scale=6.0)
                 path = sorted_beta_path(params)
                 lam = params.intensities
-                d = _derivatives(path.design().w, lam, F)[0]
+                d = _derivatives(path.design().w, lam)[0]
                 w = _cactus_weights(path, lam, np.flatnonzero(d - k > KW_TOLERANCE).tolist())
                 if w is None or d.max() - k <= KW_TOLERANCE:
                     continue
                 taken[m] += 1
                 assert w.sum() == pytest.approx(1.0, abs=1e-14)
-                d = _derivatives(w, lam, F)[0]
+                d = _derivatives(w, lam)[0]
                 assert np.abs(d[w > 0.0] - k).max() <= 1e-10, params.beta
         assert min(taken.values()) >= 10, taken
 

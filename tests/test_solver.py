@@ -21,7 +21,7 @@ from btdesign import (
     kw_check,
     solve,
 )
-from btdesign.core import _derivatives, information_matrix, intensity_vector, log_det, regression_matrix
+from btdesign.core import _derivatives, information_matrix, intensity_vector, log_det
 from btdesign.regions import _cactus_weights, sorted_beta_path
 from btdesign.solver import MAX_ITERATIONS, _fedorov_wynn_step, _newton_on_support, _single_step
 
@@ -73,10 +73,9 @@ def reference_solve_weights(params: Parameters) -> np.ndarray:
     none does.
     """
     k = params.m - 1
-    F = regression_matrix(params.m)
     lam = intensity_vector(params.beta)
     path = sorted_beta_path(params)
-    w = np.zeros(len(F))
+    w = np.zeros(len(lam))
     for edge in path.edges():
         w[all_pairs(params.m).index(edge)] = 1.0 / k
 
@@ -84,10 +83,10 @@ def reference_solve_weights(params: Parameters) -> np.ndarray:
         return found[0].max() - k <= KW_TOLERANCE, factor_log_det(found)
 
     def finished(trial):
-        stepped = _derivatives(trial, lam, F)
+        stepped = _derivatives(trial, lam)
         if stepped is None:
             return trial, None
-        finish = _newton_on_support(trial, lam, F, k, trial > 0.0, stepped)
+        finish = _newton_on_support(trial, lam, k, trial > 0.0, stepped)
         if finish is not None and rank(finish[1]) >= rank(stepped):
             return finish
         return trial, stepped
@@ -111,9 +110,9 @@ def reference_solve_weights(params: Parameters) -> np.ndarray:
     def exact(w, d):
         chords = [int(c) for c in np.flatnonzero(d - k > KW_TOLERANCE)]
         cactus = _cactus_weights(path, lam, chords) if forms_a_cactus(path, chords) else None
-        return (None, None) if cactus is None else (cactus, _derivatives(cactus, lam, F))
+        return (None, None) if cactus is None else (cactus, _derivatives(cactus, lam))
 
-    found = _derivatives(w, lam, F)
+    found = _derivatives(w, lam)
     for rounds in range(1, MAX_ITERATIONS + 1):
         held = rank(found)
         if held[0] or rounds == MAX_ITERATIONS:
@@ -171,14 +170,13 @@ class TestSolve:
         # never falls as r grows.
         rng = np.random.default_rng(223)
         for m in range(3, 10):
-            F = regression_matrix(m)
             for _ in range(5):
                 params = random_params(rng, m, scale=4.0)
                 lam = intensity_vector(params.beta)
                 last = -np.inf
                 for rounds in range(1, solve(params).iterations + 1):
                     w = solve(params, max_iterations=rounds).design.w
-                    current = factor_log_det(_derivatives(w, lam, F))
+                    current = factor_log_det(_derivatives(w, lam))
                     assert current >= last, (params.beta, rounds)
                     last = current
 
@@ -187,13 +185,12 @@ class TestSolve:
         # toward the violators (at tolerance 0) leaves the weights in place.
         rng = np.random.default_rng(227)
         m = 4
-        F = regression_matrix(m)
         for _ in range(10):
             params = random_params(rng, m, scale=4.0)
             label = classify_m4(params)
             lam = intensity_vector(params.beta)
             w = label.design.w
-            stepped = _fedorov_wynn_step(w, _derivatives(w, lam, F)[0], m - 1, 0.0)
+            stepped = _fedorov_wynn_step(w, _derivatives(w, lam)[0], m - 1, 0.0)
             assert np.abs(stepped - w).max() <= 1e-9
 
     def test_singular_initial_design_raises(self):
@@ -371,11 +368,11 @@ class TestSolve:
         # last model's for a converged finish, a fresh one on k pairs.
         ends = {"converged": 0, "k pairs": 0}
 
-        def checked(w, lam, F, k, live, found):
-            finish = _newton_on_support(w, lam, F, k, live, found)
+        def checked(w, lam, k, live, found):
+            finish = _newton_on_support(w, lam, k, live, found)
             if finish is not None:
                 trial, held = finish
-                for value, fresh in zip(held, _derivatives(trial, lam, F), strict=True):  # d, Y and L
+                for value, fresh in zip(held, _derivatives(trial, lam), strict=True):  # d, Y and L
                     assert value.tobytes() == fresh.tobytes()
                 if np.count_nonzero(trial) == k:
                     ends["k pairs"] += 1
@@ -392,10 +389,10 @@ class TestSolve:
         # finish on k pairs; finish the path plus one more pair in its region.
         for m in range(3, 8):
             path, params = sample_in_path_region(rng, m)
-            lam, F = intensity_vector(params.beta), regression_matrix(m)
+            lam = intensity_vector(params.beta)
             w = 0.9 * path.design().w
             w[np.flatnonzero(w == 0.0)[0]] = 0.1
-            checked(w, lam, F, m - 1, w > 0.0, _derivatives(w, lam, F))
+            checked(w, lam, m - 1, w > 0.0, _derivatives(w, lam))
         assert ends["converged"] > 0 and ends["k pairs"] > 0, ends
 
 
@@ -534,7 +531,7 @@ class TestPathPlusChords:
         params = Parameters(len(beta) + 1, beta)
         k = params.m - 1
         path = sorted_beta_path(params)
-        d = _derivatives(path.design().w, params.intensities, regression_matrix(params.m))[0]
+        d = _derivatives(path.design().w, params.intensities)[0]
         assert not forms_a_cactus(path, np.flatnonzero(d - k > KW_TOLERANCE).tolist())
         calls = count_derivative_calls(monkeypatch)
         assert solve(params).converged
